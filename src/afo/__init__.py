@@ -77,7 +77,6 @@ from .pipeline import (
     concretize_extension_sets,
     derive_abstract_frameworks,
     maximal_conservative_subsets,
-    preferred_per_framework,
     restrict_extensions,
     sharpen,
 )

@@ -10,14 +10,18 @@ attack inside the group between comparable expressions), and attack
 preserving (no external neighbor is comparable with the merged node).
 
 Expression e' abstracts expression e when f(e) is below f(e') in the
-lattice.
+lattice.  a_x abstracts a non-empty group exactly when it absorbs each
+member: every member expression lies below exactly one expression of a_x,
+and every expression of a_x lies above some member expression.  So a group
+can grow inside its component exactly when all of it and another member
+are absorbed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .af import Argument, Framework, strongly_connected_components
 from .errors import EmptySet, TargetsNotInFramework
@@ -136,8 +140,28 @@ def _check_targets(framework: Framework, targets: Iterable[str]) -> frozenset[st
     return wanted
 
 
-def _framework_arguments(framework: Framework, ids: Iterable[str]) -> list[Argument]:
-    return [Argument(i, framework.argument_expressions(i)) for i in sorted(ids)]
+def _absorbs(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, arg_id: str) -> bool:
+    """Whether a_x absorbs the argument (see the module docstring)."""
+    exprs = framework.argument_expressions(arg_id)
+    return all(
+        sum(1 for ex in a_x.expressions if _abstracts(lat, fmap, ex, e)) == 1 for e in exprs
+    ) and all(any(_abstracts(lat, fmap, ex, e) for e in exprs) for ex in a_x.expressions)
+
+
+def _absorbed_outsiders(
+    framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate
+) -> Iterator[str] | None:
+    """Lazily, in id order, the other members of the targets' SCC that the
+    candidate absorbs, none unless it absorbs every target; None when the
+    targets span several SCCs."""
+    targets = _check_targets(framework, candidate.targets)
+    home = next((s for s in strongly_connected_components(framework) if targets <= s), None)
+    if home is None:
+        return None
+    a_x = candidate.abstract_arg
+    if not all(_absorbs(framework, lat, fmap, a_x, t) for t in targets):
+        return iter(())
+    return (o for o in sorted(home - targets) if _absorbs(framework, lat, fmap, a_x, o))
 
 
 def is_valid(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate) -> bool:
@@ -145,24 +169,25 @@ def is_valid(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candid
 
     Growth means: some strictly larger subset of the same SCC, targets
     included, is still abstracted by the candidate's argument.  The whole
-    SCC itself counts as a growth candidate.
+    SCC itself counts as a growth candidate.  Such a subset exists exactly
+    when the argument absorbs every target and some other SCC member.
     """
-    targets = _check_targets(framework, candidate.targets)
-    home = next((s for s in strongly_connected_components(framework) if targets <= s), None)
-    if home is None:
-        return False
-    rest = sorted(home - targets)
-    for size in range(1, len(rest) + 1):
-        for extra in combinations(rest, size):
-            larger = _framework_arguments(framework, targets | set(extra))
-            if is_argument_abstraction(lat, fmap, candidate.abstract_arg, larger):
-                return False
-    return True
+    outsiders = _absorbed_outsiders(framework, lat, fmap, candidate)
+    return outsiders is not None and next(outsiders, None) is None
 
 
 def is_non_trivial(lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str], candidate: AbstractionCandidate) -> bool:
     """The merged node stays outside the too-general upper set."""
     return alpha(lat, fmap, candidate.abstract_arg.expressions) not in set(blocked)
+
+
+def _internal_conflicts(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, targets: frozenset[str]) -> tuple[tuple[str, str, str, str], ...]:
+    """Attacks inside the targets between comparable expressions, in order."""
+    return tuple(
+        (src, e1, dst, e2)
+        for (src, e1), (dst, e2) in sorted(framework.attacks)
+        if src in targets and dst in targets and lat.comparable(fmap.image(e1), fmap.image(e2))
+    )
 
 
 def is_compatible(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, targets: Iterable[str]) -> bool:
@@ -171,32 +196,26 @@ def is_compatible(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, t
     Equal images count as comparable, so a self-attacking arglet already
     disqualifies its group.
     """
-    wanted = _check_targets(framework, targets)
-    for (src, e1), (dst, e2) in framework.attacks:
-        if src in wanted and dst in wanted and lat.comparable(fmap.image(e1), fmap.image(e2)):
-            return False
-    return True
+    return not _internal_conflicts(framework, lat, fmap, _check_targets(framework, targets))
 
 
-def _external_neighbors(framework: Framework, targets: frozenset[str]) -> list[str]:
-    out: set[str] = set()
-    for (src, _), (dst, _) in framework.attacks:
-        if src in targets and dst not in targets:
-            out.add(dst)
-        elif dst in targets and src not in targets:
-            out.add(src)
-    return sorted(out)
+def _external_checks(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, targets: frozenset[str], merged: str) -> tuple[tuple[str, str, bool], ...]:
+    """External attackers and attackees in id order, each with its node and
+    whether that node is comparable with the merged node."""
+    neighbors = {dst for (src, _), (dst, _) in framework.attacks if src in targets and dst not in targets}
+    neighbors |= {src for (src, _), (dst, _) in framework.attacks if dst in targets and src not in targets}
+    return tuple(
+        (ext, ext_node, lat.comparable(merged, ext_node))
+        for ext in sorted(neighbors)
+        for ext_node in [alpha(lat, fmap, framework.argument_expressions(ext))]
+    )
 
 
 def is_attack_preserving(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate) -> bool:
     """Every external attacker or attackee is incomparable with the merge."""
     targets = _check_targets(framework, candidate.targets)
     merged = alpha(lat, fmap, candidate.abstract_arg.expressions)
-    for ext in _external_neighbors(framework, targets):
-        ext_node = alpha(lat, fmap, framework.argument_expressions(ext))
-        if lat.comparable(merged, ext_node):
-            return False
-    return True
+    return not any(c for _, _, c in _external_checks(framework, lat, fmap, targets, merged))
 
 
 def is_conservative(
@@ -246,38 +265,22 @@ def conservativity_report(
     merged = alpha(lat, fmap, candidate.abstract_arg.expressions)
     blocked_sorted = tuple(sorted(set(blocked)))
 
-    growth: list[tuple[str, ...]] = []
-    home = next((s for s in strongly_connected_components(framework) if targets <= s), None)
-    if home is None:
-        valid = False
-    else:
-        rest = sorted(home - targets)
-        for size in range(1, len(rest) + 1):
-            for extra in combinations(rest, size):
-                larger_ids = targets | set(extra)
-                larger = _framework_arguments(framework, larger_ids)
-                if is_argument_abstraction(lat, fmap, candidate.abstract_arg, larger):
-                    growth.append(tuple(sorted(larger_ids)))
-        valid = not growth
-
-    conflicts = tuple(
-        (src, e1, dst, e2)
-        for (src, e1), (dst, e2) in sorted(framework.attacks)
-        if src in targets and dst in targets and lat.comparable(fmap.image(e1), fmap.image(e2))
+    outsiders = _absorbed_outsiders(framework, lat, fmap, candidate)
+    pool = list(outsiders or ())
+    growth = tuple(
+        tuple(sorted(targets | set(extra)))
+        for size in range(1, len(pool) + 1)
+        for extra in combinations(pool, size)
     )
-
-    externals = tuple(
-        (ext, ext_node, lat.comparable(merged, ext_node))
-        for ext in _external_neighbors(framework, targets)
-        for ext_node in [alpha(lat, fmap, framework.argument_expressions(ext))]
-    )
+    conflicts = _internal_conflicts(framework, lat, fmap, targets)
+    externals = _external_checks(framework, lat, fmap, targets, merged)
 
     return ConservativityReport(
         candidate=candidate,
         merged_node=merged,
-        valid=valid,
-        growth_witnesses=tuple(growth),
-        non_trivial=merged not in set(blocked_sorted),
+        valid=outsiders is not None and not growth,
+        growth_witnesses=growth,
+        non_trivial=is_non_trivial(lat, fmap, blocked_sorted, candidate),
         blocked_nodes=blocked_sorted,
         compatible=not conflicts,
         internal_conflicts=conflicts,

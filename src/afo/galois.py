@@ -20,23 +20,21 @@ unfolded into a level the vocabulary cannot express.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EmptySet, UnknownExpression
 from .lattice import FiniteLattice
 
 
+@dataclass(init=False)
 class SemanticMap:
     """Total assignment of expressions to lattice nodes."""
 
+    _assignments: dict[str, str]
+
     def __init__(self, assignments: Mapping[str, str]):
         self._assignments = dict(assignments)
-
-    def __eq__(self, other):
-        return isinstance(other, SemanticMap) and self._assignments == other._assignments
-
-    def __repr__(self):
-        return f"SemanticMap({self._assignments!r})"
 
     @property
     def symbols(self) -> frozenset[str]:

@@ -12,15 +12,14 @@ re-read against those projections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .abstraction import best_abstraction_of, is_conservative
 from .af import Argument, Framework, strongly_connected_components
 from .errors import IdCollision, TargetsNotInFramework
-from .galois import SemanticMap
+from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
-from .semantics import _sorted_extensions, preferred
+from .semantics import CREDULOUS, SKEPTICAL, _sorted_extensions, preferred
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,12 @@ class ReplacementStep:
 
 @dataclass(frozen=True)
 class AbstractionResult:
-    """Derived frameworks with, per framework, the replacements that built it."""
+    """Derived frameworks, the replacements that built each, and a map that
+    covers their expressions, synthetic ones included."""
 
     frameworks: tuple[Framework, ...]
     provenance: tuple[tuple[ReplacementStep, ...], ...]
+    fmap: SemanticMap
 
 
 def maximal_conservative_subsets(
@@ -46,21 +47,26 @@ def maximal_conservative_subsets(
     scc: frozenset[str],
 ) -> list[frozenset[str]]:
     """Largest target groups (two or more ids) inside one SCC whose best
-    abstraction is conservative; descending-size scan, so nothing returned
-    is contained in another qualifying group."""
+    abstraction is conservative, none contained in another, largest first.
+
+    A best abstraction at node v absorbs exactly the members below v, so
+    the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
+    and only when v is its join.  Groups are found per node outside M."""
     blocked = frozenset(blocked)
-    members = sorted(scc)
-    chosen: list[frozenset[str]] = []
-    for size in range(len(members), 1, -1):
-        for combo in combinations(members, size):
-            group = frozenset(combo)
-            if any(group < bigger for bigger in chosen):
-                continue
-            args = [Argument(i, framework.argument_expressions(i)) for i in sorted(group)]
-            candidate, xmap = best_abstraction_of(lat, fmap, args)
-            if is_conservative(framework, lat, xmap, blocked, candidate):
-                chosen.append(group)
-    return sorted(chosen, key=lambda g: (-len(g), tuple(sorted(g))))
+    if len(scc) < 2:
+        return []
+    node_of = {a: alpha(lat, fmap, framework.argument_expressions(a)) for a in sorted(scc)}
+    found: list[frozenset[str]] = []
+    for v in sorted(lat.nodes - blocked):
+        group = frozenset(a for a, node in node_of.items() if lat.leq(node, v))
+        if len(group) < 2 or lat.join(node_of[a] for a in group) != v:
+            continue
+        args = [Argument(i, framework.argument_expressions(i)) for i in sorted(group)]
+        candidate, xmap = best_abstraction_of(lat, fmap, args)
+        if is_conservative(framework, lat, xmap, blocked, candidate):
+            found.append(group)
+    maximal = [g for g in found if not any(g < bigger for bigger in found)]
+    return sorted(maximal, key=lambda g: (-len(g), tuple(sorted(g))))
 
 
 def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg: Argument) -> Framework:
@@ -106,32 +112,26 @@ def derive_abstract_frameworks(
     replacement applies anywhere, the unreplaced original is not kept.
     """
     blocked = frozenset(blocked)
+    assignments = dict(fmap.items())
     acc: list[tuple[Framework, tuple[ReplacementStep, ...]]] = [(framework, ())]
     for scc in strongly_connected_components(framework):
-        groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc)
-        if not groups:
-            continue
-        forked: list[tuple[Framework, tuple[ReplacementStep, ...]]] = []
-        for built, steps in acc:
-            for targets in groups:
-                args = [Argument(i, framework.argument_expressions(i)) for i in sorted(targets)]
-                candidate, _ = best_abstraction_of(lat, fmap, args)
-                replaced = abstract_replace(built, targets, candidate.abstract_arg)
-                forked.append((replaced, steps + (ReplacementStep(scc, targets, candidate.abstract_arg),)))
-        acc = forked
+        replacements: list[ReplacementStep] = []
+        for targets in maximal_conservative_subsets(framework, lat, fmap, blocked, scc):
+            args = [Argument(i, framework.argument_expressions(i)) for i in sorted(targets)]
+            candidate, xmap = best_abstraction_of(lat, fmap, args)
+            assignments.update(xmap.items())
+            replacements.append(ReplacementStep(scc, targets, candidate.abstract_arg))
+        if replacements:
+            acc = [
+                (abstract_replace(built, step.targets, step.abstract_arg), steps + (step,))
+                for built, steps in acc
+                for step in replacements
+            ]
 
-    frameworks: list[Framework] = []
-    provenance: list[tuple[ReplacementStep, ...]] = []
+    first_steps: dict[Framework, tuple[ReplacementStep, ...]] = {}
     for built, steps in acc:
-        if built in frameworks:
-            continue
-        frameworks.append(built)
-        provenance.append(steps)
-    return AbstractionResult(tuple(frameworks), tuple(provenance))
-
-
-def preferred_per_framework(frameworks: Sequence[Framework]) -> list[list[frozenset[str]]]:
-    return [preferred(f) for f in frameworks]
+        first_steps.setdefault(built, steps)
+    return AbstractionResult(tuple(first_steps), tuple(first_steps.values()), SemanticMap(assignments))
 
 
 def restrict_extensions(extensions: Iterable[frozenset[str]], ids: Iterable[str]) -> list[frozenset[str]]:
@@ -161,9 +161,7 @@ def concretize_extension_sets(
     return out
 
 
-# concrete statuses
-SKEPTICAL = "skeptical"
-CREDULOUS = "credulous"
+# concrete statuses besides SKEPTICAL and CREDULOUS
 REJECTED = "rejected"
 
 # sharpened statuses for concretely accepted arguments
@@ -227,7 +225,7 @@ def sharpen(
     """Concrete verdicts re-read through the abstract-space projections."""
     concrete = preferred(framework)
     derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
-    abstract_preferred = preferred_per_framework(derivation.frameworks)
+    abstract_preferred = [preferred(f) for f in derivation.frameworks]
     projected = concretize_extension_sets(framework, abstract_preferred)
 
     verdicts = []

@@ -179,6 +179,24 @@ def random_framework(rng: random.Random, max_args: int = 12, attack_prob: float 
     return Framework(frozenset(arglets), frozenset(attacks))
 
 
+def mapped_framework(
+    rng: random.Random, fmap: SemanticMap, max_args: int = 7, max_exprs: int = 2, attack_prob: float = 0.2
+) -> Framework:
+    """Arguments with 1..max_exprs expressions drawn from the map, on a
+    spanning cycle half of the time, plus random arglet attacks."""
+    symbols = sorted(fmap.symbols)
+    n = rng.randint(1, max_args)
+    arglets = []
+    for i in range(n):
+        for symbol in rng.sample(symbols, min(len(symbols), rng.randint(1, max_exprs))):
+            arglets.append((f"a{i}", symbol))
+    attacks = {(src, dst) for src in arglets for dst in arglets if rng.random() < attack_prob}
+    if rng.random() < 0.5:
+        heads = [next(al for al in arglets if al[0] == f"a{i}") for i in range(n)]
+        attacks |= {(heads[i], heads[(i + 1) % n]) for i in range(n) if n > 1}
+    return Framework(frozenset(arglets), frozenset(attacks))
+
+
 def random_single_scc_framework(rng: random.Random, max_args: int = 8) -> Framework:
     """Strongly connected framework: a spanning cycle plus random chords."""
     n = rng.randint(1, max_args)
@@ -232,3 +250,41 @@ def conservative_instance(rng: random.Random):
 
     targets = frozenset(f"a{i}" for i in range(k))
     return framework, lattice, fmap, frozenset({"top"}), targets, interval
+
+
+def multi_hub_instance(rng: random.Random):
+    """Framework, lattice, map and M = {top} where one SCC can hold a
+    conservative group under each of several hubs.
+
+    Shape: a flower with two or three hubs of two or three atoms each and up
+    to two loose atoms under the top, one expression per node between
+    bottom and top, and a spanning cycle plus chords over arguments on
+    distinct atoms.  Now and then one more argument sits on a hub or a
+    repeated atom, which can break compatibility.
+    """
+    covers = []
+    atoms = []
+    hubs = [f"h{i}" for i in range(rng.randint(2, 3))]
+    for hub in hubs:
+        for _ in range(rng.randint(2, 3)):
+            atom = f"x{len(atoms)}"
+            atoms.append(atom)
+            covers += [("bot", atom), (atom, hub)]
+        covers.append((hub, "top"))
+    for _ in range(rng.randint(0, 2)):
+        atom = f"x{len(atoms)}"
+        atoms.append(atom)
+        covers += [("bot", atom), (atom, "top")]
+    lattice = validate_lattice(atoms + hubs + ["bot", "top"], covers)
+    fmap = SemanticMap({f"e_{node}": node for node in atoms + hubs})
+
+    picks = rng.sample(atoms, rng.randint(2, min(6, len(atoms))))
+    if rng.random() < 0.3:
+        picks.append(rng.choice(atoms + hubs))
+    rng.shuffle(picks)
+    arglets = [(f"a{i}", f"e_{node}") for i, node in enumerate(picks)]
+    n = len(arglets)
+    attacks = {(arglets[i], arglets[(i + 1) % n]) for i in range(n)}
+    attacks |= {(s, d) for s in arglets for d in arglets if s != d and rng.random() < 0.15}
+    framework = Framework(frozenset(arglets), frozenset(attacks))
+    return framework, lattice, fmap, frozenset({"top"})

@@ -2,8 +2,9 @@
 
 Everything here is written from the bare definitions, favouring obviousness
 over speed: breadth-first search for the order, bitmask enumeration of all
-subsets for the semantics, set comprehensions for the projections.  Nothing
-imports from the package.
+subsets for the semantics, subset enumeration for validity and the group
+scan, set comprehensions for the projections.  Nothing imports from the
+package.
 """
 
 from __future__ import annotations
@@ -215,6 +216,89 @@ def oracle_sccs(ids, edges):
         comp = {b for b in ids if (b in reach[a] and a in reach[b]) or a == b}
         components.add(frozenset(comp))
     return components
+
+
+# ------------------------------------------------------ conservativity
+
+
+def _oracle_join_all(reach, members):
+    """Least upper bound of a non-empty node collection."""
+    uppers = set.intersection(*(reach[m] for m in members))
+    return next(u for u in uppers if uppers <= reach[u])
+
+
+def oracle_is_argument_abstraction(reach, abstractor, targets):
+    """Covering, disjoint, sound and complete, read literally.
+
+    `abstractor` lists the node of each abstractor expression (repeats
+    allowed); `targets` holds one node set per target argument.
+    """
+
+    def abstracts(x, n):
+        return x in reach[n]
+
+    union = set().union(*targets)
+    covering = all(
+        all(any(abstracts(x, n) for n in t) for t in targets)
+        for x in abstractor
+        if any(abstracts(x, n) for n in union)
+    )
+    disjoint = all(sum(1 for x in abstractor if abstracts(x, n)) <= 1 for n in union)
+    sound = all(any(abstracts(x, n) for x in abstractor) for n in union)
+    complete = all(any(abstracts(x, n) for n in union) for x in abstractor)
+    return covering and disjoint and sound and complete
+
+
+def oracle_growth(reach, arg_nodes, abstractor, targets, home):
+    """Strictly larger subsets of `home` containing `targets` that the
+    abstractor still abstracts, by size then lexicographically."""
+    rest = sorted(set(home) - set(targets))
+    return [
+        tuple(sorted(set(targets) | set(extra)))
+        for size in range(1, len(rest) + 1)
+        for extra in combinations(rest, size)
+        if oracle_is_argument_abstraction(
+            reach, abstractor, [arg_nodes[a] for a in set(targets) | set(extra)]
+        )
+    ]
+
+
+def oracle_maximal_conservative_groups(nodes, covers, assignments, arglets, attacks, blocked, scc):
+    """Subset scan: every group of two or more SCC members, largest first,
+    merged at the join of its nodes and checked against all four
+    conservativity conditions; groups inside an earlier hit are skipped."""
+    reach = oracle_up_reach(nodes, covers)
+    arg_nodes = {}
+    for a, e in arglets:
+        arg_nodes.setdefault(a, set()).add(assignments[e])
+
+    def comparable(x, y):
+        return y in reach[x] or x in reach[y]
+
+    members = sorted(scc)
+    chosen = []
+    for size in range(len(members), 1, -1):
+        for combo in combinations(members, size):
+            group = frozenset(combo)
+            if any(group < bigger for bigger in chosen):
+                continue
+            merged = _oracle_join_all(reach, set().union(*(arg_nodes[a] for a in group)))
+            neighbours = {d for (s, _), (d, _) in attacks if s in group and d not in group}
+            neighbours |= {s for (s, _), (d, _) in attacks if d in group and s not in group}
+            conservative = (
+                not oracle_growth(reach, arg_nodes, [merged], group, scc)
+                and merged not in blocked
+                and not any(
+                    s in group and d in group and comparable(assignments[se], assignments[de])
+                    for (s, se), (d, de) in attacks
+                )
+                and not any(
+                    comparable(merged, _oracle_join_all(reach, arg_nodes[n])) for n in neighbours
+                )
+            )
+            if conservative:
+                chosen.append(group)
+    return sorted(chosen, key=lambda g: (-len(g), tuple(sorted(g))))
 
 
 # --------------------------------------------------------- projections

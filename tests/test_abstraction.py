@@ -24,7 +24,15 @@ from afo import (
     is_valid,
 )
 
-from generators import conservative_instance, lattice_with_full_coverage
+from generators import (
+    conservative_instance,
+    lattice_with_full_coverage,
+    mapped_framework,
+    multi_hub_instance,
+    random_lattice,
+    random_map,
+)
+from oracles import oracle_growth, oracle_sccs, oracle_up_reach
 from witnesses import (
     CONSERVATIVE_PAIRS,
     CONSERVATIVE_WITNESSES,
@@ -138,6 +146,51 @@ def test_validity_on_boardroom(boardroom):
         is_valid(fw, lat, fmap, AbstractionCandidate(frozenset({"ghost"}), imp))
     with pytest.raises(TargetsNotInFramework):
         is_valid(fw, lat, fmap, AbstractionCandidate(frozenset(), imp))
+
+
+def test_validity_matches_growth_enumeration():
+    """Closed-form validity and the report's growth witnesses against a
+    brute-force enumeration of every larger subset of the home SCC."""
+    rng = random.Random(1802)
+    grown = multi = 0
+    for i in range(1000):
+        if i % 2:
+            lat = random_lattice(rng)
+            fmap = random_map(rng, lat)
+        else:
+            _, lat, fmap, _ = multi_hub_instance(rng)
+        fw = mapped_framework(rng, fmap)
+        ids, edges = fw.dung_projection()
+        sccs = sorted(oracle_sccs(ids, edges), key=lambda c: sorted(c))
+        if rng.random() < 0.9:
+            scc = sorted(rng.choice(sccs))
+            targets = frozenset(rng.sample(scc, rng.randint(1, len(scc))))
+        else:
+            targets = frozenset(rng.sample(sorted(ids), rng.randint(1, len(ids))))
+        symbols = sorted(fmap.symbols)
+        if rng.random() < 0.3:
+            picked = rng.sample(symbols, min(len(symbols), rng.randint(1, 3)))
+        else:
+            # one abstractor above each expression of one target, so growth is common
+            picked = [
+                rng.choice([s for s in symbols if lat.leq(fmap.image(e), fmap.image(s))])
+                for e in sorted(fw.argument_expressions(rng.choice(sorted(targets))))
+            ]
+        a_x = Argument("w", frozenset(picked))
+        candidate = AbstractionCandidate(targets, a_x)
+
+        home = next((c for c in sccs if targets <= c), None)
+        arg_nodes = {a.arg_id: {fmap.image(e) for e in a.expressions} for a in fw.arguments()}
+        abstractor = [fmap.image(e) for e in a_x.expressions]
+        reach = oracle_up_reach(lat.nodes, lat.covers)
+        growth = [] if home is None else oracle_growth(reach, arg_nodes, abstractor, targets, home)
+
+        assert is_valid(fw, lat, fmap, candidate) == (home is not None and not growth)
+        report = conservativity_report(fw, lat, fmap, {lat.top}, candidate)
+        assert report.growth_witnesses == tuple(growth)
+        grown += bool(growth)
+        multi += len(a_x.expressions) > 1 and bool(growth)
+    assert grown >= 80 and multi >= 5
 
 
 def test_non_trivial(boardroom):

@@ -6,15 +6,16 @@ from afo import (
     Argument,
     Framework,
     IdCollision,
+    SemanticMap,
     TargetsNotInFramework,
     abstract_replace,
     concretize_extension_sets,
     derive_abstract_frameworks,
     maximal_conservative_subsets,
     preferred,
-    preferred_per_framework,
     restrict_extensions,
     sharpen,
+    validate_lattice,
 )
 from afo.pipeline import (
     IMPLIED_CREDULOUS,
@@ -24,7 +25,14 @@ from afo.pipeline import (
     PLUS_APPROVED_SKEPTICAL,
 )
 
-from oracles import oracle_sigma
+from generators import (
+    conservative_instance,
+    mapped_framework,
+    multi_hub_instance,
+    random_lattice,
+    random_map,
+)
+from oracles import oracle_maximal_conservative_groups, oracle_sccs, oracle_sigma
 from witnesses import WITNESS_LATTICE, WITNESS_MAP
 
 fs = frozenset
@@ -51,6 +59,44 @@ def test_maximal_groups_marathon(marathon):
     assert maximal_conservative_subsets(
         fw, lat, fmap, marathon.blocked, fs({"a4", "a5"})
     ) == []
+
+
+def _scan_against_oracle(lat, fmap, fw, blocked):
+    """Group counts per SCC, after checking each SCC's groups against the
+    subset-enumerating reference."""
+    counts = []
+    ids, edges = fw.dung_projection()
+    for scc in sorted(oracle_sccs(ids, edges), key=lambda c: sorted(c)):
+        got = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
+        want = oracle_maximal_conservative_groups(
+            lat.nodes, lat.covers, dict(fmap.items()), fw.arglets, fw.attacks, blocked, scc
+        )
+        assert got == want
+        counts.append(len(got))
+    return counts
+
+
+def test_group_scan_matches_subset_oracle():
+    rng = random.Random(1802)
+    counts = []
+    for _ in range(300):
+        lat = random_lattice(rng)
+        fmap = random_map(rng, lat)
+        fw = mapped_framework(rng, fmap, max_exprs=rng.randint(1, 2))
+        if rng.random() < 0.5:
+            blocked = fs({lat.top})
+        else:
+            blocked = lat.upward_closure([rng.choice(sorted(lat.nodes))])
+        counts += _scan_against_oracle(lat, fmap, fw, blocked)
+    # flowers with two or more hubs: one SCC can hold a group per hub
+    for _ in range(100):
+        fw, lat, fmap, blocked = multi_hub_instance(rng)
+        counts += _scan_against_oracle(lat, fmap, fw, blocked)
+    for _ in range(50):
+        fw, lat, fmap, blocked, _, _ = conservative_instance(rng)
+        counts += _scan_against_oracle(lat, fmap, fw, blocked)
+    assert sum(1 for c in counts if c) >= 100
+    assert sum(1 for c in counts if c >= 2) >= 20
 
 
 def test_abstract_replace_boardroom(boardroom):
@@ -114,7 +160,7 @@ def test_derive_boardroom(boardroom):
     assert steps[0].scc == fs({"a1", "a2", "a3"})
     assert steps[0].targets == fs({"a1", "a2", "a3"})
     assert steps[0].abstract_arg == Argument("a1+a2+a3", fs({"focusOnImp"}))
-    assert preferred_per_framework(result.frameworks) == [[fs({"a1+a2+a3", "a5"})]]
+    assert [preferred(f) for f in result.frameworks] == [[fs({"a1+a2+a3", "a5"})]]
 
 
 def test_derive_marathon(marathon):
@@ -138,6 +184,26 @@ def test_derive_without_abstractable_groups_returns_original():
     result = derive_abstract_frameworks(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
     assert result.frameworks == (fw,)
     assert result.provenance == ((),)
+
+
+def test_derived_framework_feeds_back_into_sharpen():
+    # no expression sits at H, so the merge of a1 and a2 mints one
+    lat = validate_lattice(
+        ["bot", "x1", "x2", "y", "H", "top"],
+        [("bot", "x1"), ("bot", "x2"), ("bot", "y"), ("x1", "H"), ("x2", "H"), ("H", "top"), ("y", "top")],
+    )
+    fmap = SemanticMap({"e1": "x1", "e2": "x2", "ey": "y"})
+    a1, a2, b = ("a1", "e1"), ("a2", "e2"), ("b", "ey")
+    fw = Framework.of([a1, a2, b], [(a1, a2), (a2, a1), (b, a1), (a1, b)])
+    result = derive_abstract_frameworks(fw, lat, fmap, fs({"top"}))
+    (derived,) = result.frameworks
+    assert derived.arguments() == [Argument("a1+a2", fs({"H#abs"})), Argument("b", fs({"ey"}))]
+    assert result.fmap.image("H#abs") == "H"
+    assert "H#abs" not in fmap.symbols
+
+    report = sharpen(derived, lat, result.fmap, fs({"top"}))
+    assert report.derivation.frameworks == (derived,)
+    assert report.concrete == (fs({"a1+a2"}), fs({"b"}))
 
 
 def test_restrict_extensions_examples():
