@@ -28,7 +28,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .af import Arglet, Framework
+from .abstraction import conservativity_report
+from .af import Arglet, Framework, strongly_connected_components
 from .errors import (
     AfoError,
     AfoSyntaxError,
@@ -43,8 +44,6 @@ from .pipeline import (
     maximal_conservative_subsets,
     sharpen,
 )
-from .abstraction import best_abstraction_of, conservativity_report
-from .af import Argument, strongly_connected_components
 from .semantics import cf2, grounded_labelling, preferred, preferred_bruteforce
 
 _DIRECTIVE_ARITY = {
@@ -229,7 +228,13 @@ def build_model(document: AfoDocument) -> AfoModel:
 
 
 def load_afo(path: str) -> tuple[AfoModel, AfoDocument, list[str]]:
-    document, warnings = parse_afo(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise AfoSyntaxError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
+    document, warnings = parse_afo(text)
     return build_model(document), document, warnings
 
 
@@ -306,10 +311,7 @@ def _dot(framework: Framework) -> str:
 # ------------------------------------------------------------ subcommands
 
 
-def _cmd_validate(args) -> int:
-    model, document, warnings = load_afo(args.file)
-    for w in warnings:
-        print(w, file=sys.stderr)
+def _cmd_validate(args, model: AfoModel, document: AfoDocument) -> int:
     print(
         f"ok: {len(document.nodes)} nodes, {len(document.covers)} covers, "
         f"{len(model.framework.arguments())} arguments, {len(document.arglets)} arglets, "
@@ -318,10 +320,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_semantics(args) -> int:
-    model, _, warnings = load_afo(args.file)
-    for w in warnings:
-        print(w, file=sys.stderr)
+def _cmd_semantics(args, model: AfoModel, document: AfoDocument) -> int:
     if args.sem == "grounded":
         labelling = grounded_labelling(model.framework)
         if args.json:
@@ -355,12 +354,10 @@ def _explain(model: AfoModel) -> None:
         if not groups:
             print("  no conservative group")
             continue
-        for targets in groups:
-            arguments = [Argument(i, framework.argument_expressions(i)) for i in sorted(targets)]
-            candidate, xmap = best_abstraction_of(lat, fmap, arguments)
+        for candidate, xmap in groups:
             report = conservativity_report(framework, lat, xmap, model.blocked, candidate)
             expr = sorted(candidate.abstract_arg.expressions)[0]
-            print(f"  group {_fmt_set(targets)} -> {candidate.abstract_arg.arg_id} at {report.merged_node} (via {expr})")
+            print(f"  group {_fmt_set(candidate.targets)} -> {candidate.abstract_arg.arg_id} at {report.merged_node} (via {expr})")
             growth = "; ".join(_fmt_set(g) for g in report.growth_witnesses)
             print(f"    valid: {'yes (no larger abstractable group in the scc)' if report.valid else 'NO: abstracts ' + growth}")
             print(
@@ -378,10 +375,7 @@ def _explain(model: AfoModel) -> None:
             print(f"    => {'conservative' if report.conservative else 'not conservative'}")
 
 
-def _cmd_abstract(args) -> int:
-    model, _, warnings = load_afo(args.file)
-    for w in warnings:
-        print(w, file=sys.stderr)
+def _cmd_abstract(args, model: AfoModel, document: AfoDocument) -> int:
     result = derive_abstract_frameworks(model.framework, model.lattice, model.fmap, model.blocked)
     if args.explain:
         _explain(model)
@@ -413,10 +407,7 @@ def _cmd_abstract(args) -> int:
     return 0
 
 
-def _cmd_sharpen(args) -> int:
-    model, _, warnings = load_afo(args.file)
-    for w in warnings:
-        print(w, file=sys.stderr)
+def _cmd_sharpen(args, model: AfoModel, document: AfoDocument) -> int:
     report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
 
     if args.oracle:
@@ -497,7 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        model, document, warnings = load_afo(args.file)
+        for w in warnings:
+            print(w, file=sys.stderr)
+        return args.func(args, model, document)
     except AfoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .abstraction import best_abstraction_of, is_conservative
+from .abstraction import AbstractionCandidate, best_abstraction_of, is_conservative
 from .af import Argument, Framework, strongly_connected_components
 from .errors import IdCollision, TargetsNotInFramework
 from .galois import SemanticMap, alpha
@@ -45,9 +45,11 @@ def maximal_conservative_subsets(
     fmap: SemanticMap,
     blocked: Iterable[str],
     scc: frozenset[str],
-) -> list[frozenset[str]]:
+) -> list[tuple[AbstractionCandidate, SemanticMap]]:
     """Largest target groups (two or more ids) inside one SCC whose best
     abstraction is conservative, none contained in another, largest first.
+    Each group comes as the candidate and map `best_abstraction_of` built
+    for it; `candidate.targets` is the group.
 
     A best abstraction at node v absorbs exactly the members below v, so
     the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
@@ -56,7 +58,7 @@ def maximal_conservative_subsets(
     if len(scc) < 2:
         return []
     node_of = {a: alpha(lat, fmap, framework.argument_expressions(a)) for a in sorted(scc)}
-    found: list[frozenset[str]] = []
+    found: list[tuple[AbstractionCandidate, SemanticMap]] = []
     for v in sorted(lat.nodes - blocked):
         group = frozenset(a for a, node in node_of.items() if lat.leq(node, v))
         if len(group) < 2 or lat.join(node_of[a] for a in group) != v:
@@ -64,9 +66,9 @@ def maximal_conservative_subsets(
         args = [Argument(i, framework.argument_expressions(i)) for i in sorted(group)]
         candidate, xmap = best_abstraction_of(lat, fmap, args)
         if is_conservative(framework, lat, xmap, blocked, candidate):
-            found.append(group)
-    maximal = [g for g in found if not any(g < bigger for bigger in found)]
-    return sorted(maximal, key=lambda g: (-len(g), tuple(sorted(g))))
+            found.append((candidate, xmap))
+    maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
+    return sorted(maximal, key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))
 
 
 def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg: Argument) -> Framework:
@@ -116,11 +118,9 @@ def derive_abstract_frameworks(
     acc: list[tuple[Framework, tuple[ReplacementStep, ...]]] = [(framework, ())]
     for scc in strongly_connected_components(framework):
         replacements: list[ReplacementStep] = []
-        for targets in maximal_conservative_subsets(framework, lat, fmap, blocked, scc):
-            args = [Argument(i, framework.argument_expressions(i)) for i in sorted(targets)]
-            candidate, xmap = best_abstraction_of(lat, fmap, args)
+        for candidate, xmap in maximal_conservative_subsets(framework, lat, fmap, blocked, scc):
             assignments.update(xmap.items())
-            replacements.append(ReplacementStep(scc, targets, candidate.abstract_arg))
+            replacements.append(ReplacementStep(scc, candidate.targets, candidate.abstract_arg))
         if replacements:
             acc = [
                 (abstract_replace(built, step.targets, step.abstract_arg), steps + (step,))
@@ -222,10 +222,13 @@ def sharpen(
     fmap: SemanticMap,
     blocked: Iterable[str],
 ) -> SharpeningReport:
-    """Concrete verdicts re-read through the abstract-space projections."""
+    """Concrete verdicts re-read through the abstract-space projections.
+
+    A derived framework equal to the input (no group merged) takes the
+    concrete extensions instead of a second `preferred` run."""
     concrete = preferred(framework)
     derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
-    abstract_preferred = [preferred(f) for f in derivation.frameworks]
+    abstract_preferred = [concrete if f == framework else preferred(f) for f in derivation.frameworks]
     projected = concretize_extension_sets(framework, abstract_preferred)
 
     verdicts = []

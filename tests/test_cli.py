@@ -41,6 +41,14 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
+def test_non_utf8_input_is_a_syntax_error(capsys, tmp_path):
+    path = tmp_path / "latin1.afo"
+    path.write_bytes(b"node top\r\n# caf\xe9\narglet a e\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: AfoSyntaxError: line 2: byte 0xe9 is not valid UTF-8\n"
+
+
 def test_usage_error_exits_one():
     proc = subprocess.run(
         RUN + ["semantics"], capture_output=True, text=True

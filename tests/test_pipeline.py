@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import afo.pipeline
 from afo import (
     Argument,
     Framework,
@@ -9,8 +10,10 @@ from afo import (
     SemanticMap,
     TargetsNotInFramework,
     abstract_replace,
+    best_abstraction_of,
     concretize_extension_sets,
     derive_abstract_frameworks,
+    is_conservative,
     maximal_conservative_subsets,
     preferred,
     restrict_extensions,
@@ -42,37 +45,39 @@ def _verdict(report, arg_id):
     return next(v for v in report.verdicts if v.arg_id == arg_id)
 
 
+def _scanned_groups(model, scc):
+    scan = maximal_conservative_subsets(model.framework, model.lattice, model.fmap, model.blocked, scc)
+    return [c.targets for c, _ in scan]
+
+
 def test_maximal_groups_boardroom(boardroom):
-    lat, fmap, fw = boardroom.lattice, boardroom.fmap, boardroom.framework
-    assert maximal_conservative_subsets(
-        fw, lat, fmap, boardroom.blocked, fs({"a1", "a2", "a3"})
-    ) == [fs({"a1", "a2", "a3"})]
-    assert maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs({"a4"})) == []
+    assert _scanned_groups(boardroom, fs({"a1", "a2", "a3"})) == [fs({"a1", "a2", "a3"})]
+    assert _scanned_groups(boardroom, fs({"a4"})) == []
 
 
 def test_maximal_groups_marathon(marathon):
-    lat, fmap, fw = marathon.lattice, marathon.fmap, marathon.framework
-    assert maximal_conservative_subsets(
-        fw, lat, fmap, marathon.blocked, fs({"a1", "a2", "a3"})
-    ) == [fs({"a1", "a2"})]
+    assert _scanned_groups(marathon, fs({"a1", "a2", "a3"})) == [fs({"a1", "a2"})]
     # the tail two-cycle joins at the top, which M rules out
-    assert maximal_conservative_subsets(
-        fw, lat, fmap, marathon.blocked, fs({"a4", "a5"})
-    ) == []
+    assert _scanned_groups(marathon, fs({"a4", "a5"})) == []
 
 
 def _scan_against_oracle(lat, fmap, fw, blocked):
     """Group counts per SCC, after checking each SCC's groups against the
-    subset-enumerating reference."""
+    subset-enumerating reference and each group's candidate and map against
+    a fresh best abstraction of its targets."""
     counts = []
     ids, edges = fw.dung_projection()
     for scc in sorted(oracle_sccs(ids, edges), key=lambda c: sorted(c)):
-        got = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
+        scan = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
         want = oracle_maximal_conservative_groups(
             lat.nodes, lat.covers, dict(fmap.items()), fw.arglets, fw.attacks, blocked, scc
         )
-        assert got == want
-        counts.append(len(got))
+        assert [c.targets for c, _ in scan] == want
+        for candidate, xmap in scan:
+            args = [Argument(i, fw.argument_expressions(i)) for i in sorted(candidate.targets)]
+            assert (candidate, xmap) == best_abstraction_of(lat, fmap, args)
+            assert is_conservative(fw, lat, xmap, blocked, candidate)
+        counts.append(len(scan))
     return counts
 
 
@@ -267,6 +272,25 @@ def test_sharpen_marathon(marathon):
     assert _verdict(report, "a2").sharpened == fs({MINUS_APPROVED})
     a3 = _verdict(report, "a3")
     assert (a3.sets_containing, a3.extensions_containing) == (1, 2)
+
+
+def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
+    # the two-cycle joins at the top, which M rules out
+    fw = Framework.of(
+        [("a", "ep"), ("b", "er")],
+        [(("a", "ep"), ("b", "er")), (("b", "er"), ("a", "ep"))],
+    )
+    calls = []
+
+    def counting_preferred(framework):
+        calls.append(framework)
+        return preferred(framework)
+
+    monkeypatch.setattr(afo.pipeline, "preferred", counting_preferred)
+    report = sharpen(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
+    assert report.derivation.frameworks == (fw,)
+    assert calls == [fw]
+    assert report.abstract_preferred == (report.concrete,)
 
 
 def test_sharpen_attack_free_framework():
