@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .af import Argument, Framework, strongly_connected_components
+from .af import Argument, Framework
 from .errors import EmptySet, TargetsNotInFramework
 from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
@@ -148,6 +148,27 @@ def _absorbs(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, a_x: A
     ) and all(any(_abstracts(lat, fmap, ex, e) for e in exprs) for ex in a_x.expressions)
 
 
+def _home_scc(framework: Framework, arg_id: str) -> frozenset[str]:
+    """The SCC of one argument: what it reaches that also reaches it."""
+    forward: dict[str, set[str]] = {}
+    backward: dict[str, set[str]] = {}
+    for (src, _), (dst, _) in framework.attacks:
+        forward.setdefault(src, set()).add(dst)
+        backward.setdefault(dst, set()).add(src)
+
+    def reach(adj: dict[str, set[str]]) -> set[str]:
+        seen = {arg_id}
+        stack = [arg_id]
+        while stack:
+            for nxt in adj.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    return frozenset(reach(forward) & reach(backward))
+
+
 def _absorbed_outsiders(
     framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate
 ) -> Iterator[str] | None:
@@ -155,8 +176,8 @@ def _absorbed_outsiders(
     candidate absorbs, none unless it absorbs every target; None when the
     targets span several SCCs."""
     targets = _check_targets(framework, candidate.targets)
-    home = next((s for s in strongly_connected_components(framework) if targets <= s), None)
-    if home is None:
+    home = _home_scc(framework, min(targets))
+    if not targets <= home:
         return None
     a_x = candidate.abstract_arg
     if not all(_absorbs(framework, lat, fmap, a_x, t) for t in targets):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .abstraction import conservativity_report
-from .af import Arglet, Framework, strongly_connected_components
+from .af import Arglet, Framework
 from .errors import (
     AfoError,
     AfoSyntaxError,
@@ -40,8 +40,9 @@ from .galois import SemanticMap
 from .lattice import FiniteLattice, validate_lattice
 from .pipeline import (
     SharpeningReport,
-    derive_abstract_frameworks,
-    maximal_conservative_subsets,
+    _derive,
+    _group_scan,
+    _GroupScan,
     sharpen,
 )
 from .semantics import cf2, grounded_labelling, preferred, preferred_bruteforce
@@ -344,13 +345,12 @@ def _cmd_semantics(args, model: AfoModel, document: AfoDocument) -> int:
     return 0
 
 
-def _explain(model: AfoModel) -> None:
-    framework, lat, fmap = model.framework, model.lattice, model.fmap
-    for scc in strongly_connected_components(framework):
+def _explain(model: AfoModel, scan: _GroupScan) -> None:
+    framework, lat = model.framework, model.lattice
+    for scc, groups in scan:
         if len(scc) < 2:
             continue
         print(f"scc {_fmt_set(scc)}:")
-        groups = maximal_conservative_subsets(framework, lat, fmap, model.blocked, scc)
         if not groups:
             print("  no conservative group")
             continue
@@ -376,9 +376,10 @@ def _explain(model: AfoModel) -> None:
 
 
 def _cmd_abstract(args, model: AfoModel, document: AfoDocument) -> int:
-    result = derive_abstract_frameworks(model.framework, model.lattice, model.fmap, model.blocked)
+    scan = _group_scan(model.framework, model.lattice, model.fmap, model.blocked)
+    result = _derive(model.framework, model.fmap, scan)
     if args.explain:
-        _explain(model)
+        _explain(model, scan)
     if args.json:
         _dump(
             {

@@ -101,24 +101,25 @@ def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg:
     return Framework(arglets, frozenset(attacks))
 
 
-def derive_abstract_frameworks(
-    framework: Framework,
-    lat: FiniteLattice,
-    fmap: SemanticMap,
-    blocked: Iterable[str],
-) -> AbstractionResult:
-    """All abstract-space frameworks reachable by one replacement per SCC.
+_GroupScan = list[tuple[frozenset[str], list[tuple[AbstractionCandidate, SemanticMap]]]]
 
-    Components with no qualifying group leave the accumulated frameworks
-    untouched; components with several qualifying groups fork them.  Once a
-    replacement applies anywhere, the unreplaced original is not kept.
-    """
+
+def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str]) -> _GroupScan:
+    """Every SCC, attackers first, with the groups kept in it."""
     blocked = frozenset(blocked)
+    return [
+        (scc, maximal_conservative_subsets(framework, lat, fmap, blocked, scc))
+        for scc in strongly_connected_components(framework)
+    ]
+
+
+def _derive(framework: Framework, fmap: SemanticMap, scan: _GroupScan) -> AbstractionResult:
+    """The frameworks of `derive_abstract_frameworks` from a finished scan."""
     assignments = dict(fmap.items())
     acc: list[tuple[Framework, tuple[ReplacementStep, ...]]] = [(framework, ())]
-    for scc in strongly_connected_components(framework):
+    for scc, groups in scan:
         replacements: list[ReplacementStep] = []
-        for candidate, xmap in maximal_conservative_subsets(framework, lat, fmap, blocked, scc):
+        for candidate, xmap in groups:
             assignments.update(xmap.items())
             replacements.append(ReplacementStep(scc, candidate.targets, candidate.abstract_arg))
         if replacements:
@@ -132,6 +133,21 @@ def derive_abstract_frameworks(
     for built, steps in acc:
         first_steps.setdefault(built, steps)
     return AbstractionResult(tuple(first_steps), tuple(first_steps.values()), SemanticMap(assignments))
+
+
+def derive_abstract_frameworks(
+    framework: Framework,
+    lat: FiniteLattice,
+    fmap: SemanticMap,
+    blocked: Iterable[str],
+) -> AbstractionResult:
+    """All abstract-space frameworks reachable by one replacement per SCC.
+
+    Components with no qualifying group leave the accumulated frameworks
+    untouched; components with several qualifying groups fork them.  Once a
+    replacement applies anywhere, the unreplaced original is not kept.
+    """
+    return _derive(framework, fmap, _group_scan(framework, lat, fmap, blocked))
 
 
 def restrict_extensions(extensions: Iterable[frozenset[str]], ids: Iterable[str]) -> list[frozenset[str]]:

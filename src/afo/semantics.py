@@ -7,9 +7,9 @@ sorted by size then lexicographically so equal inputs always print equally.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Generator, Iterable, Iterator
 
-from .af import Framework, attack_relation, strongly_connected_components
+from .af import Framework, attack_relation
 from .errors import UnknownArgument
 
 IN = "in"
@@ -57,33 +57,156 @@ def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
     return [s for s in sets if not any(s < t for t in sets)]
 
 
+# ------------------------------------------------------------ bitmask kernel
+#
+# preferred, grounded_labelling, maximal_conflict_free_sets and cf2 share
+# one index per call: argument i is bit i of a Python int, in id order.
+# Every search keeps its own stack, so no depth of input can hit the
+# interpreter's recursion limit.
+
+
+class _Index:
+    """Sorted ids; per argument the masks of its attackers, of its targets
+    and of both; the mask of self-attacking arguments.  A plain class:
+    a NamedTuple would add its class-building cost to every import."""
+
+    __slots__ = ("ids", "attackers", "targets", "neighbours", "loops")
+
+    def __init__(self, framework: Framework):
+        self.ids = sorted({a for a, _ in framework.arglets})
+        pos = {a: i for i, a in enumerate(self.ids)}
+        self.attackers = [0] * len(self.ids)
+        self.targets = [0] * len(self.ids)
+        for (s, _), (d, _) in framework.attacks:
+            i, j = pos[s], pos[d]
+            self.attackers[j] |= 1 << i
+            self.targets[i] |= 1 << j
+        self.neighbours = [a | t for a, t in zip(self.attackers, self.targets)]
+        self.loops = sum(1 << i for i, a in enumerate(self.attackers) if a >> i & 1)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _hits(ix: _Index, mask: int) -> int:
+    out = 0
+    for i in _bits(mask):
+        out |= ix.targets[i]
+    return out
+
+
+def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
+    # copied from a set, a frozenset gets a table sized to fit; filled from
+    # a generator it keeps the slack of every resize on the way
+    return _sorted_extensions(frozenset({ix.ids[i] for i in _bits(m)}) for m in masks)
+
+
+def _components(ix: _Index, within: int) -> list[int]:
+    """Weakly connected components of the graph induced on `within`."""
+    out = []
+    while within:
+        comp = frontier = within & -within
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= ix.neighbours[i]
+            frontier = reach & within & ~comp
+            comp |= frontier
+        out.append(comp)
+        within &= ~comp
+    return out
+
+
+def _product(per_component: list[list[int]], base: int = 0) -> list[int]:
+    """Every union of one answer per component, on top of `base`."""
+    combined = [base]
+    for answers in per_component:
+        combined = [c | a for c in combined for a in answers]
+    return combined
+
+
+def _grounded(ix: _Index) -> tuple[int, int]:
+    """In and out masks of the least fixpoint.  Each argument counts its
+    attackers not yet out and goes in when the count reaches zero."""
+    pending = [a.bit_count() for a in ix.attackers]
+    ready = [i for i, k in enumerate(pending) if not k]
+    accepted = defeated = 0
+    while ready:
+        i = ready.pop()
+        accepted |= 1 << i
+        fresh = ix.targets[i] & ~defeated
+        defeated |= fresh
+        for j in _bits(fresh):
+            for k in _bits(ix.targets[j]):
+                pending[k] -= 1
+                if not pending[k]:
+                    ready.append(k)
+    return accepted, defeated
+
+
+def _preferred_in(ix: _Index, comp: int) -> list[int]:
+    """Maximal admissible subsets of one component of the part the grounded
+    labelling leaves undecided, by labelling search (Nofal, Atkinson and
+    Dunne 2014).
+
+    A state holds the masks in, out (attacked by in), must-out (attacks in,
+    not yet out) and blank (still open); the rest is undecided and never
+    goes in.  Each step takes the lowest blank argument in, then leaves it
+    undecided.  A blank argument whose attackers are all out or must go out
+    joins every maximal extension of the state, so it goes in at once.
+
+    Because the in branch is searched first, a preferred set is found
+    before the search can reach any of its subsets, and those are then cut
+    as lying inside it: every set found is maximal.
+    """
+    attackers = ix.attackers
+    found: list[int] = []
+    stack = [(0, 0, 0, comp & ~ix.loops)]
+    while stack:
+        in_, out, must, blank = stack.pop()
+        if any(in_ | blank | f == f for f in found):
+            continue  # nothing below is larger than a set already found
+        if any(not attackers[y] & blank for y in _bits(must)):
+            continue  # an attacker of the in set can no longer be attacked back
+        if not blank:
+            found.append(in_)
+            continue
+        low = blank & -blank
+        stack.append((in_, out, must, blank ^ low))
+        take = low
+        while take:
+            in_ |= take
+            out |= _hits(ix, take) & comp
+            for i in _bits(take):
+                must |= attackers[i] & comp
+            must &= ~out
+            blank &= ~(take | out | must)
+            take = 0
+            for y in _bits(blank):
+                if not attackers[y] & comp & ~(out | must):
+                    take |= 1 << y
+        stack.append((in_, out, must, blank))
+    return found
+
+
 def preferred(framework: Framework) -> list[frozenset[str]]:
     """All maximal admissible sets.
 
-    Depth-first subset enumeration; branches that already contain a conflict
-    are cut immediately, admissibility is checked only on the leaves kept.
+    Every preferred extension holds the grounded extension and nothing it
+    attacks, and the undecided rest splits into weakly connected
+    components whose choices are independent.  Each component is searched
+    on its own and the extensions are the grounded extension plus one
+    choice per component.
     """
-    ids = sorted(framework.argument_ids())
-    adj = attack_relation(framework)
-    admissible: list[frozenset[str]] = []
-
-    def extend(chosen: set[str], start: int) -> None:
-        # every visited subset is conflict-free by construction
-        frozen = frozenset(chosen)
-        if _defends_all(adj, frozen):
-            admissible.append(frozen)
-        for i in range(start, len(ids)):
-            cand = ids[i]
-            if cand in adj[cand]:
-                continue
-            if any(cand in adj[c] or c in adj[cand] for c in chosen):
-                continue
-            chosen.add(cand)
-            extend(chosen, i + 1)
-            chosen.remove(cand)
-
-    extend(set(), 0)
-    return _sorted_extensions(_maximal(admissible))
+    ix = _Index(framework)
+    accepted, defeated = _grounded(ix)
+    undecided = (1 << len(ix.ids)) - 1 & ~(accepted | defeated)
+    per_component = [_preferred_in(ix, comp) for comp in _components(ix, undecided)]
+    return _extensions(ix, _product(per_component, accepted))
 
 
 def grounded_labelling(framework: Framework) -> dict[str, str]:
@@ -92,72 +215,118 @@ def grounded_labelling(framework: Framework) -> dict[str, str]:
     An argument goes in once all its attackers are out, out once some
     attacker is in; whatever never settles stays undecided.
     """
-    adj = attack_relation(framework)
-    attackers: dict[str, set[str]] = {a: set() for a in adj}
-    for s, hit in adj.items():
-        for d in hit:
-            attackers[d].add(s)
+    ix = _Index(framework)
+    accepted, defeated = _grounded(ix)
+    return {
+        a: IN if accepted >> i & 1 else OUT if defeated >> i & 1 else UNDECIDED
+        for i, a in enumerate(ix.ids)
+    }
 
-    label: dict[str, str] = {}
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted(adj):
-            if a in label:
+
+def _naive_in(ix: _Index, comp: int) -> list[int]:
+    """Maximal conflict-free subsets of a connected mask.
+
+    Each step takes the lowest open argument, then drops it; a dropped
+    argument waits until some taken neighbour settles it, and the branch
+    dies once none can.
+    """
+    neighbours = ix.neighbours
+    found: list[int] = []
+    stack = [(0, comp & ~ix.loops, 0)]
+    while stack:
+        taken, open_, waiting = stack.pop()
+        unsettled = 0
+        for y in _bits(waiting):
+            near = neighbours[y]
+            if not near & taken:
+                if not near & open_:
+                    break
+                unsettled |= 1 << y
+        else:
+            if not open_:
+                found.append(taken)
                 continue
-            if all(label.get(b) == OUT for b in attackers[a]):
-                label[a] = IN
-                changed = True
-            elif any(label.get(b) == IN for b in attackers[a]):
-                label[a] = OUT
-                changed = True
-    return {a: label.get(a, UNDECIDED) for a in adj}
+            low = open_ & -open_
+            stack.append((taken, open_ ^ low, unsettled | low))
+            stack.append((taken | low, open_ & ~(low | neighbours[low.bit_length() - 1]), unsettled))
+    return found
 
 
 def maximal_conflict_free_sets(framework: Framework) -> list[frozenset[str]]:
-    ids = sorted(framework.argument_ids())
-    adj = attack_relation(framework)
-    found: list[frozenset[str]] = []
-
-    def extend(chosen: set[str], start: int) -> None:
-        grew = False
-        for i in range(start, len(ids)):
-            cand = ids[i]
-            if cand in adj[cand]:
-                continue
-            if any(cand in adj[c] or c in adj[cand] for c in chosen):
-                continue
-            grew = True
-            chosen.add(cand)
-            extend(chosen, i + 1)
-            chosen.remove(cand)
-        if not grew:
-            # no extension to the right; maximality still needs a global check
-            found.append(frozenset(chosen))
-
-    extend(set(), 0)
-    return _sorted_extensions(_maximal(found))
+    """Naive sets: one choice per weakly connected component."""
+    ix = _Index(framework)
+    everything = (1 << len(ix.ids)) - 1
+    return _extensions(ix, _product([_naive_in(ix, c) for c in _components(ix, everything)]))
 
 
-def _cf2_candidates(framework: Framework) -> list[frozenset[str]]:
-    if not framework.argument_ids():
-        return [frozenset()]
-    sccs = strongly_connected_components(framework)
+def _sccs(ix: _Index, within: int) -> list[int]:
+    """Strongly connected components of the graph induced on `within`,
+    attackers first: iterative Tarjan, flipped at the end."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack = 0
+    components: list[int] = []
+    for root in _bits(within):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack |= 1 << root
+        work = [(root, _bits(ix.targets[root] & within))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack |= 1 << nxt
+                    work.append((nxt, _bits(ix.targets[nxt] & within)))
+                    break
+                if on_stack >> nxt & 1:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = 0
+                    while True:
+                        member = stack.pop()
+                        comp |= 1 << member
+                        if member == node:
+                            break
+                    on_stack &= ~comp
+                    components.append(comp)
+    components.reverse()
+    return components
+
+
+_Choices = list[tuple[int, int]]  # (extension, the mask it attacks)
+
+
+def _cf2_frame(ix: _Index, within: int) -> Generator[int, _Choices, _Choices]:
+    """cf2 of the sub-framework induced by `within`.  Yields each set of
+    survivors whose cf2 extensions it needs and is sent them back."""
+    sccs = _sccs(ix, within)
     if len(sccs) == 1:
-        return maximal_conflict_free_sets(framework)
-
-    adj = attack_relation(framework)
-    partials: list[frozenset[str]] = [frozenset()]
+        return [(m, _hits(ix, m)) for m in _naive_in(ix, within)]
+    partials: _Choices = [(0, 0)]
     for scc in sccs:
-        grown: list[frozenset[str]] = []
-        for part in partials:
-            defeated = {a for a in scc if any(a in adj[b] for b in part - scc)}
-            survivors = scc - defeated
-            if not survivors:
-                grown.append(part)
-                continue
-            for choice in _cf2_candidates(framework.restrict(survivors)):
-                grown.append(part | choice)
+        whole: _Choices | None = None
+        grown: _Choices = []
+        for part, hit in partials:
+            survivors = scc & ~hit
+            if survivors == scc:
+                if whole is None:
+                    whole = [(m, _hits(ix, m)) for m in _naive_in(ix, scc)]
+                choices = whole
+            elif survivors:
+                choices = yield survivors
+            else:
+                choices = [(0, 0)]
+            grown.extend((part | c, hit | h) for c, h in choices)
         partials = grown
     return partials
 
@@ -167,10 +336,28 @@ def cf2(framework: Framework) -> list[frozenset[str]]:
 
     Inside a single strongly connected component the maximal conflict-free
     sets are taken; across components the choice made upstream removes the
-    arguments it defeats before the downstream component chooses.  Candidates
-    that end up included in another candidate are dropped.
+    arguments it defeats before the downstream component chooses.  The
+    recursion runs on an explicit stack of frames, and each survivor set
+    is solved once.
     """
-    return _sorted_extensions(_maximal(_cf2_candidates(framework)))
+    ix = _Index(framework)
+    solved: dict[int, _Choices] = {}
+    everything = (1 << len(ix.ids)) - 1
+    frames = [(everything, _cf2_frame(ix, everything))]
+    reply: _Choices | None = None
+    while True:
+        within, frame = frames[-1]
+        try:
+            wanted = frame.send(reply)
+        except StopIteration as done:
+            frames.pop()
+            reply = solved[within] = done.value
+            if not frames:
+                return _extensions(ix, (m for m, _ in reply))
+            continue
+        reply = solved.get(wanted)
+        if reply is None:
+            frames.append((wanted, _cf2_frame(ix, wanted)))
 
 
 def preferred_bruteforce(framework: Framework) -> list[frozenset[str]]:

@@ -179,6 +179,43 @@ def random_framework(rng: random.Random, max_args: int = 12, attack_prob: float 
     return Framework(frozenset(arglets), frozenset(attacks))
 
 
+def sparse_framework(
+    rng: random.Random, min_args: int = 13, max_args: int = 20, density: float = 0.15, max_loops: int = 2
+) -> Framework:
+    """n arguments of one or two arglets, attacks on exactly
+    round(density * n * (n - 1)) ordered pairs of distinct arguments, each
+    between random arglets of the two, and up to `max_loops` self-attacks.
+
+    A fixed attack count keeps every draw near the sparse regime, where
+    many arguments stay undecided and extensions multiply."""
+    n = rng.randint(min_args, max_args)
+    names = [f"a{i:02d}" for i in range(n)]
+    arglets = {a: [(a, f"e{a}_{j}") for j in range(rng.randint(1, 2))] for a in names}
+    pairs = [(s, d) for s in names for d in names if s != d]
+    chosen = rng.sample(pairs, round(density * len(pairs)))
+    chosen += [(a, a) for a in rng.sample(names, rng.randint(0, max_loops))]
+    attacks = {(rng.choice(arglets[s]), rng.choice(arglets[d])) for s, d in chosen}
+    return Framework.of([al for als in arglets.values() for al in als], attacks)
+
+
+def two_cycle_union(rng: random.Random, m: int, links: int) -> tuple[Framework, int]:
+    """m disjoint 2-cycles plus one-way links between 2*links distinct
+    pairs, with its preferred extension count.
+
+    Each extension picks one argument per pair; a link a -> c only rules
+    out picking both a and c, so there are 2^(m - 2*links) * 3^links.
+    """
+    names = [f"a{j:02d}" for j in range(2 * m)]
+    rng.shuffle(names)
+    pairs = [names[2 * j : 2 * j + 2] for j in range(m)]
+    edges = {(p[0], p[1]) for p in pairs} | {(p[1], p[0]) for p in pairs}
+    linked = rng.sample(range(m), 2 * links)
+    for t in range(links):
+        edges.add((rng.choice(pairs[linked[2 * t]]), rng.choice(pairs[linked[2 * t + 1]])))
+    framework = Framework.of([(a, f"x{a}") for a in names], [((s, f"x{s}"), (d, f"x{d}")) for s, d in edges])
+    return framework, 2 ** (m - 2 * links) * 3**links
+
+
 def mapped_framework(
     rng: random.Random, fmap: SemanticMap, max_args: int = 7, max_exprs: int = 2, attack_prob: float = 0.2
 ) -> Framework:

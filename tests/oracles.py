@@ -3,8 +3,9 @@
 Everything here is written from the bare definitions, favouring obviousness
 over speed: breadth-first search for the order, bitmask enumeration of all
 subsets for the semantics, subset enumeration for validity and the group
-scan, set comprehensions for the projections.  Nothing imports from the
-package.
+scan, set comprehensions for the projections.  The package's former
+depth-first preferred search is kept for frameworks too large to enumerate.
+Nothing imports from the package.
 """
 
 from __future__ import annotations
@@ -171,6 +172,51 @@ def oracle_maximal_conflict_free(ids, edges):
     return sorted((_members(order, m) for m in maximal), key=lambda e: (len(e), tuple(sorted(e))))
 
 
+def _defends_all(adj, sub):
+    for attacker, hit in adj.items():
+        if attacker in sub or not (hit & sub):
+            continue
+        if not any(attacker in adj[defender] for defender in sub):
+            return False
+    return True
+
+
+def _maximal(sets):
+    return [s for s in sets if not any(s < t for t in sets)]
+
+
+def oracle_preferred_dfs(ids, edges):
+    """Maximal admissible sets by depth-first search over conflict-free
+    sets, each checked for defence, then a pairwise maximality filter.
+
+    The package's preferred search before its bitmask kernel, kept as a
+    differential reference for frameworks too large for the 2^n
+    enumeration of `oracle_preferred`.
+    """
+    order = sorted(ids)
+    adj = {a: set() for a in order}
+    for s, d in edges:
+        adj[s].add(d)
+    admissible = []
+
+    def extend(chosen, start):
+        frozen = frozenset(chosen)
+        if _defends_all(adj, frozen):
+            admissible.append(frozen)
+        for i in range(start, len(order)):
+            cand = order[i]
+            if cand in adj[cand]:
+                continue
+            if any(cand in adj[c] or c in adj[cand] for c in chosen):
+                continue
+            chosen.add(cand)
+            extend(chosen, i + 1)
+            chosen.remove(cand)
+
+    extend(set(), 0)
+    return sorted(set(_maximal(admissible)), key=lambda e: (len(e), tuple(sorted(e))))
+
+
 def oracle_grounded(ids, edges):
     """Least fixpoint labelling by literal rule application."""
     attackers = {a: set() for a in ids}
@@ -216,6 +262,38 @@ def oracle_sccs(ids, edges):
         comp = {b for b in ids if (b in reach[a] and a in reach[b]) or a == b}
         components.add(frozenset(comp))
     return components
+
+
+def oracle_cf2(ids, edges):
+    """cf2 read from its SCC-recursive definition (Baroni, Giacomin and
+    Guida 2005): on a single SCC the extensions are the maximal
+    conflict-free sets; otherwise a subset E of the arguments is an
+    extension when, for every SCC S, E & S is an extension of the
+    framework restricted to the members of S that nothing in E outside S
+    attacks.  Every subset of the arguments is tried."""
+    edges = set(edges)
+    solved = {}
+
+    def extensions(args):
+        if args in solved:
+            return solved[args]
+        inner = {(s, d) for s, d in edges if s in args and d in args}
+        sccs = oracle_sccs(args, inner)
+        if len(sccs) <= 1:
+            out = set(oracle_maximal_conflict_free(args, inner))
+        else:
+            out = set()
+            for combo in powerset(sorted(args)):
+                e = frozenset(combo)
+                if all(
+                    e & scc in extensions(frozenset(a for a in scc if not any((b, a) in inner for b in e - scc)))
+                    for scc in sccs
+                ):
+                    out.add(e)
+        solved[args] = out
+        return out
+
+    return sorted(extensions(frozenset(ids)), key=lambda e: (len(e), tuple(sorted(e))))
 
 
 # ------------------------------------------------------ conservativity

@@ -147,6 +147,26 @@ def test_abstract_explain(capsys, fixtures_dir):
     assert "no conservative group" in out
 
 
+def test_abstract_explain_scans_each_scc_once(capsys, monkeypatch, fixtures_dir):
+    import afo.cli
+    import afo.pipeline
+
+    calls = []
+    scan = afo.pipeline.maximal_conservative_subsets
+
+    def counting_scan(*args):
+        calls.append(args[-1])
+        return scan(*args)
+
+    # patched wherever the name is bound, so a direct import is counted too
+    for module in (afo.pipeline, afo.cli):
+        if hasattr(module, "maximal_conservative_subsets"):
+            monkeypatch.setattr(module, "maximal_conservative_subsets", counting_scan)
+    code, _, _ = run_cli(capsys, "abstract", str(fixtures_dir / "fix3.afo"), "--explain")
+    assert code == 0
+    assert sorted(map(sorted, calls)) == [["a1", "a2", "a3"], ["a4", "a5"]]
+
+
 def test_abstract_emit_dot(capsys, fixtures_dir, tmp_path):
     src = tmp_path / "fix1.afo"
     shutil.copy(fixtures_dir / "fix1.afo", src)

@@ -293,6 +293,31 @@ def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
     assert report.abstract_preferred == (report.concrete,)
 
 
+def test_derivation_computes_sccs_once(monkeypatch):
+    """Validity finds the targets' SCC by reachability from one target, so
+    a derivation runs the whole-framework SCC computation only once."""
+    import afo.abstraction
+    import afo.af
+
+    calls = []
+    sccs = afo.af.strongly_connected_components
+
+    def counting_sccs(framework):
+        calls.append(framework)
+        return sccs(framework)
+
+    for module in (afo.af, afo.abstraction, afo.pipeline):
+        if hasattr(module, "strongly_connected_components"):
+            monkeypatch.setattr(module, "strongly_connected_components", counting_sccs)
+    rng = random.Random(443)
+    kept = 0
+    for _ in range(200):
+        fw, lat, fmap, blocked = multi_hub_instance(rng)
+        kept += len(derive_abstract_frameworks(fw, lat, fmap, blocked).provenance[0])
+    assert kept >= 100
+    assert len(calls) == 200
+
+
 def test_sharpen_attack_free_framework():
     fw = Framework.of([("a", "ep"), ("b", "eq"), ("c", "er")], [])
     report = sharpen(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))

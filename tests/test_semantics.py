@@ -21,11 +21,13 @@ from afo import (
     preferred_bruteforce,
 )
 
-from generators import random_framework, random_single_scc_framework
+from generators import random_framework, random_single_scc_framework, sparse_framework, two_cycle_union
 from oracles import (
+    oracle_cf2,
     oracle_grounded,
     oracle_maximal_conflict_free,
     oracle_preferred,
+    oracle_preferred_dfs,
 )
 
 
@@ -120,6 +122,16 @@ def test_cf2_small_cases():
     assert cf2(_mutual()) == [frozenset({"x"}), frozenset({"y"})]
 
 
+def test_cf2_survivors_follow_the_upstream_choice():
+    # a <-> b upstream; downstream the cycle c -> e -> d -> c loses d and e
+    # under {a} but only e under {b}, which leaves d -> c to decide
+    names = ["a", "b", "c", "d", "e"]
+    edges = [("a", "b"), ("b", "a"), ("c", "e"), ("e", "d"), ("d", "c"), ("a", "d"), ("a", "e"), ("b", "e")]
+    fw = Framework.of([(n, "x") for n in names], [((s, "x"), (d, "x")) for s, d in edges])
+    assert cf2(fw) == [frozenset({"a", "c"}), frozenset({"b", "d"})]
+    assert cf2(fw) == oracle_cf2(names, edges)
+
+
 def test_cf2_equals_mcf_on_single_scc():
     rng = random.Random(31337)
     for _ in range(40):
@@ -152,6 +164,7 @@ def test_preferred_matches_oracle():
         ids, edges = fw.dung_projection()
         assert preferred(fw) == oracle_preferred(sorted(ids), sorted(edges))
         assert preferred_bruteforce(fw) == preferred(fw)
+        assert oracle_preferred_dfs(ids, edges) == preferred(fw)
 
 
 def test_grounded_matches_oracle():
@@ -197,3 +210,92 @@ def test_semantics_invariants():
         for arg in ids:
             if acceptance(fw, arg, SKEPTICAL):
                 assert acceptance(fw, arg, CREDULOUS)
+
+
+def _line(n, attacked):
+    """n arguments a0000.. in id order, each attacking the next if `attacked`."""
+    arglets = [(f"a{i:04d}", "e") for i in range(n)]
+    attacks = zip(arglets, arglets[1:]) if attacked else ()
+    return Framework.of(arglets, attacks)
+
+
+def test_long_inputs_need_no_recursion():
+    free = _line(1500, attacked=False)
+    everything = free.argument_ids()
+    assert preferred(free) == [everything]
+    assert cf2(free) == [everything]
+    assert maximal_conflict_free_sets(free) == [everything]
+    assert set(grounded_labelling(free).values()) == {IN}
+
+    # a chain has one preferred, cf2 and grounded answer, but ~1.32^n
+    # naive sets, so maximal_conflict_free_sets is left out here
+    chain = _line(1500, attacked=True)
+    even = frozenset(f"a{i:04d}" for i in range(0, 1500, 2))
+    assert preferred(chain) == [even]
+    assert cf2(chain) == [even]
+    assert grounded_labelling(chain) == {
+        f"a{i:04d}": IN if i % 2 == 0 else OUT for i in range(1500)
+    }
+
+
+def test_preferred_matches_dfs_oracle_on_larger_frameworks():
+    # 13 to 20 arguments, some with two arglets, up to two self-attacks
+    rng = random.Random(1313)
+    for _ in range(60):
+        fw = sparse_framework(rng, density=rng.choice([0.08, 0.12, 0.16, 0.2]))
+        ids, edges = fw.dung_projection()
+        assert preferred(fw) == oracle_preferred_dfs(ids, edges)
+
+
+def test_two_cycle_family_count():
+    rng = random.Random(2024)
+    for m in range(1, 11):
+        for links in range(m // 2 + 1):
+            fw, count = two_cycle_union(rng, m, links)
+            exts = preferred(fw)
+            assert len(exts) == count
+            for ext in exts:
+                assert is_admissible(fw, ext)
+
+
+def test_ten_disjoint_two_cycles_have_1024_extensions():
+    fw, count = two_cycle_union(random.Random(10), 10, 0)
+    assert count == 1024
+    assert len(preferred(fw)) == 1024
+    assert len(cf2(fw)) == 1024
+
+
+def test_cf2_matches_definition_oracle():
+    rng = random.Random(2005)
+    for i in range(120):
+        if i % 2:
+            fw = random_framework(rng, max_args=9, attack_prob=rng.choice([0.1, 0.2, 0.3]))
+        else:
+            fw = sparse_framework(rng, min_args=5, max_args=10, density=rng.choice([0.12, 0.2, 0.3]))
+        ids, edges = fw.dung_projection()
+        assert cf2(fw) == oracle_cf2(ids, edges)
+
+
+def test_cf2_extensions_are_naive_and_incomparable():
+    rng = random.Random(4242)
+    for i in range(120):
+        if i % 3 == 0:
+            fw = random_single_scc_framework(rng)
+        else:
+            fw = random_framework(rng, max_args=12, attack_prob=rng.choice([0.05, 0.1, 0.2]))
+        naive = set(maximal_conflict_free_sets(fw))
+        exts = cf2(fw)
+        assert exts and set(exts) <= naive
+        assert not any(e < f for e in exts for f in exts)
+
+
+def test_preferred_extensions_are_complete():
+    rng = random.Random(5150)
+    for _ in range(120):
+        fw = random_framework(rng, max_args=14, attack_prob=rng.choice([0.05, 0.1, 0.2]))
+        ids, edges = fw.dung_projection()
+        attackers = {a: {s for s, d in edges if d == a} for a in ids}
+        for ext in preferred(fw):
+            hit = {d for s, d in edges if s in ext}
+            defended = {a for a in ids if attackers[a] <= hit}
+            assert defended <= ext
