@@ -30,7 +30,7 @@ from .af import (
     has_path,
     strongly_connected_components,
 )
-from .cli import (
+from .format import (
     AfoDocument,
     AfoModel,
     build_model,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .af import Argument, Framework
+from .af import Argument, Framework, _Index, _reach
 from .errors import EmptySet, TargetsNotInFramework
 from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
@@ -150,23 +150,11 @@ def _absorbs(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, a_x: A
 
 def _home_scc(framework: Framework, arg_id: str) -> frozenset[str]:
     """The SCC of one argument: what it reaches that also reaches it."""
-    forward: dict[str, set[str]] = {}
-    backward: dict[str, set[str]] = {}
-    for (src, _), (dst, _) in framework.attacks:
-        forward.setdefault(src, set()).add(dst)
-        backward.setdefault(dst, set()).add(src)
-
-    def reach(adj: dict[str, set[str]]) -> set[str]:
-        seen = {arg_id}
-        stack = [arg_id]
-        while stack:
-            for nxt in adj.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    return frozenset(reach(forward) & reach(backward))
+    ix = _Index(framework)
+    seed = 1 << ix.pos[arg_id]
+    forward = _reach(ix.targets, seed, ix.everything)
+    # every path back to the seed stays inside what the seed reaches
+    return ix.members(forward & _reach(ix.attackers, seed, forward))
 
 
 def _absorbed_outsiders(

@@ -10,7 +10,7 @@ another as soon as any of their arglets do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import UnknownArgument
 
@@ -66,15 +66,6 @@ class Framework:
         edges = frozenset((a, b) for (a, _), (b, _) in self.attacks)
         return ids, edges
 
-    def restrict(self, ids: Iterable[str]) -> "Framework":
-        """Sub-framework induced by a set of argument ids."""
-        keep = set(ids)
-        arglets = frozenset(al for al in self.arglets if al[0] in keep)
-        attacks = frozenset(
-            (s, d) for s, d in self.attacks if s[0] in keep and d[0] in keep
-        )
-        return Framework(arglets, attacks)
-
 
 def attack_relation(framework: Framework) -> dict[str, set[str]]:
     ids, edges = framework.dung_projection()
@@ -86,75 +77,128 @@ def attack_relation(framework: Framework) -> dict[str, set[str]]:
 
 def has_path(framework: Framework, src_id: str, dst_id: str) -> bool:
     """Directed attack path of length at least one."""
-    adj = attack_relation(framework)
-    if src_id not in adj or dst_id not in adj:
+    ix = _Index(framework)
+    if src_id not in ix.pos or dst_id not in ix.pos:
         raise UnknownArgument(f"path endpoints {src_id!r}, {dst_id!r} must be argument ids")
-    seen: set[str] = set()
-    stack = list(adj[src_id])
-    while stack:
-        cur = stack.pop()
-        if cur == dst_id:
-            return True
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(adj[cur])
-    return False
+    reached = _reach(ix.targets, ix.targets[ix.pos[src_id]], ix.everything)
+    return bool(reached >> ix.pos[dst_id] & 1)
 
 
 def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
     """SCCs of the argument graph in a topological order, attackers first.
 
-    Iterative Tarjan; components come out in reverse topological order and
-    are flipped at the end.  Ties in the ordering are broken by visiting
-    argument ids lexicographically, so the result is deterministic.
+    Ties in the ordering are broken by visiting argument ids
+    lexicographically, so the result is deterministic.
     """
-    adj = attack_relation(framework)
-    order = sorted(adj)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[frozenset[str]] = []
-    counter = 0
+    ix = _Index(framework)
+    return [ix.members(comp) for comp in _sccs(ix, ix.everything)]
 
-    for root in order:
-        if root in index:
+
+# ------------------------------------------------------------ graph index
+#
+# Every graph question of the package (SCCs, paths, validity's home SCC and
+# the semantics) is answered on one index: argument i is bit i of a Python
+# int, in id order.  Each walk keeps its own stack, so no depth of input
+# can hit the interpreter's recursion limit.
+
+
+class _Index:
+    """Sorted ids and their bits; per argument the masks of its attackers,
+    of its targets and of both; the mask of self-attacking arguments and of
+    every argument.  A plain class: a NamedTuple would add its
+    class-building cost to every import."""
+
+    __slots__ = ("ids", "pos", "attackers", "targets", "neighbours", "loops", "everything")
+
+    def __init__(self, framework: Framework):
+        self.ids = ids = sorted({a for a, _ in framework.arglets})
+        self.pos = pos = {a: i for i, a in enumerate(ids)}
+        self.attackers = attackers = [0] * len(ids)
+        self.targets = targets = [0] * len(ids)
+        for (s, _), (d, _) in framework.attacks:
+            i, j = pos[s], pos[d]
+            attackers[j] |= 1 << i
+            targets[i] |= 1 << j
+        self.neighbours = [a | t for a, t in zip(attackers, targets)]
+        self.loops = sum(1 << i for i, a in enumerate(attackers) if a >> i & 1)
+        self.everything = (1 << len(ids)) - 1
+
+    def members(self, mask: int) -> frozenset[str]:
+        # copied from a set, a frozenset gets a table sized to fit; filled
+        # from a generator it keeps the slack of every resize on the way
+        return frozenset({self.ids[i] for i in _bits(mask)})
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(adj: list[int], mask: int) -> int:
+    """The union of adj[i] over the bits i of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(adj: list[int], seeds: int, within: int) -> int:
+    """Everything in `within` reachable along `adj` from the seeds in it,
+    those seeds included."""
+    seen = frontier = seeds & within
+    while frontier:
+        frontier = _union(adj, frontier) & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _sccs(ix: _Index, within: int) -> list[int]:
+    """Strongly connected components of the graph induced on `within`,
+    attackers first: iterative Tarjan, flipped at the end."""
+    targets = ix.targets
+    index = [-1] * len(targets)
+    low = [0] * len(targets)
+    counter = 0
+    stack: list[int] = []
+    on_stack = 0
+    components: list[int] = []
+    for root in _bits(within):
+        if index[root] >= 0:
             continue
-        work: list[tuple[str, Iterable[str]]] = [(root, iter(sorted(adj[root])))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack |= 1 << root
+        work = [(root, _bits(targets[root] & within))]
         while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
+            node, successors = work[-1]
+            for nxt in successors:
+                if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
+                    on_stack |= 1 << nxt
+                    work.append((nxt, _bits(targets[nxt] & within)))
                     break
-                if nxt in on_stack:
+                if on_stack >> nxt & 1:
                     low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(comp))
-
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = 0
+                    while True:
+                        member = stack.pop()
+                        comp |= 1 << member
+                        if member == node:
+                            break
+                    on_stack &= ~comp
+                    components.append(comp)
     components.reverse()
     return components

@@ -7,9 +7,9 @@ sorted by size then lexicographically so equal inputs always print equally.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Iterator
+from typing import Generator, Iterable
 
-from .af import Framework, attack_relation
+from .af import Framework, _bits, _Index, _reach, _sccs, _union, attack_relation
 from .errors import UnknownArgument
 
 IN = "in"
@@ -59,63 +59,19 @@ def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
 
 # ------------------------------------------------------------ bitmask kernel
 #
-# preferred, grounded_labelling, maximal_conflict_free_sets and cf2 share
-# one index per call: argument i is bit i of a Python int, in id order.
-# Every search keeps its own stack, so no depth of input can hit the
-# interpreter's recursion limit.
-
-
-class _Index:
-    """Sorted ids; per argument the masks of its attackers, of its targets
-    and of both; the mask of self-attacking arguments.  A plain class:
-    a NamedTuple would add its class-building cost to every import."""
-
-    __slots__ = ("ids", "attackers", "targets", "neighbours", "loops")
-
-    def __init__(self, framework: Framework):
-        self.ids = sorted({a for a, _ in framework.arglets})
-        pos = {a: i for i, a in enumerate(self.ids)}
-        self.attackers = [0] * len(self.ids)
-        self.targets = [0] * len(self.ids)
-        for (s, _), (d, _) in framework.attacks:
-            i, j = pos[s], pos[d]
-            self.attackers[j] |= 1 << i
-            self.targets[i] |= 1 << j
-        self.neighbours = [a | t for a, t in zip(self.attackers, self.targets)]
-        self.loops = sum(1 << i for i, a in enumerate(self.attackers) if a >> i & 1)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _hits(ix: _Index, mask: int) -> int:
-    out = 0
-    for i in _bits(mask):
-        out |= ix.targets[i]
-    return out
+# preferred, grounded_labelling, maximal_conflict_free_sets and cf2 work on
+# the graph index of `af`, built once per call.
 
 
 def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
-    # copied from a set, a frozenset gets a table sized to fit; filled from
-    # a generator it keeps the slack of every resize on the way
-    return _sorted_extensions(frozenset({ix.ids[i] for i in _bits(m)}) for m in masks)
+    return _sorted_extensions(ix.members(m) for m in masks)
 
 
 def _components(ix: _Index, within: int) -> list[int]:
     """Weakly connected components of the graph induced on `within`."""
     out = []
     while within:
-        comp = frontier = within & -within
-        while frontier:
-            reach = 0
-            for i in _bits(frontier):
-                reach |= ix.neighbours[i]
-            frontier = reach & within & ~comp
-            comp |= frontier
+        comp = _reach(ix.neighbours, within & -within, within)
         out.append(comp)
         within &= ~comp
     return out
@@ -180,9 +136,8 @@ def _preferred_in(ix: _Index, comp: int) -> list[int]:
         take = low
         while take:
             in_ |= take
-            out |= _hits(ix, take) & comp
-            for i in _bits(take):
-                must |= attackers[i] & comp
+            out |= _union(ix.targets, take) & comp
+            must |= _union(attackers, take) & comp
             must &= ~out
             blank &= ~(take | out | must)
             take = 0
@@ -204,7 +159,7 @@ def preferred(framework: Framework) -> list[frozenset[str]]:
     """
     ix = _Index(framework)
     accepted, defeated = _grounded(ix)
-    undecided = (1 << len(ix.ids)) - 1 & ~(accepted | defeated)
+    undecided = ix.everything & ~(accepted | defeated)
     per_component = [_preferred_in(ix, comp) for comp in _components(ix, undecided)]
     return _extensions(ix, _product(per_component, accepted))
 
@@ -255,52 +210,7 @@ def _naive_in(ix: _Index, comp: int) -> list[int]:
 def maximal_conflict_free_sets(framework: Framework) -> list[frozenset[str]]:
     """Naive sets: one choice per weakly connected component."""
     ix = _Index(framework)
-    everything = (1 << len(ix.ids)) - 1
-    return _extensions(ix, _product([_naive_in(ix, c) for c in _components(ix, everything)]))
-
-
-def _sccs(ix: _Index, within: int) -> list[int]:
-    """Strongly connected components of the graph induced on `within`,
-    attackers first: iterative Tarjan, flipped at the end."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack = 0
-    components: list[int] = []
-    for root in _bits(within):
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack |= 1 << root
-        work = [(root, _bits(ix.targets[root] & within))]
-        while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack |= 1 << nxt
-                    work.append((nxt, _bits(ix.targets[nxt] & within)))
-                    break
-                if on_stack >> nxt & 1:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = 0
-                    while True:
-                        member = stack.pop()
-                        comp |= 1 << member
-                        if member == node:
-                            break
-                    on_stack &= ~comp
-                    components.append(comp)
-    components.reverse()
-    return components
+    return _extensions(ix, _product([_naive_in(ix, c) for c in _components(ix, ix.everything)]))
 
 
 _Choices = list[tuple[int, int]]  # (extension, the mask it attacks)
@@ -311,7 +221,7 @@ def _cf2_frame(ix: _Index, within: int) -> Generator[int, _Choices, _Choices]:
     survivors whose cf2 extensions it needs and is sent them back."""
     sccs = _sccs(ix, within)
     if len(sccs) == 1:
-        return [(m, _hits(ix, m)) for m in _naive_in(ix, within)]
+        return [(m, _union(ix.targets, m)) for m in _naive_in(ix, within)]
     partials: _Choices = [(0, 0)]
     for scc in sccs:
         whole: _Choices | None = None
@@ -320,7 +230,7 @@ def _cf2_frame(ix: _Index, within: int) -> Generator[int, _Choices, _Choices]:
             survivors = scc & ~hit
             if survivors == scc:
                 if whole is None:
-                    whole = [(m, _hits(ix, m)) for m in _naive_in(ix, scc)]
+                    whole = [(m, _union(ix.targets, m)) for m in _naive_in(ix, scc)]
                 choices = whole
             elif survivors:
                 choices = yield survivors
@@ -342,8 +252,7 @@ def cf2(framework: Framework) -> list[frozenset[str]]:
     """
     ix = _Index(framework)
     solved: dict[int, _Choices] = {}
-    everything = (1 << len(ix.ids)) - 1
-    frames = [(everything, _cf2_frame(ix, everything))]
+    frames = [(ix.everything, _cf2_frame(ix, ix.everything))]
     reply: _Choices | None = None
     while True:
         within, frame = frames[-1]

@@ -264,6 +264,54 @@ def oracle_sccs(ids, edges):
     return components
 
 
+def oracle_sccs_ordered(ids, edges):
+    """The package's former SCC list: iterative Tarjan on dicts of sets,
+    roots and successors visited in id order, components flipped at the
+    end so attackers come first."""
+    adj = {a: set() for a in ids}
+    for s, d in edges:
+        adj[s].add(d)
+    index, low = {}, {}
+    on_stack, stack, components = set(), [], []
+    for root in sorted(adj):
+        if root in index:
+            continue
+        work = [(root, iter(sorted(adj[root])))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(sorted(adj[nxt]))))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    comp.add(member)
+                    if member == node:
+                        break
+                components.append(frozenset(comp))
+    components.reverse()
+    return components
+
+
 def oracle_cf2(ids, edges):
     """cf2 read from its SCC-recursive definition (Baroni, Giacomin and
     Guida 2005): on a single SCC the extensions are the maximal

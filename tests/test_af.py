@@ -12,7 +12,7 @@ from afo import (
 )
 
 from generators import random_framework
-from oracles import oracle_sccs
+from oracles import oracle_sccs, oracle_sccs_ordered, oracle_up_reach
 
 
 def test_arglets_group_into_arguments():
@@ -81,12 +81,6 @@ def test_paths(boardroom):
         has_path(fw, "a1", "ghost")
 
 
-def test_restrict(boardroom):
-    sub = boardroom.framework.restrict({"a4", "a5"})
-    assert sub.argument_ids() == frozenset({"a4", "a5"})
-    assert sub.dung_projection()[1] == frozenset({("a4", "a5")})
-
-
 def test_scc_order_on_fixtures(boardroom, marathon):
     assert strongly_connected_components(boardroom.framework) == [
         frozenset({"a1", "a2", "a3"}),
@@ -99,6 +93,19 @@ def test_scc_order_on_fixtures(boardroom, marathon):
     ]
 
 
+def test_paths_match_oracle_reach():
+    # random_framework draws self-attacks too, so a path may be one edge long
+    rng = random.Random(5150)
+    for _ in range(120):
+        fw = random_framework(rng, attack_prob=rng.choice([0.05, 0.1, 0.2]))
+        ids, edges = fw.dung_projection()
+        reach = oracle_up_reach(sorted(ids), sorted(edges))
+        for src in sorted(ids):
+            onward = set().union(*(reach[d] for s, d in edges if s == src))
+            for dst in sorted(ids):
+                assert has_path(fw, src, dst) == (dst in onward)
+
+
 def test_sccs_match_oracle_and_topo_order():
     rng = random.Random(8091)
     for _ in range(80):
@@ -106,6 +113,7 @@ def test_sccs_match_oracle_and_topo_order():
         comps = strongly_connected_components(fw)
         ids, edges = fw.dung_projection()
         assert set(comps) == oracle_sccs(sorted(ids), sorted(edges))
+        assert comps == oracle_sccs_ordered(ids, edges)
         # partition
         assert sum(len(c) for c in comps) == len(ids)
         index = {a: i for i, c in enumerate(comps) for a in c}

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 from afo.cli import main
 
@@ -56,6 +57,17 @@ def test_usage_error_exits_one():
     assert proc.returncode == 1
     proc = subprocess.run(RUN + ["frobnicate"], capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def test_module_run_is_clean_and_import_afo_leaves_out_the_cli(fixtures_dir):
+    proc = subprocess.run(RUN + ["sharpen", str(fixtures_dir / "fix3.afo")], capture_output=True, text=True)
+    golden = (Path(__file__).parent / "golden" / "fix3" / "sharpen.txt").read_text(encoding="utf-8")
+    stdout = golden.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+
+    probe = "import sys, afo; print(sorted({'afo.cli', 'argparse'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_semantics_preferred_text(capsys, fixtures_dir):

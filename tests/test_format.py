@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from afo import NonUniqueJoin
-from afo.cli import build_model, parse_afo, serialize_afo
+from afo import AfoError, NonUniqueJoin
 from afo.errors import AfoSyntaxError, DuplicateDeclaration, UnknownReference
+from afo.format import AfoDocument, build_model, parse_afo, serialize_afo
+
+from generators import mapped_framework, multi_hub_instance, random_lattice, random_map
 
 MINIMAL = """\
 # smallest useful document
@@ -203,3 +205,63 @@ def test_build_model_rejects_broken_lattice(fixtures_dir):
     doc, _ = parse_afo((fixtures_dir / "broken_nonlattice.afo").read_text())
     with pytest.raises(NonUniqueJoin):
         build_model(doc)
+
+
+def _document(lattice, fmap, framework, generals) -> AfoDocument:
+    return AfoDocument(
+        nodes=tuple(sorted(lattice.nodes)),
+        covers=tuple(sorted(lattice.covers)),
+        generals=tuple(sorted(generals)),
+        assignments=tuple(sorted(fmap.items())),
+        arglets=tuple(sorted(framework.arglets)),
+        attacks=tuple(sorted(framework.attacks)),
+    )
+
+
+def test_generated_documents_round_trip():
+    rng = random.Random(6061)
+    for _ in range(150):
+        if rng.random() < 0.25:
+            framework, lattice, fmap, generals = multi_hub_instance(rng)
+        else:
+            lattice = random_lattice(rng)
+            fmap = random_map(rng, lattice)
+            framework = mapped_framework(rng, fmap)
+            generals = rng.sample(sorted(lattice.nodes), rng.randint(0, 2))
+        doc = _document(lattice, fmap, framework, generals)
+        assert parse_afo(serialize_afo(doc)) == (doc, [])
+        model = build_model(doc)
+        assert model.framework == framework
+        assert model.blocked == lattice.upward_closure(generals or [lattice.top])
+
+
+# directives, plain and dotted identifiers, broken dotted forms, comments
+TOKENS = [
+    "node", "cover", "general", "expr", "map", "arglet", "attack",
+    "n", "e", "a", "a.e", ".", "a.", ".e", "a.e.f", "#", "NODE", "\t", "é", "\n",
+]
+
+
+def test_random_token_streams_raise_only_afo_errors():
+    # a few edits to a valid document, so that some streams still parse
+    rng = random.Random(4242)
+    parsed = 0
+    for _ in range(1500):
+        lattice = random_lattice(rng, max_nodes=5)
+        fmap = random_map(rng, lattice, max_exprs=3)
+        doc = _document(lattice, fmap, mapped_framework(rng, fmap, max_args=3), [])
+        words = serialize_afo(doc).replace("\n", " \n ").split(" ")
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randrange(len(words) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                words.insert(at, rng.choice(TOKENS))
+            elif at < len(words):
+                words[at:at + 1] = [] if edit == 1 else [rng.choice(TOKENS + words)]
+        try:
+            doc, _ = parse_afo(" ".join(words))
+        except AfoError:
+            continue
+        parsed += 1
+        assert parse_afo(serialize_afo(doc))[0] == doc
+    assert 100 < parsed < 1400

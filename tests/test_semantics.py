@@ -14,11 +14,13 @@ from afo import (
     acceptance,
     cf2,
     grounded_labelling,
+    has_path,
     is_admissible,
     is_conflict_free,
     maximal_conflict_free_sets,
     preferred,
     preferred_bruteforce,
+    strongly_connected_components,
 )
 
 from generators import random_framework, random_single_scc_framework, sparse_framework, two_cycle_union
@@ -220,12 +222,18 @@ def _line(n, attacked):
 
 
 def test_long_inputs_need_no_recursion():
+    names = [f"a{i:04d}" for i in range(1500)]
+    singletons = [frozenset({a}) for a in names]
+
     free = _line(1500, attacked=False)
     everything = free.argument_ids()
     assert preferred(free) == [everything]
     assert cf2(free) == [everything]
     assert maximal_conflict_free_sets(free) == [everything]
     assert set(grounded_labelling(free).values()) == {IN}
+    # no attacks: Tarjan closes the components in id order, then flips them
+    assert strongly_connected_components(free) == singletons[::-1]
+    assert not has_path(free, "a0000", "a1499")
 
     # a chain has one preferred, cf2 and grounded answer, but ~1.32^n
     # naive sets, so maximal_conflict_free_sets is left out here
@@ -236,6 +244,14 @@ def test_long_inputs_need_no_recursion():
     assert grounded_labelling(chain) == {
         f"a{i:04d}": IN if i % 2 == 0 else OUT for i in range(1500)
     }
+    assert strongly_connected_components(chain) == singletons
+    assert has_path(chain, "a0000", "a1499")
+    assert not has_path(chain, "a1499", "a0000")
+
+    cycle = Framework.of(chain.arglets, chain.attacks | {(("a1499", "e"), ("a0000", "e"))})
+    assert strongly_connected_components(cycle) == [everything]
+    assert has_path(cycle, "a1499", "a1498")
+    assert has_path(cycle, "a0000", "a0000")
 
 
 def test_preferred_matches_dfs_oracle_on_larger_frameworks():
