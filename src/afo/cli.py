@@ -82,14 +82,18 @@ def _dump(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot(framework: Framework) -> str:
     ids, edges = framework.dung_projection()
     lines = ["digraph framework {"]
     for arg in sorted(ids):
-        exprs = ",".join(sorted(framework.argument_expressions(arg)))
-        lines.append(f'  "{arg}" [label="{arg}\\n{exprs}"];')
+        exprs = _dot_escape(",".join(sorted(framework.argument_expressions(arg))))
+        lines.append(f'  "{_dot_escape(arg)}" [label="{_dot_escape(arg)}\\n{exprs}"];')
     for src, dst in sorted(edges):
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -4,8 +4,13 @@ A lattice is handed to :func:`validate_lattice` as a set of node ids plus a
 set of cover pairs ``(child, parent)`` meaning the parent sits directly above
 the child with nothing in between.  Validation rejects cyclic or transitively
 implied covers, then checks that every pair of nodes has a unique least upper
-bound and a unique greatest lower bound.  Join and meet tables are built once
-up front so later queries are table lookups.
+bound and a unique greatest lower bound.
+
+The order is kept as bitsets over ranks (Aït-Kaci, Boyer, Lincoln and Nasr,
+TOPLAS 1989): nodes are ranked by a linear extension, bottom first, and each
+has an ``up`` mask of the ranks at or above it and a ``down`` mask of the
+ranks at or below it.  A join is the lowest rank in the AND of the up masks,
+a meet the highest rank in the AND of the down masks.
 
 Conventions:
 
@@ -30,59 +35,67 @@ from .errors import (
 )
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _highest(mask: int) -> int:
+    return mask.bit_length() - 1
+
+
 class FiniteLattice:
     """A validated finite lattice. Build instances via :func:`validate_lattice`."""
 
-    def __init__(self, nodes, covers, ups, downs, joins, meets, top, bottom):
+    def __init__(self, nodes, covers, ranked, up, down):
         self.nodes: frozenset[str] = nodes
         self.covers: frozenset[tuple[str, str]] = covers
-        self._ups = ups        # node -> frozenset of nodes >= node
-        self._downs = downs    # node -> frozenset of nodes <= node
-        self._joins = joins    # (a, b) -> least upper bound
-        self._meets = meets    # (a, b) -> greatest lower bound
-        self.top: str = top
-        self.bottom: str = bottom
-        self._children = {n: frozenset(c for c, p in covers if p == n) for n in nodes}
-        self._parents = {n: frozenset(p for c, p in covers if c == n) for n in nodes}
+        self.top: str = ranked[-1]
+        self.bottom: str = ranked[0]
+        self._ranked: list[str] = ranked  # rank -> node, bottom first
+        self._up: dict[str, int] = up  # node -> mask of the ranks at or above it
+        self._down: dict[str, int] = down  # node -> mask of the ranks at or below it
 
-    def _check(self, node: str) -> None:
-        if node not in self.nodes:
-            raise UnknownNode(f"unknown lattice node {node!r}")
+    def _mask(self, masks: dict[str, int], node: str) -> int:
+        try:
+            return masks[node]
+        except KeyError:
+            raise UnknownNode(f"unknown lattice node {node!r}") from None
+
+    def _members(self, mask: int) -> frozenset[str]:
+        out = []
+        while mask:
+            out.append(self._ranked[_lowest(mask)])
+            mask &= mask - 1
+        return frozenset(out)
 
     def leq(self, a: str, b: str) -> bool:
         """True when a is below or equal to b."""
-        self._check(a)
-        self._check(b)
-        return b in self._ups[a]
+        return self._mask(self._up, a) & self._mask(self._down, b) != 0
 
     def comparable(self, a: str, b: str) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def up_set(self, node: str) -> frozenset[str]:
         """All nodes above or equal to the given node."""
-        self._check(node)
-        return self._ups[node]
+        return self._members(self._mask(self._up, node))
 
     def down_set(self, node: str) -> frozenset[str]:
         """All nodes below or equal to the given node."""
-        self._check(node)
-        return self._downs[node]
+        return self._members(self._mask(self._down, node))
 
     def join(self, nodes: Iterable[str]) -> str:
         """Least upper bound of a node set; the bottom element for an empty set."""
-        out = None
+        uppers = self._up[self.bottom]
         for n in nodes:
-            self._check(n)
-            out = n if out is None else self._joins[(out, n)]
-        return self.bottom if out is None else out
+            uppers &= self._mask(self._up, n)
+        return self._ranked[_lowest(uppers)]
 
     def meet(self, nodes: Iterable[str]) -> str:
         """Greatest lower bound of a node set; the top element for an empty set."""
-        out = None
+        lowers = self._down[self.top]
         for n in nodes:
-            self._check(n)
-            out = n if out is None else self._meets[(out, n)]
-        return self.top if out is None else out
+            lowers &= self._mask(self._down, n)
+        return self._ranked[_highest(lowers)]
 
     def lower_covers(self, node: str) -> frozenset[str]:
         """Nodes directly below the given one; the bottom element yields itself.
@@ -90,63 +103,33 @@ class FiniteLattice:
         This is the granularity at which a node can be unfolded into the
         strictly more specific levels beneath it.
         """
-        self._check(node)
-        if node == self.bottom:
-            return frozenset({node})
-        return self._children[node]
+        children = self.children(node)
+        return frozenset({node}) if node == self.bottom else children
 
     def children(self, node: str) -> frozenset[str]:
         """Raw Hasse children, with no special case at the bottom."""
-        self._check(node)
-        return self._children[node]
+        self._mask(self._up, node)  # raises UnknownNode
+        return frozenset(c for c, p in self.covers if p == node)
 
     def atoms(self) -> frozenset[str]:
         """Nodes covering the bottom element."""
-        return self._parents[self.bottom]
+        return frozenset(p for c, p in self.covers if c == self.bottom)
 
     def upward_closure(self, generators: Iterable[str]) -> frozenset[str]:
         """Smallest upper set containing the generators."""
-        out: set[str] = set()
+        out = 0
         for g in generators:
-            self._check(g)
-            out.update(self._ups[g])
-        return frozenset(out)
+            out |= self._mask(self._up, g)
+        return self._members(out)
 
     def is_upper_set(self, nodes: Iterable[str]) -> bool:
         """True when the set is closed upward under the lattice order."""
-        given = set(nodes)
-        for n in given:
-            self._check(n)
-        return all(self._ups[n] <= given for n in given)
-
-
-def _closure_ups(nodes, covers):
-    """Reflexive-transitive up-sets from the cover relation, or None on a cycle."""
-    parents = {n: [] for n in nodes}
-    for c, p in covers:
-        parents[c].append(p)
-    # Kahn's algorithm on child->parent edges; leftovers mean a cycle.
-    indeg = {n: 0 for n in nodes}
-    for c, p in covers:
-        indeg[p] += 1
-    queue = sorted(n for n in nodes if indeg[n] == 0)
-    order = []
-    while queue:
-        n = queue.pop()
-        order.append(n)
-        for p in parents[n]:
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                queue.append(p)
-    if len(order) != len(nodes):
-        return None
-    ups = {}
-    for n in reversed(order):
-        acc = {n}
-        for p in parents[n]:
-            acc.update(ups[p])
-        ups[n] = frozenset(acc)
-    return ups
+        given = closure = 0
+        for n in set(nodes):
+            up = self._mask(self._up, n)
+            given |= up & self._down[n]
+            closure |= up
+        return closure == given
 
 
 def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
@@ -168,40 +151,49 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
         if c == p:
             raise CycleInCovers(f"self cover on {c!r}")
 
-    ups = _closure_ups(node_set, cover_set)
-    if ups is None:
+    parents: dict[str, list[str]] = {n: [] for n in node_set}
+    indeg = dict.fromkeys(node_set, 0)
+    for c, p in cover_set:
+        parents[c].append(p)
+        indeg[p] += 1
+    # Kahn's algorithm on child->parent edges ranks the nodes bottom first;
+    # leftovers mean a cycle.
+    queue = sorted(n for n in node_set if not indeg[n])
+    ranked = []
+    while queue:
+        n = queue.pop()
+        ranked.append(n)
+        for p in parents[n]:
+            indeg[p] -= 1
+            if not indeg[p]:
+                queue.append(p)
+    if len(ranked) != len(node_set):
         raise CycleInCovers("cover relation contains a cycle")
+
+    # Children rank before their parents, so each mask is final before it spreads.
+    up = {n: 1 << r for r, n in enumerate(ranked)}
+    down = dict(up)
+    for n in reversed(ranked):
+        for p in parents[n]:
+            up[n] |= up[p]
+    for n in ranked:
+        for p in parents[n]:
+            down[p] |= down[n]
 
     # A cover is redundant if its parent is reachable from its child some
     # longer way round; equivalently through any other parent of the child.
     for c, p in sorted(cover_set):
-        for c2, p2 in cover_set:
-            if c2 == c and p2 != p and p in ups[p2]:
-                raise RedundantCover(f"cover {c!r} -> {p!r} is transitively implied")
+        if any(up[q] & down[p] for q in parents[c] if q != p):
+            raise RedundantCover(f"cover {c!r} -> {p!r} is transitively implied")
 
-    downs = {n: frozenset(m for m in node_set if n in ups[m]) for n in node_set}
-
-    joins: dict[tuple[str, str], str] = {}
-    meets: dict[tuple[str, str], str] = {}
-    for a in node_set:
-        joins[(a, a)] = a
-        meets[(a, a)] = a
+    # The lowest common upper bound is the least one exactly when every
+    # common upper bound lies above it; dually for the highest lower bound.
     for a, b in combinations(sorted(node_set), 2):
-        uppers = ups[a] & ups[b]
-        least = [u for u in uppers if downs[u] & uppers == {u}]
-        if len(least) != 1:
+        uppers = up[a] & up[b]
+        if not uppers or uppers & ~up[ranked[_lowest(uppers)]]:
             raise NonUniqueJoin(f"nodes {a!r} and {b!r} have no unique least upper bound")
-        joins[(a, b)] = joins[(b, a)] = least[0]
-        lowers = downs[a] & downs[b]
-        greatest = [m for m in lowers if ups[m] & lowers == {m}]
-        if len(greatest) != 1:
+        lowers = down[a] & down[b]
+        if not lowers or lowers & ~down[ranked[_highest(lowers)]]:
             raise NonUniqueMeet(f"nodes {a!r} and {b!r} have no unique greatest lower bound")
-        meets[(a, b)] = meets[(b, a)] = greatest[0]
 
-    top = next(iter(node_set))
-    bottom = next(iter(node_set))
-    for n in node_set:
-        top = joins[(top, n)]
-        bottom = meets[(bottom, n)]
-
-    return FiniteLattice(node_set, cover_set, ups, downs, joins, meets, top, bottom)
+    return FiniteLattice(node_set, cover_set, ranked, up, down)

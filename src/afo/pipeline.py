@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractionCandidate, best_abstraction_of, is_conservative
+from .abstraction import AbstractionCandidate, best_abstraction_of, is_attack_preserving, is_compatible
 from .af import Argument, Framework, strongly_connected_components
 from .errors import IdCollision, TargetsNotInFramework
 from .galois import SemanticMap, alpha
@@ -53,7 +53,10 @@ def maximal_conservative_subsets(
 
     A best abstraction at node v absorbs exactly the members below v, so
     the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
-    and only when v is its join.  Groups are found per node outside M."""
+    and only when v is its join.  Groups are found per node outside M, so
+    when `scc` is an SCC each G_v is valid and non-trivial by construction
+    (its best abstraction sits at v, absorbs exactly the SCC members below v,
+    and v is not in M): only compatibility and attack preservation are left."""
     blocked = frozenset(blocked)
     if len(scc) < 2:
         return []
@@ -65,7 +68,7 @@ def maximal_conservative_subsets(
             continue
         args = [Argument(i, framework.argument_expressions(i)) for i in sorted(group)]
         candidate, xmap = best_abstraction_of(lat, fmap, args)
-        if is_conservative(framework, lat, xmap, blocked, candidate):
+        if is_compatible(framework, lat, xmap, group) and is_attack_preserving(framework, lat, xmap, candidate):
             found.append((candidate, xmap))
     maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
     return sorted(maximal, key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))

@@ -4,7 +4,8 @@ Everything here is written from the bare definitions, favouring obviousness
 over speed: breadth-first search for the order, bitmask enumeration of all
 subsets for the semantics, subset enumeration for validity and the group
 scan, set comprehensions for the projections.  The package's former
-depth-first preferred search is kept for frameworks too large to enumerate.
+depth-first preferred search is kept for frameworks too large to enumerate,
+and its former set-based lattice validation pins which defect is reported.
 Nothing imports from the package.
 """
 
@@ -73,6 +74,67 @@ def oracle_lower_covers(nodes, covers, node):
     if not children:
         return {node}
     return children
+
+
+def _closure_ups(nodes, covers):
+    """Reflexive-transitive up-sets from the cover relation, or None on a cycle."""
+    parents = {n: [] for n in nodes}
+    for c, p in covers:
+        parents[c].append(p)
+    # Kahn's algorithm on child->parent edges; leftovers mean a cycle.
+    indeg = {n: 0 for n in nodes}
+    for c, p in covers:
+        indeg[p] += 1
+    queue = sorted(n for n in nodes if indeg[n] == 0)
+    order = []
+    while queue:
+        n = queue.pop()
+        order.append(n)
+        for p in parents[n]:
+            indeg[p] -= 1
+            if indeg[p] == 0:
+                queue.append(p)
+    if len(order) != len(nodes):
+        return None
+    ups = {}
+    for n in reversed(order):
+        acc = {n}
+        for p in parents[n]:
+            acc.update(ups[p])
+        ups[n] = frozenset(acc)
+    return ups
+
+
+def oracle_lattice_error(nodes, covers):
+    """The package's former set-based validation of a Hasse diagram: None
+    for a lattice, else (error class name, message) of the first defect, in
+    the same order of checks and of sorted cover pairs and node pairs."""
+    node_set = frozenset(nodes)
+    if not node_set:
+        return "EmptySet", "a lattice needs at least one node"
+    cover_set = frozenset((c, p) for c, p in covers)
+    for c, p in cover_set:
+        for end in (c, p):
+            if end not in node_set:
+                return "UnknownNode", f"cover references unknown node {end!r}"
+        if c == p:
+            return "CycleInCovers", f"self cover on {c!r}"
+    ups = _closure_ups(node_set, cover_set)
+    if ups is None:
+        return "CycleInCovers", "cover relation contains a cycle"
+    for c, p in sorted(cover_set):
+        for c2, p2 in cover_set:
+            if c2 == c and p2 != p and p in ups[p2]:
+                return "RedundantCover", f"cover {c!r} -> {p!r} is transitively implied"
+    downs = {n: frozenset(m for m in node_set if n in ups[m]) for n in node_set}
+    for a, b in combinations(sorted(node_set), 2):
+        uppers = ups[a] & ups[b]
+        if len([u for u in uppers if downs[u] & uppers == {u}]) != 1:
+            return "NonUniqueJoin", f"nodes {a!r} and {b!r} have no unique least upper bound"
+        lowers = downs[a] & downs[b]
+        if len([m for m in lowers if ups[m] & lowers == {m}]) != 1:
+            return "NonUniqueMeet", f"nodes {a!r} and {b!r} have no unique greatest lower bound"
+    return None
 
 
 def oracle_canonicalize(nodes, covers, assignments, exprs, rng):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -191,6 +192,27 @@ def test_abstract_emit_dot(capsys, fixtures_dir, tmp_path):
     assert '"a1+a2+a3" -> "a4";' in text
     assert 'label="a1+a2+a3\\nfocusOnImp"' in text
     assert str(dot) in err
+
+
+def test_emit_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    src = tmp_path / "quoted.afo"
+    src.write_text(
+        "node Bot\nnode P\nnode Q\nnode Top\n"
+        "cover Bot P\ncover Bot Q\ncover P Top\ncover Q Top\n"
+        'map p"x P\nmap q Q\n'
+        'arglet a"1 p"x\narglet b\\2 q\n'
+        'attack a"1 b\\2\nattack b\\2 a"1\n',
+        encoding="utf-8",
+    )
+    code, _, _ = run_cli(capsys, "abstract", str(src), "--emit-dot")
+    assert code == 0
+    lines = (tmp_path / "quoted.abs1.dot").read_text().splitlines()
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    assert lines[0] == "digraph framework {" and lines[-1] == "}"
+    for line in lines[1:-1]:
+        assert re.fullmatch(rf"  {quoted}( \[label={quoted}\]| -> {quoted});", line), line
+    assert '  "a\\"1" [label="a\\"1\\np\\"x"];' in lines
+    assert '  "b\\\\2" -> "a\\"1";' in lines
 
 
 def test_sharpen_text(capsys, fixtures_dir):
