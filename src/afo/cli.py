@@ -5,8 +5,9 @@ on one file in the `.afo` format (see `afo.format`).
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .abstraction import conservativity_report
@@ -78,8 +79,39 @@ def _json_classification(report: SharpeningReport) -> dict:
     }
 
 
+def _json(value, indent: str = "") -> str:
+    """`value` exactly as `json.dumps(value, indent=2, sort_keys=True)`
+    writes it, for the types the `_json_*` builders produce: dicts with
+    str keys, lists, str and int (not bool).  Anything else is a TypeError.
+    The stdlib falls back to its pure-Python encoder once `indent` is set;
+    this writer is that encoder cut down to those types."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if not value:
+        if type(value) is list:
+            return "[]"
+        if type(value) is dict:
+            return "{}"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if type(value) is list:
+        if all(type(item) is str for item in value):
+            body = sep.join(map(_quote, value))
+        else:
+            body = sep.join([_json(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if type(value) is dict:
+        if not all(type(key) is str for key in value):
+            raise TypeError(f"keys must be str: {sorted(map(repr, value))}")
+        body = sep.join([f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"{type(value).__name__} is not one of the JSON types afo writes")
+
+
 def _dump(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json(payload))
 
 
 def _dot_escape(text: str) -> str:
@@ -275,8 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         model, document, warnings = load_afo(args.file)
         for w in warnings:

@@ -1,12 +1,16 @@
 import json
 import os
+import random
 import re
 import shutil
+import string
 import subprocess
 import sys
 from pathlib import Path
 
-from afo.cli import main
+import pytest
+
+from afo.cli import _json, build_parser, main
 
 RUN = [sys.executable, "-m", "afo.cli"]
 
@@ -58,6 +62,97 @@ def test_usage_error_exits_one():
     assert proc.returncode == 1
     proc = subprocess.run(RUN + ["frobnicate"], capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+def _golden(fixture, name):
+    return (Path(__file__).parent / "golden" / fixture / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, monkeypatch, fixtures_dir):
+    # usage lines wrap at the terminal width, so both runs get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = subprocess.run(RUN + ["semantics"], capture_output=True, text=True)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["semantics"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 1 and captured.err.startswith("usage: afo ")
+
+    fix3 = str(fixtures_dir / "fix3.afo")
+    for argv, golden in [
+        (["semantics", fix3, "--sem", "cf2"], "semantics_sem_cf2"),
+        (["semantics", fix3, "--sem", "grounded", "--json"], "semantics_sem_grounded_json"),
+        (["abstract", fix3, "--explain"], "abstract_explain"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == _golden("fix3", golden), argv
+    assert build_parser() is not build_parser()
+
+
+def test_parser_is_built_on_the_first_call_not_at_import(fixtures_dir):
+    probe = (
+        "import afo.cli as cli; print(cli._parser.cache_info().currsize); "
+        f"cli.main(['validate', {str(fixtures_dir / 'fix1.afo')!r}]); print(cli._parser.cache_info().currsize)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, lines[0], lines[-1]) == (0, "0", "1"), proc.stderr
+
+
+def test_json_output_escapes_like_the_stdlib(capsys, tmp_path):
+    # the merge of the two-cycle reuses the expression declared at H
+    src = tmp_path / "escapes.afo"
+    src.write_text(
+        "node Bot\nnode P\nnode Q\nnode H\nnode Top\n"
+        "cover Bot P\ncover Bot Q\ncover P H\ncover Q H\ncover H Top\n"
+        'map p"ä P\nmap q\\日 Q\nmap 日本 H\n'
+        'arglet a"ä p"ä\narglet b\\日 q\\日\n'
+        'attack a"ä b\\日\nattack b\\日 a"ä\n',
+        encoding="utf-8",
+    )
+    escaped = ['"a\\"\\u00e4"', '"b\\\\\\u65e5"', '"p\\"\\u00e4"', '"q\\\\\\u65e5"']
+    merged = '"\\u65e5\\u672c"'
+    for argv, merges in [
+        (["sharpen", "--json"], True),
+        (["abstract", "--json"], True),
+        (["semantics", "--sem", "grounded", "--json"], False),
+    ]:
+        code, out, _ = run_cli(capsys, argv[0], str(src), *argv[1:])
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+        assert all(text in out for text in escaped), argv
+        assert (merged in out) == merges, argv
+
+
+_TEXT = string.ascii_letters + '"\\/\x00\x1f\t\n\r\x7f\u00e4\u00df\u65e5\U0001f642'
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randint(0, 6)))
+
+
+def _random_payload(rng, depth=0):
+    """Nested dicts and lists of strings and ints, empty ones included."""
+    kind = rng.choice(["text", "int", "texts", "list", "dict"][: 5 if depth < 4 else 2])
+    if kind == "text":
+        return _random_text(rng)
+    if kind == "int":
+        return rng.randint(-(10**12), 10**12)
+    if kind == "texts":
+        return [_random_text(rng) for _ in range(rng.randint(0, 4))]
+    if kind == "list":
+        return [_random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {_random_text(rng): _random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_json_writer_matches_the_stdlib_on_random_payloads():
+    rng = random.Random(2018)
+    for _ in range(2000):
+        payload = _random_payload(rng)
+        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for bad in (True, 1.5, None, {"a": [False]}, [[None]], ["a", 2.0], {1: "a"}, ("a",)):
+        with pytest.raises(TypeError):
+            _json(bad)
 
 
 def test_module_run_is_clean_and_import_afo_leaves_out_the_cli(fixtures_dir):

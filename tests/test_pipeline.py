@@ -61,6 +61,21 @@ def test_maximal_groups_marathon(marathon):
     assert _scanned_groups(marathon, fs({"a4", "a5"})) == []
 
 
+def test_scan_keeps_no_group_across_sccs():
+    # two disjoint 2-cycles under one hub outside M, passed as one "scc"
+    lat = validate_lattice(
+        ["bot", "pw", "px", "py", "pz", "H", "top"],
+        [("bot", p) for p in ("pw", "px", "py", "pz")] + [(p, "H") for p in ("pw", "px", "py", "pz")] + [("H", "top")],
+    )
+    fmap = SemanticMap({"ew": "pw", "ex": "px", "ey": "py", "ez": "pz"})
+    w, x, y, z = ("w", "ew"), ("x", "ex"), ("y", "ey"), ("z", "ez")
+    fw = Framework.of([w, x, y, z], [(w, x), (x, w), (y, z), (z, y)])
+    blocked = fs({"top"})
+    assert maximal_conservative_subsets(fw, lat, fmap, blocked, fs("wxyz")) == []
+    for scc in (fs("wx"), fs("yz")):
+        assert [c.targets for c, _ in maximal_conservative_subsets(fw, lat, fmap, blocked, scc)] == [scc]
+
+
 def _scan_against_oracle(lat, fmap, fw, blocked):
     """Group counts per SCC, after checking each SCC's groups against the
     subset-enumerating reference and each group's candidate and map against
