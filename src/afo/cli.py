@@ -309,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import; parse_args leaves it unchanged
+    # Saves the build only where one process calls main() several times (the
+    # benchmark, the tests); a one-shot `afo` run builds it once either way.
+    # Built on the first call, not at import; parse_args leaves it unchanged.
     return build_parser()
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractionCandidate, best_abstraction_of, is_attack_preserving, is_compatible, is_valid
+from .abstraction import AbstractionCandidate, _home_scc, best_abstraction_of, is_attack_preserving, is_compatible, is_valid
 from .af import Argument, Framework, strongly_connected_components
 from .errors import IdCollision, TargetsNotInFramework
 from .galois import SemanticMap, alpha
@@ -56,13 +56,15 @@ def maximal_conservative_subsets(
     and only when v is its join.  Groups are found per node outside M, so
     when `scc` is an SCC each G_v is valid and non-trivial by construction
     (its best abstraction sits at v, absorbs exactly the SCC members below v,
-    and v is not in M).  Validity is still checked, last, on the few groups
-    that pass compatibility and attack preservation, so a `scc` that is not
-    one SCC cannot yield a group that spans several."""
+    and v is not in M).  Whether `scc` is one SCC is checked once, when the
+    first group passes compatibility and attack preservation; when it is not,
+    each such group is checked for validity, so no group spans several SCCs
+    or can be grown."""
     blocked = frozenset(blocked)
     if len(scc) < 2:
         return []
     node_of = {a: alpha(lat, fmap, framework.argument_expressions(a)) for a in sorted(scc)}
+    one_scc = None
     found: list[tuple[AbstractionCandidate, SemanticMap]] = []
     for v in sorted(lat.nodes - blocked):
         group = frozenset(a for a, node in node_of.items() if lat.leq(node, v))
@@ -70,11 +72,11 @@ def maximal_conservative_subsets(
             continue
         args = [Argument(i, framework.argument_expressions(i)) for i in sorted(group)]
         candidate, xmap = best_abstraction_of(lat, fmap, args)
-        if (
-            is_compatible(framework, lat, xmap, group)
-            and is_attack_preserving(framework, lat, xmap, candidate)
-            and is_valid(framework, lat, xmap, candidate)
-        ):
+        if not (is_compatible(framework, lat, xmap, group) and is_attack_preserving(framework, lat, xmap, candidate)):
+            continue
+        if one_scc is None:
+            one_scc = _home_scc(framework, min(scc)) == scc
+        if one_scc or is_valid(framework, lat, xmap, candidate):
             found.append((candidate, xmap))
     maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
     return sorted(maximal, key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))

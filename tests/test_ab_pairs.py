@@ -1,0 +1,28 @@
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("ab_pairs", Path(__file__).parent.parent / "tools" / "ab_pairs.py")
+ab_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_pairs)
+
+
+def test_gain_rule_and_bound_check():
+    base = [100.0, 101, 102, 100, 101, 99, 100, 102, 101, 100]
+    faster = [x * 1.2 for x in base]
+    assert ab_pairs.compare(base, faster, "higher", 0.15, fails_more=False)["gain_holds"]
+    assert not ab_pairs.compare(base, faster, "higher", 0.15, fails_more=True)["gain_holds"]
+    assert ab_pairs.compare(base, faster, "higher", 0.15, fails_more=False)["bound"] == "within"
+    assert ab_pairs.compare(base, [x * 0.8 for x in base], "higher", 0.15, fails_more=False)["bound"] == "WORSE"
+    assert ab_pairs.compare(base, [x * 1.2 for x in base], "lower", 0.15, fails_more=False)["bound"] == "WORSE"
+    noisy = [60.0, 140, 70, 130, 100, 100, 65, 135, 90, 110]
+    assert ab_pairs.compare(noisy, noisy[::-1], "higher", 0.15, fails_more=False)["bound"] == "unresolved"
+    # a spread wider than the bound is resolved when every change run is better
+    assert ab_pairs.compare(noisy, [x + 100 for x in noisy], "higher", 0.15, fails_more=False)["bound"] == "within"
+
+
+def test_a_run_that_attempts_nothing_counts_as_failed(tmp_path):
+    (tmp_path / "bench").mkdir()
+    result = '{"correct": false, "attempted": 0, "failed": 0, "metrics": {"instances_per_s": {"value": 0}}}'
+    (tmp_path / "bench" / "run.py").write_text(f"print({result!r})\n", encoding="utf-8")
+    run = ab_pairs.run_bench(tmp_path, "docs", 1, 0.1)
+    assert run["failed_ratio"] == 1.0 and run["instances_per_s"] == 0

@@ -74,6 +74,18 @@ def test_scan_keeps_no_group_across_sccs():
     assert maximal_conservative_subsets(fw, lat, fmap, blocked, fs("wxyz")) == []
     for scc in (fs("wx"), fs("yz")):
         assert [c.targets for c, _ in maximal_conservative_subsets(fw, lat, fmap, blocked, scc)] == [scc]
+    # part of the SCC w<->x -> y -> u -> z -> w: {w,x} could grow by u
+    lat = validate_lattice(
+        ["bot", "pw", "px", "pu", "py", "pz", "H", "top"],
+        [("bot", p) for p in ("pw", "px", "pu", "py", "pz")]
+        + [(p, "H") for p in ("pw", "px", "pu")]
+        + [(p, "top") for p in ("H", "py", "pz")],
+    )
+    fmap = SemanticMap({f"e{a}": f"p{a}" for a in "wxuyz"})
+    w, x, u, y, z = ((a, f"e{a}") for a in "wxuyz")
+    fw = Framework.of([w, x, u, y, z], [(w, x), (x, w), (x, y), (y, u), (u, z), (z, w)])
+    assert maximal_conservative_subsets(fw, lat, fmap, blocked, fs("wx")) == []
+    assert [c.targets for c, _ in maximal_conservative_subsets(fw, lat, fmap, blocked, fs("wxuyz"))] == [fs("wxu")]
 
 
 def _scan_against_oracle(lat, fmap, fw, blocked):

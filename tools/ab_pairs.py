@@ -10,9 +10,13 @@ pair.  Runs never overlap.  For every end-to-end metric that
 ``BENCHMARK.json`` declares, the tool prints each side's median and
 quartiles, the share of pairs the change won (ties count for neither side),
 whether the gain rule holds (the change wins at least nine tenths of the
-pairs and the medians differ by more than the distance between the base's
-quartiles) and whether the change's median is worse than the base's by more
-than the metric's bound.  The last line is every run's metrics as JSON.
+pairs, the medians differ by more than the distance between the base's
+quartiles, and no change run fails a larger share of instances than the
+worst base run) and the bound check: WORSE when the change's median is worse
+than the base's by more than the metric's bound, unresolved when either
+side's quartile spread is wider than the bound and not every change run
+reads better than every base run, within otherwise.  A run that attempts no
+instance counts as all failed.  The last line is every run's metrics as JSON.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     return {
         "correct": result["correct"],
-        "failed_ratio": result["failed"] / result["attempted"],
+        "failed_ratio": result["failed"] / result["attempted"] if result["attempted"] else 1.0,
         **{name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -51,20 +55,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(base: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Median, quartiles and pair wins of one metric; the gain rule; whether
-    the change regresses beyond `bound` (a fraction of the base median)."""
+def compare(base: list[float], change: list[float], better: str, bound: float, fails_more: bool) -> dict:
+    """Median, quartiles and pair wins of one metric; the gain rule, which
+    never holds when the change `fails_more`; the bound check against
+    `bound`, a fraction of the base median."""
     sign = 1 if better == "higher" else -1
     wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
     bq, cq = quartiles(base), quartiles(change)
     gain = sign * (cq[1] - bq[1])
+    allowed = bound * abs(bq[1])
+    every_run_better = min(sign * c for c in change) > max(sign * b for b in base)
+    if -gain > allowed:
+        verdict = "WORSE"
+    elif max(bq[2] - bq[0], cq[2] - cq[0]) > allowed and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "within"
     return {
         "base": bq,
         "change": cq,
         "wins": wins,
         "pairs": len(base),
-        "gain_holds": wins >= 0.9 * len(base) and gain > bq[2] - bq[0],
-        "regression": -gain > bound * abs(bq[1]),
+        "gain_holds": not fails_more and wins >= 0.9 * len(base) and gain > bq[2] - bq[0],
+        "bound": verdict,
     }
 
 
@@ -91,20 +104,24 @@ def main(argv=None) -> int:
 
     print(f"workload {args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     print(f"{'metric':18s} {'base median [q1, q3]':30s} {'change median [q1, q3]':30s} {'wins':6s} gain rule  bound")
+    worst = {side: max(r["failed_ratio"] for r in runs[side]) for side in runs}
     for metric in declared["end_to_end"]:
         name = metric["name"]
         row = compare(
-            [r[name] for r in runs["base"]], [r[name] for r in runs["change"]], metric["better"], metric["bound"]
+            [r[name] for r in runs["base"]],
+            [r[name] for r in runs["change"]],
+            metric["better"],
+            metric["bound"],
+            fails_more=worst["change"] > worst["base"],
         )
         base, change = (f"{q2:.4g} [{q1:.4g}, {q3:.4g}]" for q1, q2, q3 in (row["base"], row["change"]))
         wins = f"{row['wins']}/{row['pairs']}"
         print(
             f"{name:18s} {base:30s} {change:30s} {wins:6s} {'holds' if row['gain_holds'] else 'no':10s}"
-            f" {'WORSE' if row['regression'] else 'within'}"
+            f" {row['bound']}"
         )
     for side in ("base", "change"):
-        worst = max(r["failed_ratio"] for r in runs[side])
-        print(f"{side}: failed_ratio at most {worst:.6g}, all correct: {all(r['correct'] for r in runs[side])}")
+        print(f"{side}: failed_ratio at most {worst[side]:.6g}, all correct: {all(r['correct'] for r in runs[side])}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": seconds, "runs": runs}))
     return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
 
