@@ -179,31 +179,47 @@ def grounded_labelling(framework: Framework) -> dict[str, str]:
 
 
 def _naive_in(ix: _Index, comp: int) -> list[int]:
-    """Maximal conflict-free subsets of a connected mask.
+    """Maximal conflict-free subsets of a mask: the maximal independent
+    sets of its conflict graph without self-attackers, by Bron–Kerbosch
+    search with Tomita pivoting (Tomita, Tanaka and Takahashi 2006) over
+    an exclusion mask, in O(3^(n/3)).
 
-    Each step takes the lowest open argument, then drops it; a dropped
-    argument waits until some taken neighbour settles it, and the branch
-    dies once none can.
+    A state holds the taken, open and excluded masks; an excluded argument
+    was branched on already and may not be added later.  The pivot is the
+    open or excluded argument with the fewest open arguments among itself
+    and its neighbours, and the state branches on taking each of those in
+    turn, excluding it afterwards: every naive set below the state holds
+    one of them.  An excluded pivot with none left open could join every
+    extension of the state, so the state has no naive set.
     """
-    neighbours = ix.neighbours
+    candidates = comp & ~ix.loops
+    closed = {i: ix.neighbours[i] | 1 << i for i in _bits(candidates)}
     found: list[int] = []
-    stack = [(0, comp & ~ix.loops, 0)]
+    stack = [(0, candidates, 0)]
     while stack:
-        taken, open_, waiting = stack.pop()
-        unsettled = 0
-        for y in _bits(waiting):
-            near = neighbours[y]
-            if not near & taken:
-                if not near & open_:
-                    break
-                unsettled |= 1 << y
-        else:
-            if not open_:
+        taken, open_, excluded = stack.pop()
+        if not open_:
+            if not excluded:
                 found.append(taken)
-                continue
-            low = open_ & -open_
-            stack.append((taken, open_ ^ low, unsettled | low))
-            stack.append((taken | low, open_ & ~(low | neighbours[low.bit_length() - 1]), unsettled))
+            continue
+        fewest = open_.bit_count() + 1
+        rest = open_ | excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near = closed[low.bit_length() - 1] & open_
+            count = near.bit_count()
+            if count < fewest:
+                fewest, branch = count, near
+                if count <= 1:
+                    break
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            near = closed[low.bit_length() - 1]
+            stack.append((taken | low, open_ & ~near, excluded & ~near))
+            open_ ^= low
+            excluded |= low
     return found
 
 

@@ -234,14 +234,19 @@ def mapped_framework(
     return Framework(frozenset(arglets), frozenset(attacks))
 
 
-def random_single_scc_framework(rng: random.Random, max_args: int = 8) -> Framework:
-    """Strongly connected framework: a spanning cycle plus random chords."""
-    n = rng.randint(1, max_args)
-    arglets = [(f"a{i}", f"e{i}") for i in range(n)]
-    attacks = {(arglets[i], arglets[(i + 1) % n]) for i in range(n)} if n > 1 else set()
+def random_single_scc_framework(
+    rng: random.Random, max_args: int = 8, min_args: int = 1, chord_prob: float = 0.2, doubled: float = 0.0
+) -> Framework:
+    """Strongly connected framework: a spanning cycle plus random chords
+    between arglets, self-attacks among them.  Each argument has a second
+    arglet with probability `doubled`."""
+    n = rng.randint(min_args, max_args)
+    heads = [(f"a{i}", f"e{i}") for i in range(n)]
+    arglets = heads + [(a, f"{e}b") for a, e in heads if doubled and rng.random() < doubled]
+    attacks = {(heads[i], heads[(i + 1) % n]) for i in range(n)} if n > 1 else set()
     for src in arglets:
         for dst in arglets:
-            if rng.random() < 0.2:
+            if rng.random() < chord_prob:
                 attacks.add((src, dst))
     return Framework(frozenset(arglets), frozenset(attacks))
 

@@ -4,8 +4,9 @@ Everything here is written from the bare definitions, favouring obviousness
 over speed: breadth-first search for the order, bitmask enumeration of all
 subsets for the semantics, subset enumeration for validity and the group
 scan, set comprehensions for the projections.  The package's former
-depth-first preferred search is kept for frameworks too large to enumerate,
-and its former set-based lattice validation pins which defect is reported.
+depth-first preferred search and take/drop naive-set search are kept for
+frameworks too large to enumerate, and its former set-based lattice
+validation pins which defect is reported.
 Nothing imports from the package.
 """
 
@@ -232,6 +233,42 @@ def oracle_maximal_conflict_free(ids, edges):
     ]
     maximal = [m for m in cf if not any(m != o and m | o == o for o in cf)]
     return sorted((_members(order, m) for m in maximal), key=lambda e: (len(e), tuple(sorted(e))))
+
+
+def oracle_naive_branch(ids, edges):
+    """Maximal conflict-free sets by take/drop search over bitmasks.
+
+    Each step takes the lowest open argument, then drops it; a dropped
+    argument waits until some taken neighbour settles it, and the branch
+    dies once none can.  Self-attackers are never open.  The package's
+    naive-set search before Bron–Kerbosch pivoting, kept as a differential
+    reference for frameworks too large for the 2^n enumeration of
+    `oracle_maximal_conflict_free`.
+    """
+    order, attackers, hits = _masks(ids, edges)
+    neighbours = [a | h for a, h in zip(attackers, hits)]
+    loops = sum(1 << i for i, a in enumerate(attackers) if a >> i & 1)
+    found = []
+    stack = [(0, (1 << len(order)) - 1 & ~loops, 0)]
+    while stack:
+        taken, open_, waiting = stack.pop()
+        unsettled = 0
+        for y in range(len(order)):
+            if not waiting >> y & 1:
+                continue
+            near = neighbours[y]
+            if not near & taken:
+                if not near & open_:
+                    break
+                unsettled |= 1 << y
+        else:
+            if not open_:
+                found.append(taken)
+                continue
+            low = open_ & -open_
+            stack.append((taken, open_ ^ low, unsettled | low))
+            stack.append((taken | low, open_ & ~(low | neighbours[low.bit_length() - 1]), unsettled))
+    return sorted((_members(order, m) for m in found), key=lambda e: (len(e), tuple(sorted(e))))
 
 
 def _defends_all(adj, sub):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location("ab_pairs", Path(__file__).parent.parent / "tools" / "ab_pairs.py")
@@ -26,3 +27,27 @@ def test_a_run_that_attempts_nothing_counts_as_failed(tmp_path):
     (tmp_path / "bench" / "run.py").write_text(f"print({result!r})\n", encoding="utf-8")
     run = ab_pairs.run_bench(tmp_path, "docs", 1, 0.1)
     assert run["failed_ratio"] == 1.0 and run["instances_per_s"] == 0
+
+
+def _stub_checkout(path, rate):
+    """A checkout whose bench/run.py reports `rate` instances/s, correct and
+    with nothing failed, on any workload."""
+    (path / "bench").mkdir(parents=True)
+    result = {"correct": True, "attempted": 10, "failed": 0, "metrics": {"instances_per_s": {"value": rate}}}
+    (path / "bench" / "run.py").write_text(f"print({json.dumps(result)!r})\n", encoding="utf-8")
+    declared = {"run_seconds": 20, "end_to_end": [{"name": "instances_per_s", "better": "higher", "bound": 0.15}]}
+    (path / "BENCHMARK.json").write_text(json.dumps(declared), encoding="utf-8")
+    return path
+
+
+def test_exit_status_is_1_when_a_bound_reads_worse(tmp_path, capsys):
+    base = _stub_checkout(tmp_path / "base", 100)
+    same = _stub_checkout(tmp_path / "same", 100)
+    slower = _stub_checkout(tmp_path / "slower", 80)
+    argv = ["--workload", "docs", "extensions", "--seed", "1", "--pairs", "1", "--seconds", "0.1"]
+    assert ab_pairs.main([str(base), str(same), *argv]) == 0
+    out = capsys.readouterr().out
+    assert "workload docs seed 1" in out and "workload extensions seed 1" in out
+    assert out.count("instances_per_s    100") == 2 and "WORSE" not in out
+    assert ab_pairs.main([str(base), str(slower), *argv]) == 1
+    assert capsys.readouterr().out.count("WORSE") == 2

@@ -28,6 +28,7 @@ from oracles import (
     oracle_cf2,
     oracle_grounded,
     oracle_maximal_conflict_free,
+    oracle_naive_branch,
     oracle_preferred,
     oracle_preferred_dfs,
 )
@@ -185,6 +186,75 @@ def test_mcf_matches_oracle():
         assert maximal_conflict_free_sets(fw) == oracle_maximal_conflict_free(
             sorted(ids), sorted(edges)
         )
+
+
+def _dung(names, edges):
+    return Framework.of([(n, "x") for n in names], [((s, "x"), (d, "x")) for s, d in edges])
+
+
+def test_naive_sets_match_take_drop_oracle_on_larger_frameworks():
+    # 13 to 24 arguments, beyond the 2^n enumeration of
+    # oracle_maximal_conflict_free; some self-attack, some have two arglets
+    rng = random.Random(2006)
+    loops = doubled = 0
+    for i in range(40):
+        if i % 2:
+            fw = sparse_framework(rng, max_args=24, density=rng.choice([0.08, 0.12, 0.16, 0.2, 0.3]))
+        else:
+            fw = random_single_scc_framework(
+                rng, max_args=24, min_args=13, chord_prob=rng.choice([0.02, 0.04, 0.08, 0.15]), doubled=0.3
+            )
+            assert len(strongly_connected_components(fw)) == 1
+        ids, edges = fw.dung_projection()
+        expected = oracle_naive_branch(ids, edges)
+        assert maximal_conflict_free_sets(fw) == expected
+        if i % 2 == 0:
+            assert cf2(fw) == expected
+        loops += any(s == d for s, d in edges)
+        doubled += len(fw.arglets) > len(ids)
+    assert loops >= 10 and doubled >= 20
+
+
+def test_disjoint_triangles_have_three_to_the_k_naive_sets():
+    # Moon and Moser's extremal graphs: k disjoint triangles of mutual
+    # attacks have 3^k naive sets, the most any 3k arguments can have
+    def triangles(k):
+        names = [f"t{i}{c}" for i in range(k) for c in "xyz"]
+        edges = [(f"t{i}{s}", f"t{i}{d}") for i in range(k) for s in "xyz" for d in "xyz" if s != d]
+        return names, edges
+
+    for k in range(1, 8):
+        names, edges = triangles(k)
+        assert len(maximal_conflict_free_sets(_dung(names, edges))) == 3**k
+
+    # a one-way ring t0x -> t1x -> ... -> t0x makes one SCC, whose naive
+    # sets are the cyclic words over x, y, z with no two x adjacent:
+    # a(k) = 2 a(k-1) + 2 a(k-2)
+    for k, count in [(2, 8), (3, 20), (4, 56), (5, 152), (6, 416), (7, 1136)]:
+        names, edges = triangles(k)
+        linked = _dung(names, edges + [(f"t{i}x", f"t{(i + 1) % k}x") for i in range(k)])
+        assert strongly_connected_components(linked) == [linked.argument_ids()]
+        naive = maximal_conflict_free_sets(linked)
+        assert len(naive) == count
+        assert cf2(linked) == naive
+
+
+def test_naive_search_cuts_an_excluded_pivot_with_no_open_neighbour():
+    # with lowest-id pivot ties the first pivot is c, and the search takes
+    # b, c and d in turn, excluding each after its branch.  The branch that
+    # takes d leaves e open and b excluded, with no open argument near b:
+    # b could join every set of that branch, so the branch is cut ({b,d,e}
+    # is found under b)
+    names = list("abcdef")
+    mutual = ["ab", "ad", "ae", "bc", "bf", "cd", "df", "ef"]
+    edges = [(s, d) for u, v in mutual for s, d in ((u, v), (v, u))]
+    expected = [frozenset("ce"), frozenset("acf"), frozenset("bde")]
+    assert maximal_conflict_free_sets(_dung(names, edges)) == expected
+    assert oracle_maximal_conflict_free(names, edges) == expected
+    # a self-attacker is never open or excluded, and joins no naive set
+    with_g = _dung(names + ["g"], edges + [("g", "g"), ("g", "b")])
+    assert maximal_conflict_free_sets(with_g) == expected
+    assert cf2(with_g) == expected
 
 
 def test_semantics_invariants():

@@ -1,12 +1,13 @@
 """Alternating A/B runs of the benchmark on two checkouts.
 
-    python3 tools/ab_pairs.py BASE CHANGE --workload docs --seed 7 --pairs 10
+    python3 tools/ab_pairs.py BASE CHANGE --workload docs extensions --seed 7 --pairs 10
 
 BASE and CHANGE are two full checkouts, for example an export of the parent
 commit (``git archive``) and the working tree.  Each pair runs
 ``bench/run.py --workload W --seed S --seconds T`` once in each checkout,
 one after the other, and the side that goes first alternates from pair to
-pair.  Runs never overlap.  For every end-to-end metric that
+pair.  Runs never overlap.  The workloads named run one after another, and
+each gets its own pairs and its own table.  For every end-to-end metric that
 ``BENCHMARK.json`` declares, the tool prints each side's median and
 quartiles, the share of pairs the change won (ties count for neither side),
 whether the gain rule holds (the change wins at least nine tenths of the
@@ -16,7 +17,9 @@ worst base run) and the bound check: WORSE when the change's median is worse
 than the base's by more than the metric's bound, unresolved when either
 side's quartile spread is wider than the bound and not every change run
 reads better than every base run, within otherwise.  A run that attempts no
-instance counts as all failed.  The last line is every run's metrics as JSON.
+instance counts as all failed.  Each table is followed by a line holding
+every run's metrics of that workload as JSON.  The exit status is 1 when a
+run is incorrect or a bound reads WORSE on any workload, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -81,30 +84,25 @@ def compare(base: list[float], change: list[float], better: str, bound: float, f
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
-    args = parser.parse_args(argv)
-
-    declared = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+def run_pairs(base: Path, change: Path, workload: str, seed: int, pairs: int, seconds: float) -> dict[str, list[dict]]:
+    """Each side's runs of `workload`, in `pairs` pairs whose first side
+    alternates."""
     runs: dict[str, list[dict]] = {"base": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            checkout = args.base if side == "base" else args.change
-            runs[side].append(run_bench(checkout, args.workload, args.seed, seconds))
+            runs[side].append(run_bench(base if side == "base" else change, workload, seed, seconds))
         b, c = runs["base"][-1], runs["change"][-1]
         print(f"pair {i + 1} ({order[0]} first): instances_per_s {b['instances_per_s']:.4g} -> {c['instances_per_s']:.4g}", flush=True)
+    return runs
 
-    print(f"workload {args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+
+def report(declared: dict, runs: dict[str, list[dict]]) -> bool:
+    """Print one row per end-to-end metric; whether every run was correct
+    and no bound reads WORSE."""
     print(f"{'metric':18s} {'base median [q1, q3]':30s} {'change median [q1, q3]':30s} {'wins':6s} gain rule  bound")
     worst = {side: max(r["failed_ratio"] for r in runs[side]) for side in runs}
+    ok = True
     for metric in declared["end_to_end"]:
         name = metric["name"]
         row = compare(
@@ -114,6 +112,7 @@ def main(argv=None) -> int:
             metric["bound"],
             fails_more=worst["change"] > worst["base"],
         )
+        ok &= row["bound"] != "WORSE"
         base, change = (f"{q2:.4g} [{q1:.4g}, {q3:.4g}]" for q1, q2, q3 in (row["base"], row["change"]))
         wins = f"{row['wins']}/{row['pairs']}"
         print(
@@ -121,9 +120,31 @@ def main(argv=None) -> int:
             f" {row['bound']}"
         )
     for side in ("base", "change"):
-        print(f"{side}: failed_ratio at most {worst[side]:.6g}, all correct: {all(r['correct'] for r in runs[side])}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": seconds, "runs": runs}))
-    return 0 if all(r["correct"] for side in runs.values() for r in side) else 1
+        correct = all(r["correct"] for r in runs[side])
+        ok &= correct
+        print(f"{side}: failed_ratio at most {worst[side]:.6g}, all correct: {correct}")
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
+    args = parser.parse_args(argv)
+
+    declared = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    ok = True
+    for workload in args.workload:
+        runs = run_pairs(args.base, args.change, workload, args.seed, args.pairs, seconds)
+        print(f"workload {workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+        ok &= report(declared, runs)
+        print(json.dumps({"workload": workload, "seed": args.seed, "seconds": seconds, "runs": runs}))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
