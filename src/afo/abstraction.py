@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .af import Argument, Framework, _Index, _reach
+from .af import Argument, Framework, _home_scc
 from .errors import EmptySet, TargetsNotInFramework
 from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
@@ -110,7 +110,9 @@ def best_abstraction_of(
 
     Reuses the lexicographically smallest declared expression at that node;
     otherwise a synthetic expression is minted and bound to the node in the
-    returned map.  The combined id joins the target ids with '+'.
+    returned map.  The combined id joins the target ids with '+'; the
+    group scan appends "'" to it while it names an input argument or an id
+    minted earlier in the scan.
     """
     union = _union_exprs(args)
     node = alpha(lat, fmap, union)
@@ -146,15 +148,6 @@ def _absorbs(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, a_x: A
     return all(
         sum(1 for ex in a_x.expressions if _abstracts(lat, fmap, ex, e)) == 1 for e in exprs
     ) and all(any(_abstracts(lat, fmap, ex, e) for e in exprs) for ex in a_x.expressions)
-
-
-def _home_scc(framework: Framework, arg_id: str) -> frozenset[str]:
-    """The SCC of one argument: what it reaches that also reaches it."""
-    ix = _Index(framework)
-    seed = 1 << ix.pos[arg_id]
-    forward = _reach(ix.targets, seed, ix.everything)
-    # every path back to the seed stays inside what the seed reaches
-    return ix.members(forward & _reach(ix.attackers, seed, forward))
 
 
 def _absorbed_outsiders(

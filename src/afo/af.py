@@ -84,6 +84,15 @@ def has_path(framework: Framework, src_id: str, dst_id: str) -> bool:
     return bool(reached >> ix.pos[dst_id] & 1)
 
 
+def _home_scc(framework: Framework, arg_id: str) -> frozenset[str]:
+    """The SCC of one argument: what it reaches that also reaches it."""
+    ix = _Index(framework)
+    seed = 1 << ix.pos[arg_id]
+    forward = _reach(ix.targets, seed, ix.everything)
+    # every path back to the seed stays inside what the seed reaches
+    return ix.members(forward & _reach(ix.attackers, seed, forward))
+
+
 def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
     """SCCs of the argument graph in a topological order, attackers first.
 

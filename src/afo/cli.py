@@ -14,7 +14,7 @@ from .abstraction import conservativity_report
 from .af import Framework
 from .errors import AfoError
 # parse_afo and build_model stay bound here: bench/tracing.py traces them as afo.cli.*
-from .format import AfoDocument, AfoModel, build_model, load_afo, parse_afo
+from .format import AfoModel, build_model, load_afo, parse_afo
 from .pipeline import (
     SharpeningReport,
     _derive,
@@ -133,16 +133,16 @@ def _dot(framework: Framework) -> str:
 # ------------------------------------------------------------ subcommands
 
 
-def _cmd_validate(args, model: AfoModel, document: AfoDocument) -> int:
+def _cmd_validate(args, model: AfoModel) -> int:
     print(
-        f"ok: {len(document.nodes)} nodes, {len(document.covers)} covers, "
-        f"{len(model.framework.arguments())} arguments, {len(document.arglets)} arglets, "
-        f"{len(document.attacks)} attacks, M={_fmt_set(model.blocked)}"
+        f"ok: {len(model.lattice.nodes)} nodes, {len(model.lattice.covers)} covers, "
+        f"{len(model.framework.arguments())} arguments, {len(model.framework.arglets)} arglets, "
+        f"{len(model.framework.attacks)} attacks, M={_fmt_set(model.blocked)}"
     )
     return 0
 
 
-def _cmd_semantics(args, model: AfoModel, document: AfoDocument) -> int:
+def _cmd_semantics(args, model: AfoModel) -> int:
     if args.sem == "grounded":
         labelling = grounded_labelling(model.framework)
         if args.json:
@@ -196,7 +196,7 @@ def _explain(model: AfoModel, scan: _GroupScan) -> None:
             print(f"    => {'conservative' if report.conservative else 'not conservative'}")
 
 
-def _cmd_abstract(args, model: AfoModel, document: AfoDocument) -> int:
+def _cmd_abstract(args, model: AfoModel) -> int:
     scan = _group_scan(model.framework, model.lattice, model.fmap, model.blocked)
     result = _derive(model.framework, model.fmap, scan)
     if args.explain:
@@ -229,7 +229,7 @@ def _cmd_abstract(args, model: AfoModel, document: AfoDocument) -> int:
     return 0
 
 
-def _cmd_sharpen(args, model: AfoModel, document: AfoDocument) -> int:
+def _cmd_sharpen(args, model: AfoModel) -> int:
     report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
 
     if args.oracle:
@@ -318,10 +318,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        model, document, warnings = load_afo(args.file)
+        model, _, warnings = load_afo(args.file)
         for w in warnings:
             print(w, file=sys.stderr)
-        return args.func(args, model, document)
+        return args.func(args, model)
     except AfoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -30,14 +30,15 @@ from .errors import AfoSyntaxError, DuplicateDeclaration, UnknownReference
 from .galois import SemanticMap
 from .lattice import FiniteLattice, validate_lattice
 
-_DIRECTIVE_ARITY = {
-    "node": 1,
-    "cover": 2,
-    "general": 1,
-    "expr": 1,
-    "map": 2,
-    "arglet": 2,
-    "attack": 2,
+# keyword -> (arity, message for a repeated declaration); repeated attacks merge
+_DIRECTIVES = {
+    "node": (1, "node {!r} already declared"),
+    "cover": (2, "cover {} {} already declared"),
+    "general": (1, "general {!r} already declared"),
+    "expr": (1, "expr {!r} already declared"),
+    "map": (2, "expression {!r} already mapped"),
+    "arglet": (2, "arglet {} {} already declared"),
+    "attack": (2, None),
 }
 
 
@@ -69,12 +70,9 @@ def _plain_id(token: str, line: int) -> str:
 
 def parse_afo(text: str) -> tuple[AfoDocument, list[str]]:
     """Parse and resolve a document; returns it with any warnings."""
-    nodes: dict[str, int] = {}
-    covers: dict[tuple[str, str], int] = {}
-    generals: dict[str, int] = {}
-    declared_exprs: dict[str, int] = {}
-    assignments: dict[str, tuple[str, int]] = {}
-    arglets: dict[Arglet, int] = {}
+    # per keyword, key -> (identifiers, line); a cover or an arglet is keyed
+    # by all its identifiers, any other declaration by its first
+    decls: dict[str, dict] = {keyword: {} for keyword in _DIRECTIVES}
     dotted: list[tuple[Arglet, Arglet, int]] = []
     sugar: list[tuple[str, str, int]] = []
 
@@ -83,47 +81,21 @@ def parse_afo(text: str) -> tuple[AfoDocument, list[str]]:
         if not body:
             continue
         tokens = body.split()
-        keyword, rest = tokens[0], tokens[1:]
-        if keyword not in _DIRECTIVE_ARITY:
+        keyword, rest = tokens[0], tuple(tokens[1:])
+        if keyword not in _DIRECTIVES:
             raise AfoSyntaxError(lineno, f"unknown directive {keyword!r}")
-        if len(rest) != _DIRECTIVE_ARITY[keyword]:
-            raise AfoSyntaxError(
-                lineno, f"{keyword} takes {_DIRECTIVE_ARITY[keyword]} argument(s), got {len(rest)}"
-            )
+        arity, duplicate = _DIRECTIVES[keyword]
+        if len(rest) != arity:
+            raise AfoSyntaxError(lineno, f"{keyword} takes {arity} argument(s), got {len(rest)}")
 
-        if keyword == "node":
-            (name,) = rest
-            _plain_id(name, lineno)
-            if name in nodes:
-                raise DuplicateDeclaration(lineno, f"node {name!r} already declared")
-            nodes[name] = lineno
-        elif keyword == "cover":
-            child, parent = (_plain_id(t, lineno) for t in rest)
-            if (child, parent) in covers:
-                raise DuplicateDeclaration(lineno, f"cover {child} {parent} already declared")
-            covers[(child, parent)] = lineno
-        elif keyword == "general":
-            (name,) = rest
-            _plain_id(name, lineno)
-            if name in generals:
-                raise DuplicateDeclaration(lineno, f"general {name!r} already declared")
-            generals[name] = lineno
-        elif keyword == "expr":
-            (symbol,) = rest
-            _plain_id(symbol, lineno)
-            if symbol in declared_exprs:
-                raise DuplicateDeclaration(lineno, f"expr {symbol!r} already declared")
-            declared_exprs[symbol] = lineno
-        elif keyword == "map":
-            symbol, node = (_plain_id(t, lineno) for t in rest)
-            if symbol in assignments:
-                raise DuplicateDeclaration(lineno, f"expression {symbol!r} already mapped")
-            assignments[symbol] = (node, lineno)
-        elif keyword == "arglet":
-            arg, symbol = (_plain_id(t, lineno) for t in rest)
-            if (arg, symbol) in arglets:
-                raise DuplicateDeclaration(lineno, f"arglet {arg} {symbol} already declared")
-            arglets[(arg, symbol)] = lineno
+        if duplicate is not None:
+            for token in rest:
+                _plain_id(token, lineno)
+            table = decls[keyword]
+            key = rest if keyword in ("cover", "arglet") else rest[0]
+            if key in table:
+                raise DuplicateDeclaration(lineno, duplicate.format(*rest))
+            table[key] = (rest, lineno)
         else:  # attack
             first, second = rest
             if ("." in first) != ("." in second):
@@ -138,21 +110,18 @@ def parse_afo(text: str) -> tuple[AfoDocument, list[str]]:
 
     # resolution: everything may forward-reference, so check against the
     # complete declaration sets
-    for (child, parent), lineno in covers.items():
-        for name in (child, parent):
-            if name not in nodes:
-                raise UnknownReference(lineno, f"cover references undeclared node {name!r}")
-    for name, lineno in generals.items():
-        if name not in nodes:
-            raise UnknownReference(lineno, f"general references undeclared node {name!r}")
-    for symbol, (node, lineno) in assignments.items():
-        if node not in nodes:
-            raise UnknownReference(lineno, f"map references undeclared node {node!r}")
-    for symbol, lineno in declared_exprs.items():
+    nodes, assignments, arglets = decls["node"], decls["map"], decls["arglet"]
+    for keyword, places in (("cover", (0, 1)), ("general", (0,)), ("map", (1,))):
+        for ids, lineno in decls[keyword].values():
+            for i in places:
+                if ids[i] not in nodes:
+                    raise UnknownReference(lineno, f"{keyword} references undeclared node {ids[i]!r}")
+    for (symbol,), lineno in decls["expr"].values():
         if symbol not in assignments:
             raise UnknownReference(lineno, f"expression {symbol!r} is never mapped to a node")
-    for (arg, symbol), lineno in arglets.items():
-        if symbol not in assignments and symbol not in declared_exprs:
+    # every declared expression is mapped by now
+    for (_, symbol), lineno in arglets.values():
+        if symbol not in assignments:
             raise UnknownReference(lineno, f"arglet references undeclared expression {symbol!r}")
 
     by_arg: dict[str, list[Arglet]] = {}
@@ -182,9 +151,9 @@ def parse_afo(text: str) -> tuple[AfoDocument, list[str]]:
 
     document = AfoDocument(
         nodes=tuple(sorted(nodes)),
-        covers=tuple(sorted(covers)),
-        generals=tuple(sorted(generals)),
-        assignments=tuple(sorted((s, n) for s, (n, _) in assignments.items())),
+        covers=tuple(sorted(decls["cover"])),
+        generals=tuple(sorted(decls["general"])),
+        assignments=tuple(sorted(ids for ids, _ in assignments.values())),
         arglets=tuple(sorted(arglets)),
         attacks=tuple(sorted(attacks)),
     )

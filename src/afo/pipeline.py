@@ -11,11 +11,11 @@ re-read against those projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractionCandidate, _home_scc, best_abstraction_of, is_attack_preserving, is_compatible, is_valid
-from .af import Argument, Framework, strongly_connected_components
+from .abstraction import AbstractionCandidate, best_abstraction_of, is_attack_preserving, is_compatible, is_valid
+from .af import Argument, Framework, _home_scc, strongly_connected_components
 from .errors import IdCollision, TargetsNotInFramework
 from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
@@ -116,12 +116,26 @@ _GroupScan = list[tuple[frozenset[str], list[tuple[AbstractionCandidate, Semanti
 
 
 def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str]) -> _GroupScan:
-    """Every SCC, attackers first, with the groups kept in it."""
+    """Every SCC, attackers first, with the groups kept in it.
+
+    A merged id gets "'" appended while it names an input argument or an id
+    minted earlier in the scan, as `best_abstraction_of` does for synthetic
+    expressions, so no replacement collides with an argument it meets."""
     blocked = frozenset(blocked)
-    return [
-        (scc, maximal_conservative_subsets(framework, lat, fmap, blocked, scc))
-        for scc in strongly_connected_components(framework)
-    ]
+    taken = set(framework.argument_ids())
+    scan: _GroupScan = []
+    for scc in strongly_connected_components(framework):
+        groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc)
+        for i, (candidate, xmap) in enumerate(groups):
+            arg = candidate.abstract_arg
+            arg_id = arg.arg_id
+            while arg_id in taken:
+                arg_id += "'"
+            taken.add(arg_id)
+            if arg_id != arg.arg_id:
+                groups[i] = (replace(candidate, abstract_arg=replace(arg, arg_id=arg_id)), xmap)
+        scan.append((scc, groups))
+    return scan
 
 
 def _derive(framework: Framework, fmap: SemanticMap, scan: _GroupScan) -> AbstractionResult:

@@ -330,3 +330,17 @@ def multi_hub_instance(rng: random.Random):
     attacks |= {(s, d) for s in arglets for d in arglets if s != d and rng.random() < 0.15}
     framework = Framework(frozenset(arglets), frozenset(attacks))
     return framework, lattice, fmap, frozenset({"top"})
+
+
+def hub_pairs_document(pairs, loners=()) -> str:
+    """`.afo` text over bot < p, q < hub < top with M = {top}.  Each pair
+    (x, y) is an SCC of x asserting ep at p and y asserting eq at q that
+    attack each other, so it merges at hub into the id "x+y" sorted; each
+    loner asserts ep and attacks nothing."""
+    lines = ["node bot", "node p", "node q", "node hub", "node top"]
+    lines += [f"cover {c} {p}" for c, p in [("bot", "p"), ("bot", "q"), ("p", "hub"), ("q", "hub"), ("hub", "top")]]
+    lines += ["map ep p", "map eq q"]
+    for x, y in pairs:
+        lines += [f"arglet {x} ep", f"arglet {y} eq", f"attack {x}.ep {y}.eq", f"attack {y}.eq {x}.ep"]
+    lines += [f"arglet {z} ep" for z in loners]
+    return "\n".join(lines) + "\n"

@@ -5,8 +5,9 @@ over speed: breadth-first search for the order, bitmask enumeration of all
 subsets for the semantics, subset enumeration for validity and the group
 scan, set comprehensions for the projections.  The package's former
 depth-first preferred search and take/drop naive-set search are kept for
-frameworks too large to enumerate, and its former set-based lattice
-validation pins which defect is reported.
+frameworks too large to enumerate, its former set-based lattice
+validation pins which defect is reported, and its former `.afo` parser,
+one branch per directive, pins which error a broken document reports.
 Nothing imports from the package.
 """
 
@@ -537,3 +538,142 @@ def oracle_sigma(extension_sets, keep):
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+
+
+# --------------------------------------------------------- the .afo format
+
+
+class _Rejected(Exception):
+    def __init__(self, kind, line, message):
+        super().__init__(kind, line, message)
+        self.outcome = (kind, line, message)
+
+
+def _oracle_plain_id(token, line):
+    if "." in token:
+        raise _Rejected("AfoSyntaxError", line, f"identifier {token!r} may not contain '.'")
+    return token
+
+
+def _oracle_parse(text):
+    arity = {"node": 1, "cover": 2, "general": 1, "expr": 1, "map": 2, "arglet": 2, "attack": 2}
+    nodes, covers, generals, declared_exprs = {}, {}, {}, {}
+    assignments, arglets = {}, {}
+    dotted, sugar = [], []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        tokens = body.split()
+        keyword, rest = tokens[0], tokens[1:]
+        if keyword not in arity:
+            raise _Rejected("AfoSyntaxError", lineno, f"unknown directive {keyword!r}")
+        if len(rest) != arity[keyword]:
+            raise _Rejected("AfoSyntaxError", lineno, f"{keyword} takes {arity[keyword]} argument(s), got {len(rest)}")
+
+        if keyword == "node":
+            (name,) = rest
+            _oracle_plain_id(name, lineno)
+            if name in nodes:
+                raise _Rejected("DuplicateDeclaration", lineno, f"node {name!r} already declared")
+            nodes[name] = lineno
+        elif keyword == "cover":
+            child, parent = (_oracle_plain_id(t, lineno) for t in rest)
+            if (child, parent) in covers:
+                raise _Rejected("DuplicateDeclaration", lineno, f"cover {child} {parent} already declared")
+            covers[(child, parent)] = lineno
+        elif keyword == "general":
+            (name,) = rest
+            _oracle_plain_id(name, lineno)
+            if name in generals:
+                raise _Rejected("DuplicateDeclaration", lineno, f"general {name!r} already declared")
+            generals[name] = lineno
+        elif keyword == "expr":
+            (symbol,) = rest
+            _oracle_plain_id(symbol, lineno)
+            if symbol in declared_exprs:
+                raise _Rejected("DuplicateDeclaration", lineno, f"expr {symbol!r} already declared")
+            declared_exprs[symbol] = lineno
+        elif keyword == "map":
+            symbol, node = (_oracle_plain_id(t, lineno) for t in rest)
+            if symbol in assignments:
+                raise _Rejected("DuplicateDeclaration", lineno, f"expression {symbol!r} already mapped")
+            assignments[symbol] = (node, lineno)
+        elif keyword == "arglet":
+            arg, symbol = (_oracle_plain_id(t, lineno) for t in rest)
+            if (arg, symbol) in arglets:
+                raise _Rejected("DuplicateDeclaration", lineno, f"arglet {arg} {symbol} already declared")
+            arglets[(arg, symbol)] = lineno
+        else:
+            first, second = rest
+            if ("." in first) != ("." in second):
+                raise _Rejected("AfoSyntaxError", lineno, "attack endpoints must both be arglets or both argument ids")
+            if "." in first:
+                pieces = first.split(".") + second.split(".")
+                if len(pieces) != 4 or not all(pieces):
+                    raise _Rejected("AfoSyntaxError", lineno, "arglet attack endpoints must look like <arg>.<expr>")
+                dotted.append(((pieces[0], pieces[1]), (pieces[2], pieces[3]), lineno))
+            else:
+                sugar.append((first, second, lineno))
+
+    for (child, parent), lineno in covers.items():
+        for name in (child, parent):
+            if name not in nodes:
+                raise _Rejected("UnknownReference", lineno, f"cover references undeclared node {name!r}")
+    for name, lineno in generals.items():
+        if name not in nodes:
+            raise _Rejected("UnknownReference", lineno, f"general references undeclared node {name!r}")
+    for symbol, (node, lineno) in assignments.items():
+        if node not in nodes:
+            raise _Rejected("UnknownReference", lineno, f"map references undeclared node {node!r}")
+    for symbol, lineno in declared_exprs.items():
+        if symbol not in assignments:
+            raise _Rejected("UnknownReference", lineno, f"expression {symbol!r} is never mapped to a node")
+    for (arg, symbol), lineno in arglets.items():
+        if symbol not in assignments and symbol not in declared_exprs:
+            raise _Rejected("UnknownReference", lineno, f"arglet references undeclared expression {symbol!r}")
+
+    by_arg = {}
+    for arg, symbol in arglets:
+        by_arg.setdefault(arg, []).append((arg, symbol))
+
+    warnings = []
+    attacks = set()
+    for src, dst, lineno in dotted:
+        for al in (src, dst):
+            if al not in arglets:
+                raise _Rejected("UnknownReference", lineno, f"attack references undeclared arglet {al[0]}.{al[1]}")
+        attacks.add((src, dst))
+    for a, b, lineno in sugar:
+        for name in (a, b):
+            if name not in by_arg:
+                raise _Rejected("UnknownReference", lineno, f"attack references unknown argument {name!r}")
+        warnings.append(f"W001 line {lineno}: attack {a} {b} expanded to all arglet pairs")
+        for sal in by_arg[a]:
+            for dal in by_arg[b]:
+                attacks.add((sal, dal))
+
+    if not arglets:
+        raise _Rejected("AfoSyntaxError", 1, "no framework: at least one arglet is required")
+
+    return (
+        tuple(sorted(nodes)),
+        tuple(sorted(covers)),
+        tuple(sorted(generals)),
+        tuple(sorted((s, n) for s, (n, _) in assignments.items())),
+        tuple(sorted(arglets)),
+        tuple(sorted(attacks)),
+        warnings,
+    )
+
+
+def oracle_parse_outcome(text):
+    """What the package's former `.afo` parser made of `text`, one branch
+    per directive: the document's fields in `AfoDocument` order followed
+    by the warnings, or (error class name, line, message) for the first
+    error it raised."""
+    try:
+        return _oracle_parse(text)
+    except _Rejected as rejected:
+        return rejected.outcome

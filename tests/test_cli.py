@@ -12,6 +12,8 @@ import pytest
 
 from afo.cli import _json, build_parser, main
 
+from generators import hub_pairs_document
+
 RUN = [sys.executable, "-m", "afo.cli"]
 
 
@@ -340,6 +342,21 @@ def test_sharpen_json_schema(capsys, fixtures_dir):
     a3 = payload["classification"]["a3"]
     assert a3["sets_containing"] == 1
     assert a3["extensions_containing"] == 2
+
+
+def test_sharpen_when_merged_ids_would_collide(capsys, tmp_path):
+    # an input argument already named a+b; two SCCs that both mint a+b+c
+    cases = [
+        (hub_pairs_document([("a", "b")], ["a+b"]), ["a+b'"]),
+        (hub_pairs_document([("a+b", "c"), ("a", "b+c")]), ["a+b+c", "a+b+c'"]),
+    ]
+    for text, minted in cases:
+        path = tmp_path / "collide.afo"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "sharpen", str(path), "--json")
+        assert (code, err) == (0, "")
+        (sigma,) = json.loads(out)["sigma"]
+        assert [step["abstract"]["id"] for step in sigma["provenance"]] == minted
 
 
 def test_sharpen_oracle_passes_on_corpus(fixtures_dir):

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
 from afo import AfoError, NonUniqueJoin
-from afo.errors import AfoSyntaxError, DuplicateDeclaration, UnknownReference
+from afo.errors import AfoFileError, AfoSyntaxError, DuplicateDeclaration, UnknownReference
 from afo.format import AfoDocument, build_model, parse_afo, serialize_afo
 
 from generators import mapped_framework, multi_hub_instance, random_lattice, random_map
+from oracles import oracle_parse_outcome
 
 MINIMAL = """\
 # smallest useful document
@@ -97,16 +100,19 @@ def test_empty_document_rejected():
 
 def test_duplicates_rejected():
     cases = [
-        "node a\nnode a\n",
-        "node a\nnode b\ncover a b\ncover a b\n",
-        "node a\ngeneral a\ngeneral a\n",
-        "node a\nexpr e\nexpr e\nmap e a\narglet x e\n",
-        "node a\nmap e a\nmap e a\narglet x e\n",
-        "node a\nmap e a\narglet x e\narglet x e\n",
+        ("node a\nnode a\n", "line 2: node 'a' already declared"),
+        ("node a\nnode b\ncover a b\ncover a b\n", "line 4: cover a b already declared"),
+        ("node a\ngeneral a\ngeneral a\n", "line 3: general 'a' already declared"),
+        ("node a\nexpr e\nexpr e\nmap e a\narglet x e\n", "line 3: expr 'e' already declared"),
+        ("node a\nmap e a\nmap e a\narglet x e\n", "line 3: expression 'e' already mapped"),
+        ("node a\nmap e a\narglet x e\narglet x e\n", "line 4: arglet x e already declared"),
+        # found while reading, so it wins over the unknown node of line 1
+        ("map e ghost\nnode a\nnode a\n", "line 3: node 'a' already declared"),
     ]
-    for text in cases:
-        with pytest.raises(DuplicateDeclaration):
+    for text, message in cases:
+        with pytest.raises(DuplicateDeclaration) as err:
             parse_afo(text)
+        assert str(err.value) == message
 
 
 def test_duplicate_attacks_merge_silently():
@@ -118,17 +124,19 @@ def test_duplicate_attacks_merge_silently():
 
 def test_unknown_references():
     cases = [
-        ("node a\ncover a ghost\nmap e a\narglet x e\n", "cover"),
-        ("node a\ngeneral ghost\nmap e a\narglet x e\n", "general"),
-        ("node a\nmap e ghost\narglet x e\n", "map"),
-        ("node a\nmap e a\narglet x ghost\n", "arglet"),
-        ("node a\nmap e a\narglet x e\nattack x.e y.e\n", "attack"),
-        ("node a\nmap e a\narglet x e\nattack x ghost\n", "attack"),
+        ("node a\ncover a ghost\nmap e a\narglet x e\n", "line 2: cover references undeclared node 'ghost'"),
+        ("node a\ngeneral ghost\nmap e a\narglet x e\n", "line 2: general references undeclared node 'ghost'"),
+        ("node a\nmap e ghost\narglet x e\n", "line 2: map references undeclared node 'ghost'"),
+        ("node a\nmap e a\narglet x ghost\n", "line 3: arglet references undeclared expression 'ghost'"),
+        ("node a\nmap e a\narglet x e\nattack x.e y.e\n", "line 4: attack references undeclared arglet y.e"),
+        ("node a\nmap e a\narglet x e\nattack x ghost\n", "line 4: attack references unknown argument 'ghost'"),
+        # covers are resolved before maps, whatever the line order
+        ("node a\nmap e ghost\ncover a phantom\narglet x e\n", "line 3: cover references undeclared node 'phantom'"),
     ]
-    for text, needle in cases:
+    for text, message in cases:
         with pytest.raises(UnknownReference) as err:
             parse_afo(text)
-        assert needle in str(err.value)
+        assert str(err.value) == message
 
 
 def test_attack_endpoint_forms():
@@ -265,3 +273,104 @@ def test_random_token_streams_raise_only_afo_errors():
         parsed += 1
         assert parse_afo(serialize_afo(doc))[0] == doc
     assert 100 < parsed < 1400
+
+
+def _base_documents(fixtures_dir, rng: random.Random) -> list[str]:
+    """The fixtures, and generated documents written with `expr` lines,
+    attack sugar, comments and blank lines in a shuffled order."""
+    texts = [p.read_text() for p in sorted(fixtures_dir.glob("*.afo"))]
+    for _ in range(60):
+        if rng.random() < 0.25:
+            framework, lattice, fmap, generals = multi_hub_instance(rng)
+        else:
+            lattice = random_lattice(rng, max_nodes=6)
+            fmap = random_map(rng, lattice, max_exprs=4)
+            framework = mapped_framework(rng, fmap, max_args=4)
+            generals = rng.sample(sorted(lattice.nodes), min(2, len(lattice.nodes)))
+        lines = serialize_afo(_document(lattice, fmap, framework, generals)).splitlines()
+        lines += [f"expr {s}" for s, _ in fmap.items() if rng.random() < 0.4]
+        for i, line in enumerate(lines):
+            if line.startswith("attack") and rng.random() < 0.3:
+                src, dst = (end.split(".")[0] for end in line.split()[1:])
+                lines[i] = f"attack {src} {dst}"
+        lines += ["", "# comment"] * rng.randint(0, 1)
+        rng.shuffle(lines)
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+def _mutate(rng: random.Random, lines: list[list[str]]) -> None:
+    """One edit: repeat a line (half the time with one token changed), drop
+    a line, or replace, insert or drop a token.  New tokens come from the
+    document itself three times in four, else from TOKENS."""
+    words = [w for line in lines for w in line] or TOKENS
+
+    def token() -> str:
+        return rng.choice(words if rng.random() < 0.75 else TOKENS)
+
+    if not lines:
+        lines.append([token()])
+        return
+    line = lines[rng.randrange(len(lines))]
+    edit = rng.choices(["repeat", "drop line", "replace", "insert", "drop"], [3, 3, 3, 1, 1])[0]
+    if edit == "repeat":
+        copy = list(line)
+        if copy and rng.random() < 0.5:
+            copy[rng.randrange(len(copy))] = token()
+        lines.insert(rng.randrange(len(lines) + 1), copy)
+    elif edit == "drop line":
+        lines.remove(line)
+    elif edit == "insert":
+        line.insert(rng.randrange(len(line) + 1), token())
+    elif line:
+        at = rng.randrange(len(line))
+        if edit == "replace":
+            line[at] = token()
+        else:
+            del line[at]
+
+
+def _outcome(text: str):
+    try:
+        doc, warnings = parse_afo(text)
+    except AfoFileError as err:
+        return type(err).__name__, err.line, str(err).removeprefix(f"line {err.line}: ")
+    return (*astuple(doc), warnings)
+
+
+def test_parser_matches_the_former_parser(fixtures_dir):
+    """The directive table gives the document, warnings or first error
+    (class, line and message) of the former one-branch-per-directive parser."""
+    rng = random.Random(9090)
+    bases = _base_documents(fixtures_dir, rng)
+    seen: Counter = Counter()
+    for n in range(5000):
+        lines = [line.split(" ") for line in bases[n % len(bases)].splitlines()]
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, lines)
+        text = "\n".join(" ".join(line) for line in lines)
+        got = _outcome(text)
+        assert got == oracle_parse_outcome(text), text
+        if len(got) == 3:
+            kind, _, message = got
+            words = message.split()
+            shape = words[0] if kind == "DuplicateDeclaration" else " ".join(w for w in words if "'" not in w and "." not in w)
+            seen[kind] += 1
+            if kind != "AfoSyntaxError":
+                seen[kind, shape] += 1
+        else:
+            seen["parsed"] += 1
+    duplicates = {"node", "cover", "general", "expr", "expression", "arglet"}
+    references = {
+        "cover references undeclared node",
+        "general references undeclared node",
+        "map references undeclared node",
+        "expression is never mapped to a node",
+        "arglet references undeclared expression",
+        "attack references undeclared arglet",
+        "attack references unknown argument",
+    }
+    wanted = ["parsed", "AfoSyntaxError", "DuplicateDeclaration", "UnknownReference"]
+    wanted += [("DuplicateDeclaration", s) for s in duplicates] + [("UnknownReference", s) for s in references]
+    assert {key for key in seen if isinstance(key, tuple)} == set(wanted[4:])
+    assert min(seen[key] for key in wanted) >= 20, seen

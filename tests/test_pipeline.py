@@ -20,6 +20,7 @@ from afo import (
     sharpen,
     validate_lattice,
 )
+from afo.format import build_model, parse_afo
 from afo.pipeline import (
     IMPLIED_CREDULOUS,
     IMPLIED_SKEPTICAL,
@@ -30,6 +31,7 @@ from afo.pipeline import (
 
 from generators import (
     conservative_instance,
+    hub_pairs_document,
     mapped_framework,
     multi_hub_instance,
     random_lattice,
@@ -178,6 +180,21 @@ def test_abstract_replace_errors(boardroom):
         abstract_replace(fw, {"ghost"}, Argument("w", fs({"e"})))
     with pytest.raises(IdCollision):
         abstract_replace(fw, {"a1", "a2"}, Argument("a4", fs({"e"})))
+
+
+def test_minted_ids_never_collide():
+    # an input argument already named a+b; two SCCs that both mint a+b+c
+    cases = [
+        (hub_pairs_document([("a", "b")], ["a+b"]), {fs({"a", "b"}): "a+b'"}),
+        (hub_pairs_document([("a+b", "c"), ("a", "b+c")]), {fs({"a+b", "c"}): "a+b+c", fs({"a", "b+c"}): "a+b+c'"}),
+    ]
+    for text, minted in cases:
+        model = build_model(parse_afo(text)[0])
+        report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
+        (steps,) = report.derivation.provenance
+        assert {step.targets: step.abstract_arg.arg_id for step in steps} == minted
+        (derived,) = report.derivation.frameworks
+        assert set(minted.values()) <= derived.argument_ids()
 
 
 def test_derive_boardroom(boardroom):
