@@ -20,8 +20,7 @@ are absorbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .af import Argument, Framework, _home_scc
 from .errors import EmptySet, TargetsNotInFramework
@@ -103,16 +102,22 @@ def is_argument_abstraction(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument
 SYNTHETIC_SUFFIX = "#abs"
 
 
+def _fresh(name: str, taken) -> str:
+    while name in taken:
+        name += "'"
+    return name
+
+
 def best_abstraction_of(
     lat: FiniteLattice, fmap: SemanticMap, args: Sequence[Argument]
 ) -> tuple[AbstractionCandidate, SemanticMap]:
     """Single-expression argument sitting exactly at the join of the targets.
 
     Reuses the lexicographically smallest declared expression at that node;
-    otherwise a synthetic expression is minted and bound to the node in the
-    returned map.  The combined id joins the target ids with '+'; the
-    group scan appends "'" to it while it names an input argument or an id
-    minted earlier in the scan.
+    otherwise a synthetic expression, fresh against the map's symbols, is
+    minted and bound to the node in the returned map.  The combined id joins
+    the target ids with '+'; `maximal_conservative_subsets` makes it fresh
+    against the framework by the same rule, `_fresh`.
     """
     union = _union_exprs(args)
     node = alpha(lat, fmap, union)
@@ -120,9 +125,7 @@ def best_abstraction_of(
     if declared:
         symbol, out_map = declared[0], fmap
     else:
-        symbol = node + SYNTHETIC_SUFFIX
-        while symbol in fmap.symbols:
-            symbol += "'"
+        symbol = _fresh(node + SYNTHETIC_SUFFIX, fmap.symbols)
         out_map = fmap.with_assignment(symbol, node)
     arg_id = "+".join(sorted(a.arg_id for a in args))
     candidate = AbstractionCandidate(
@@ -152,18 +155,17 @@ def _absorbs(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, a_x: A
 
 def _absorbed_outsiders(
     framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate
-) -> Iterator[str] | None:
-    """Lazily, in id order, the other members of the targets' SCC that the
-    candidate absorbs, none unless it absorbs every target; None when the
-    targets span several SCCs."""
+) -> tuple[str, ...] | None:
+    """In id order, the other members of the targets' SCC that the candidate
+    absorbs, none unless it absorbs every target, and None across SCCs."""
     targets = _check_targets(framework, candidate.targets)
     home = _home_scc(framework, min(targets))
     if not targets <= home:
         return None
     a_x = candidate.abstract_arg
     if not all(_absorbs(framework, lat, fmap, a_x, t) for t in targets):
-        return iter(())
-    return (o for o in sorted(home - targets) if _absorbs(framework, lat, fmap, a_x, o))
+        return ()
+    return tuple(o for o in sorted(home - targets) if _absorbs(framework, lat, fmap, a_x, o))
 
 
 def is_valid(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate) -> bool:
@@ -174,8 +176,7 @@ def is_valid(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candid
     SCC itself counts as a growth candidate.  Such a subset exists exactly
     when the argument absorbs every target and some other SCC member.
     """
-    outsiders = _absorbed_outsiders(framework, lat, fmap, candidate)
-    return outsiders is not None and next(outsiders, None) is None
+    return _absorbed_outsiders(framework, lat, fmap, candidate) == ()
 
 
 def is_non_trivial(lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str], candidate: AbstractionCandidate) -> bool:
@@ -262,25 +263,21 @@ def conservativity_report(
     blocked: Iterable[str],
     candidate: AbstractionCandidate,
 ) -> ConservativityReport:
-    """Evaluate all four conditions, keeping the evidence for each verdict."""
+    """Evaluate all four conditions, keeping the evidence for each verdict.
+    Each growth witness adds one absorbed SCC member to the targets."""
     targets = _check_targets(framework, candidate.targets)
     merged = alpha(lat, fmap, candidate.abstract_arg.expressions)
     blocked_sorted = tuple(sorted(set(blocked)))
 
     outsiders = _absorbed_outsiders(framework, lat, fmap, candidate)
-    pool = list(outsiders or ())
-    growth = tuple(
-        tuple(sorted(targets | set(extra)))
-        for size in range(1, len(pool) + 1)
-        for extra in combinations(pool, size)
-    )
+    growth = tuple(tuple(sorted(targets | {o})) for o in outsiders or ())
     conflicts = _internal_conflicts(framework, lat, fmap, targets)
     externals = _external_checks(framework, lat, fmap, targets, merged)
 
     return ConservativityReport(
         candidate=candidate,
         merged_node=merged,
-        valid=outsiders is not None and not growth,
+        valid=outsiders == (),
         growth_witnesses=growth,
         non_trivial=is_non_trivial(lat, fmap, blocked_sorted, candidate),
         blocked_nodes=blocked_sorted,

@@ -201,14 +201,14 @@ def _cmd_abstract(args, model: AfoModel) -> int:
     result = _derive(model.framework, model.fmap, scan)
     if args.explain:
         _explain(model, scan)
-    if args.json:
+    elif args.json:
         _dump(
             {
                 "framework": _json_framework(model.framework),
                 "sigma": _json_sigma(result.frameworks, result.provenance),
             }
         )
-    elif not args.explain:
+    else:
         for i, (framework, steps) in enumerate(zip(result.frameworks, result.provenance), start=1):
             print(f"framework {i}:")
             ids, edges = framework.dung_projection()
@@ -293,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abstract", help="derive abstract-space frameworks")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--explain", action="store_true", help="per-condition conservativity verdicts")
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--json", action="store_true")
+    shown.add_argument("--explain", action="store_true", help="per-condition conservativity verdicts")
     p.add_argument("--emit-dot", action="store_true", help="write a DOT file per derived framework")
     p.set_defaults(func=_cmd_abstract)
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractionCandidate, best_abstraction_of, is_attack_preserving, is_compatible, is_valid
+from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of, is_attack_preserving, is_compatible, is_valid
 from .af import Argument, Framework, _home_scc, strongly_connected_components
-from .errors import IdCollision, TargetsNotInFramework
+from .errors import IdCollision
 from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
 from .semantics import CREDULOUS, SKEPTICAL, _sorted_extensions, preferred
@@ -39,17 +39,34 @@ class AbstractionResult:
     fmap: SemanticMap
 
 
+_Groups = list[tuple[AbstractionCandidate, SemanticMap]]
+
+
+def _renamed(groups: _Groups, taken: set[str]) -> _Groups:
+    """The groups with each merged id made fresh against `taken`, which
+    every id handed out joins."""
+    out: _Groups = []
+    for candidate, xmap in groups:
+        arg = candidate.abstract_arg
+        if (arg_id := _fresh(arg.arg_id, taken)) != arg.arg_id:
+            candidate = replace(candidate, abstract_arg=replace(arg, arg_id=arg_id))
+        taken.add(arg_id)
+        out.append((candidate, xmap))
+    return out
+
+
 def maximal_conservative_subsets(
     framework: Framework,
     lat: FiniteLattice,
     fmap: SemanticMap,
     blocked: Iterable[str],
     scc: frozenset[str],
-) -> list[tuple[AbstractionCandidate, SemanticMap]]:
+) -> _Groups:
     """Largest target groups (two or more ids) inside one SCC whose best
     abstraction is conservative, none contained in another, largest first.
     Each group comes as the candidate and map `best_abstraction_of` built
-    for it; `candidate.targets` is the group.
+    for it; `candidate.targets` is the group.  Merged ids are fresh against
+    the framework, so each candidate can go to `abstract_replace` as it is.
 
     A best abstraction at node v absorbs exactly the members below v, so
     the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
@@ -65,7 +82,7 @@ def maximal_conservative_subsets(
         return []
     node_of = {a: alpha(lat, fmap, framework.argument_expressions(a)) for a in sorted(scc)}
     one_scc = None
-    found: list[tuple[AbstractionCandidate, SemanticMap]] = []
+    found: _Groups = []
     for v in sorted(lat.nodes - blocked):
         group = frozenset(a for a, node in node_of.items() if lat.leq(node, v))
         if len(group) < 2 or lat.join(node_of[a] for a in group) != v:
@@ -79,7 +96,8 @@ def maximal_conservative_subsets(
         if one_scc or is_valid(framework, lat, xmap, candidate):
             found.append((candidate, xmap))
     maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
-    return sorted(maximal, key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))
+    maximal.sort(key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))
+    return _renamed(maximal, set(framework.argument_ids()))
 
 
 def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg: Argument) -> Framework:
@@ -88,10 +106,7 @@ def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg:
     Internal attacks disappear; every attack crossing the group boundary is
     redirected to or from the replacement's arglets; duplicates collapse.
     """
-    wanted = frozenset(targets)
-    missing = wanted - framework.argument_ids()
-    if missing:
-        raise TargetsNotInFramework(f"not arguments of the framework: {sorted(missing)}")
+    wanted = _check_targets(framework, targets)
     if abstract_arg.arg_id in framework.argument_ids():
         raise IdCollision(f"replacement id {abstract_arg.arg_id!r} already names an argument")
 
@@ -112,30 +127,18 @@ def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg:
     return Framework(arglets, frozenset(attacks))
 
 
-_GroupScan = list[tuple[frozenset[str], list[tuple[AbstractionCandidate, SemanticMap]]]]
+_GroupScan = list[tuple[frozenset[str], _Groups]]
 
 
 def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str]) -> _GroupScan:
-    """Every SCC, attackers first, with the groups kept in it.
-
-    A merged id gets "'" appended while it names an input argument or an id
-    minted earlier in the scan, as `best_abstraction_of` does for synthetic
-    expressions, so no replacement collides with an argument it meets."""
+    """Every SCC, attackers first, with the groups kept in it, renamed
+    against one set shared by the scan so merged ids stay distinct."""
     blocked = frozenset(blocked)
     taken = set(framework.argument_ids())
-    scan: _GroupScan = []
-    for scc in strongly_connected_components(framework):
-        groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc)
-        for i, (candidate, xmap) in enumerate(groups):
-            arg = candidate.abstract_arg
-            arg_id = arg.arg_id
-            while arg_id in taken:
-                arg_id += "'"
-            taken.add(arg_id)
-            if arg_id != arg.arg_id:
-                groups[i] = (replace(candidate, abstract_arg=replace(arg, arg_id=arg_id)), xmap)
-        scan.append((scc, groups))
-    return scan
+    return [
+        (scc, _renamed(maximal_conservative_subsets(framework, lat, fmap, blocked, scc), taken))
+        for scc in strongly_connected_components(framework)
+    ]
 
 
 def _derive(framework: Framework, fmap: SemanticMap, scan: _GroupScan) -> AbstractionResult:
@@ -153,11 +156,9 @@ def _derive(framework: Framework, fmap: SemanticMap, scan: _GroupScan) -> Abstra
                 for built, steps in acc
                 for step in replacements
             ]
-
-    first_steps: dict[Framework, tuple[ReplacementStep, ...]] = {}
-    for built, steps in acc:
-        first_steps.setdefault(built, steps)
-    return AbstractionResult(tuple(first_steps), tuple(first_steps.values()), SemanticMap(assignments))
+    # every minted id is distinct, so no two choices build the same framework
+    frameworks, provenance = zip(*acc)
+    return AbstractionResult(frameworks, provenance, SemanticMap(assignments))
 
 
 def derive_abstract_frameworks(

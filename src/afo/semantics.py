@@ -77,7 +77,7 @@ def _components(ix: _Index, within: int) -> list[int]:
     return out
 
 
-def _product(per_component: list[list[int]], base: int = 0) -> list[int]:
+def _product(per_component: list[list[int]], base: int) -> list[int]:
     """Every union of one answer per component, on top of `base`."""
     combined = [base]
     for answers in per_component:
@@ -224,9 +224,9 @@ def _naive_in(ix: _Index, comp: int) -> list[int]:
 
 
 def maximal_conflict_free_sets(framework: Framework) -> list[frozenset[str]]:
-    """Naive sets: one choice per weakly connected component."""
+    """Naive sets, by one search over the whole framework, split or not."""
     ix = _Index(framework)
-    return _extensions(ix, _product([_naive_in(ix, c) for c in _components(ix, ix.everything)]))
+    return _extensions(ix, _naive_in(ix, ix.everything))
 
 
 _Choices = list[tuple[int, int]]  # (extension, the mask it attacks)

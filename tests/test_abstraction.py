@@ -22,6 +22,7 @@ from afo import (
     is_conservative,
     is_non_trivial,
     is_valid,
+    validate_lattice,
 )
 
 from generators import (
@@ -150,7 +151,8 @@ def test_validity_on_boardroom(boardroom):
 
 def test_validity_matches_growth_enumeration():
     """Closed-form validity and the report's growth witnesses against a
-    brute-force enumeration of every larger subset of the home SCC."""
+    brute-force enumeration of every larger subset of the home SCC: the
+    report gives the growths by one member, and each growth holds one."""
     rng = random.Random(1802)
     grown = multi = 0
     for i in range(1000):
@@ -187,10 +189,23 @@ def test_validity_matches_growth_enumeration():
 
         assert is_valid(fw, lat, fmap, candidate) == (home is not None and not growth)
         report = conservativity_report(fw, lat, fmap, {lat.top}, candidate)
-        assert report.growth_witnesses == tuple(growth)
+        assert report.growth_witnesses == tuple(g for g in growth if len(g) == len(targets) + 1)
+        assert all(any(set(w) <= set(g) for w in report.growth_witnesses) for g in growth)
         grown += bool(growth)
         multi += len(a_x.expressions) > 1 and bool(growth)
     assert grown >= 80 and multi >= 5
+
+
+def test_growth_witnesses_one_per_outsider():
+    # an 18-argument ring at one node: any superset of two members can grow
+    lat = validate_lattice(["bot", "x", "top"], [("bot", "x"), ("x", "top")])
+    fmap = SemanticMap({"e": "x"})
+    ring = [(f"a{i:02d}", "e") for i in range(18)]
+    fw = Framework.of(ring, [(ring[i], ring[(i + 1) % 18]) for i in range(18)])
+    candidate = AbstractionCandidate(frozenset({"a00", "a01"}), Argument("w", frozenset({"e"})))
+    report = conservativity_report(fw, lat, fmap, {"top"}, candidate)
+    assert report.growth_witnesses == tuple(("a00", "a01", f"a{i:02d}") for i in range(2, 18))
+    assert not report.valid and not is_valid(fw, lat, fmap, candidate)
 
 
 def test_non_trivial(boardroom):

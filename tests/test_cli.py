@@ -257,6 +257,17 @@ def test_abstract_explain(capsys, fixtures_dir):
     assert "no conservative group" in out
 
 
+def test_abstract_json_and_explain_exclude_each_other(capsys, fixtures_dir):
+    for flags in (["--explain", "--json"], ["--json", "--explain"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["abstract", str(fixtures_dir / "fix3.afo"), *flags])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert "--json" in captured.err and "--explain" in captured.err
+        assert "not allowed with" in captured.err
+
+
 def test_abstract_explain_scans_each_scc_once(capsys, monkeypatch, fixtures_dir):
     import afo.cli
     import afo.pipeline

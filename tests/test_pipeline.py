@@ -178,6 +178,8 @@ def test_abstract_replace_errors(boardroom):
     fw = boardroom.framework
     with pytest.raises(TargetsNotInFramework):
         abstract_replace(fw, {"ghost"}, Argument("w", fs({"e"})))
+    with pytest.raises(TargetsNotInFramework):
+        abstract_replace(fw, set(), Argument("w", fs({"e"})))
     with pytest.raises(IdCollision):
         abstract_replace(fw, {"a1", "a2"}, Argument("a4", fs({"e"})))
 
@@ -195,6 +197,19 @@ def test_minted_ids_never_collide():
         assert {step.targets: step.abstract_arg.arg_id for step in steps} == minted
         (derived,) = report.derivation.frameworks
         assert set(minted.values()) <= derived.argument_ids()
+
+
+def test_scanned_candidates_replace_as_they_are():
+    # an input argument already named a+b, as in test_minted_ids_never_collide
+    model = build_model(parse_afo(hub_pairs_document([("a", "b")], ["a+b"]))[0])
+    fw = model.framework
+    minted = []
+    for scc in oracle_sccs(*fw.dung_projection()):
+        for candidate, _ in maximal_conservative_subsets(fw, model.lattice, model.fmap, model.blocked, scc):
+            derived = abstract_replace(fw, candidate.targets, candidate.abstract_arg)
+            assert candidate.abstract_arg.arg_id in derived.argument_ids()
+            minted.append(candidate.abstract_arg.arg_id)
+    assert minted == ["a+b'"]
 
 
 def test_derive_boardroom(boardroom):
@@ -381,13 +396,23 @@ def _random_mapped_framework(rng):
     return Framework(fs(arglets), fs(attacks))
 
 
+def _derivation_inputs(rng):
+    for _ in range(60):
+        yield _random_mapped_framework(rng), WITNESS_LATTICE, WITNESS_MAP, fs({"top"})
+    # flowers with several hubs, where one SCC can keep several groups and fork
+    for _ in range(800):
+        yield multi_hub_instance(rng)
+
+
 def test_derivation_invariants_on_random_frameworks():
     rng = random.Random(8080)
-    for _ in range(60):
-        fw = _random_mapped_framework(rng)
+    forked = 0
+    for fw, lat, fmap, blocked in _derivation_inputs(rng):
         original_ids = fw.argument_ids()
-        result = derive_abstract_frameworks(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
+        result = derive_abstract_frameworks(fw, lat, fmap, blocked)
         assert len(result.frameworks) == len(result.provenance) >= 1
+        assert len(set(result.frameworks)) == len(result.frameworks)
+        forked += len(result.frameworks) > 1
         for built, steps in zip(result.frameworks, result.provenance):
             if not steps:
                 assert built == fw
@@ -401,6 +426,7 @@ def test_derivation_invariants_on_random_frameworks():
             # projections never mention synthetic ids
             for ext in restrict_extensions(preferred(built), original_ids):
                 assert ext <= original_ids
+    assert forked >= 200
 
 
 def test_sharpen_reduces_to_concrete_on_acyclic_frameworks():
