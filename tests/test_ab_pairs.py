@@ -1,6 +1,12 @@
 import importlib.util
 import json
+import os
+import platform
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location("ab_pairs", Path(__file__).parent.parent / "tools" / "ab_pairs.py")
 ab_pairs = importlib.util.module_from_spec(spec)
@@ -51,3 +57,37 @@ def test_exit_status_is_1_when_a_bound_reads_worse(tmp_path, capsys):
     assert out.count("instances_per_s    100") == 2 and "WORSE" not in out
     assert ab_pairs.main([str(base), str(slower), *argv]) == 1
     assert capsys.readouterr().out.count("WORSE") == 2
+
+
+def test_record_writes_tables_runs_and_setting(tmp_path, capsys):
+    base = _stub_checkout(tmp_path / "base", 100)
+    change = _stub_checkout(tmp_path / "change", 120)
+    record = tmp_path / "record.json"
+    argv = ["--workload", "docs", "groupscan", "--seed", "3", "--pairs", "1", "--seconds", "0.1", "--record", str(record)]
+    assert ab_pairs.main([str(base), str(change), *argv]) == 0
+    capsys.readouterr()
+    got = json.loads(record.read_text(encoding="utf-8"))
+    assert got["python"] == platform.python_version() and got["cpu_count"] == os.cpu_count()
+    assert (got["seed"], got["pairs"], got["seconds"]) == (3, 1, 0.1)
+    assert got["commits"] == {"base": None, "change": None}
+    assert list(got["workloads"]) == ["docs", "groupscan"]
+    for workload in got["workloads"].values():
+        (row,) = workload["table"]
+        assert row["metric"] == "instances_per_s" and row["base"] == [100, 100, 100] and row["wins"] == 1
+        assert [r["instances_per_s"] for r in workload["runs"]["change"]] == [120]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_record_names_the_commit_of_a_git_checkout(tmp_path):
+    checkout = _stub_checkout(tmp_path / "repo", 100)
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=checkout, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "stub")
+    assert ab_pairs.head(checkout) == git("rev-parse", "HEAD")
+    assert ab_pairs.head(tmp_path) is None

@@ -33,7 +33,7 @@ from generators import (
     random_lattice,
     random_map,
 )
-from oracles import oracle_growth, oracle_sccs, oracle_up_reach
+from oracles import oracle_growth, oracle_is_argument_abstraction, oracle_sccs, oracle_up_reach
 from witnesses import (
     CONSERVATIVE_PAIRS,
     CONSERVATIVE_WITNESSES,
@@ -128,6 +128,25 @@ def test_best_abstraction_is_least():
         for s in symbols:
             if is_argument_abstraction(lat, fmap, Argument("w", frozenset({s})), args):
                 assert lat.leq(node, fmap.image(s))
+
+
+def test_best_abstraction_is_an_argument_abstraction():
+    """The check `best_abstraction_of` once asserted on every call: its
+    argument abstracts the targets, read literally by the oracle, on random
+    lattices and maps, some leaving the join without an expression."""
+    rng = random.Random(2711)
+    minted = 0
+    for _ in range(300):
+        lat = random_lattice(rng)
+        fmap = random_map(rng, lat)
+        fw = mapped_framework(rng, fmap, max_exprs=rng.randint(1, 3))
+        args = _args(fw, rng.sample(sorted(fw.argument_ids()), rng.randint(1, len(fw.argument_ids()))))
+        candidate, out_map = best_abstraction_of(lat, fmap, args)
+        (symbol,) = candidate.abstract_arg.expressions
+        minted += symbol not in fmap.symbols
+        targets = [{out_map.image(e) for e in a.expressions} for a in args]
+        assert oracle_is_argument_abstraction(oracle_up_reach(lat.nodes, lat.covers), [out_map.image(symbol)], targets)
+    assert minted >= 25
 
 
 def test_best_abstraction_requires_targets():

@@ -275,9 +275,9 @@ def test_abstract_explain_scans_each_scc_once(capsys, monkeypatch, fixtures_dir)
     calls = []
     scan = afo.pipeline.maximal_conservative_subsets
 
-    def counting_scan(*args):
+    def counting_scan(*args, **kwargs):
         calls.append(args[-1])
-        return scan(*args)
+        return scan(*args, **kwargs)
 
     # patched wherever the name is bound, so a direct import is counted too
     for module in (afo.pipeline, afo.cli):

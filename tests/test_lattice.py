@@ -139,6 +139,30 @@ def test_tables_match_oracle_on_random_lattices():
             assert lat.meet(subset) == reduce(lambda x, y: oracle_meet(nodes, covers, x, y), subset, top)
 
 
+def test_groups_below_matches_oracle_on_random_lattices():
+    """Per node, the members at or below it in the order given, and whether
+    it is their join, against the reachability oracle."""
+    rng = random.Random(4022)
+    for _ in range(40):
+        lat = random_lattice(rng)
+        nodes = sorted(lat.nodes)
+        covers = [(c, p) for p in nodes for c in lat.children(p)]
+        reach = oracle_up_reach(nodes, covers)
+        bottom = next(n for n in nodes if len(reach[n]) == len(nodes))
+        members = [f"m{i}" for i in range(rng.randint(0, 6))]
+        rng.shuffle(members)
+        node_of = {m: rng.choice(nodes) for m in members}
+        want = {}
+        for v in nodes:
+            below = [m for m in members if v in reach[node_of[m]]]
+            if below:
+                join = reduce(lambda x, y: oracle_join(nodes, covers, x, y), (node_of[m] for m in below), bottom)
+                want[v] = (below, join == v)
+        assert {v: (group, is_join) for v, group, is_join in lat.groups_below(node_of.items())} == want
+    with pytest.raises(UnknownNode):
+        list(lat.groups_below([("m0", "ghost")]))
+
+
 def test_order_laws_on_stock_lattices():
     rng = random.Random(911)
     for lat in [pentagon_lattice(), chain_lattice(5), cube_lattice(3), random_lattice(rng)]:

@@ -18,7 +18,10 @@ than the base's by more than the metric's bound, unresolved when either
 side's quartile spread is wider than the bound and not every change run
 reads better than every base run, within otherwise.  A run that attempts no
 instance counts as all failed.  Each table is followed by a line holding
-every run's metrics of that workload as JSON.  The exit status is 1 when a
+every run's metrics of that workload as JSON.  With ``--record PATH`` the
+tool also writes one JSON file holding each workload's table and raw runs,
+the Python version, ``os.cpu_count()`` and each side's ``git rev-parse HEAD``
+(null when the side is not a git checkout).  The exit status is 1 when a
 run is incorrect or a bound reads WORSE on any workload, 0 otherwise.
 """
 
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -97,12 +102,13 @@ def run_pairs(base: Path, change: Path, workload: str, seed: int, pairs: int, se
     return runs
 
 
-def report(declared: dict, runs: dict[str, list[dict]]) -> bool:
+def report(declared: dict, runs: dict[str, list[dict]]) -> tuple[bool, list[dict]]:
     """Print one row per end-to-end metric; whether every run was correct
-    and no bound reads WORSE."""
+    and no bound reads WORSE, and the rows."""
     print(f"{'metric':18s} {'base median [q1, q3]':30s} {'change median [q1, q3]':30s} {'wins':6s} gain rule  bound")
     worst = {side: max(r["failed_ratio"] for r in runs[side]) for side in runs}
     ok = True
+    rows = []
     for metric in declared["end_to_end"]:
         name = metric["name"]
         row = compare(
@@ -112,6 +118,7 @@ def report(declared: dict, runs: dict[str, list[dict]]) -> bool:
             metric["bound"],
             fails_more=worst["change"] > worst["base"],
         )
+        rows.append({"metric": name, **row})
         ok &= row["bound"] != "WORSE"
         base, change = (f"{q2:.4g} [{q1:.4g}, {q3:.4g}]" for q1, q2, q3 in (row["base"], row["change"]))
         wins = f"{row['wins']}/{row['pairs']}"
@@ -123,7 +130,16 @@ def report(declared: dict, runs: dict[str, list[dict]]) -> bool:
         correct = all(r["correct"] for r in runs[side])
         ok &= correct
         print(f"{side}: failed_ratio at most {worst[side]:.6g}, all correct: {correct}")
-    return ok
+    return ok, rows
+
+
+def head(checkout: Path) -> str | None:
+    """`git rev-parse HEAD` in the checkout; None when it is not a git checkout."""
+    if not (checkout / ".git").exists():
+        return None
+    return subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True, check=True
+    ).stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -134,16 +150,30 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
+    parser.add_argument("--record", type=Path, metavar="PATH", help="write the tables, the runs and the setting as JSON")
     args = parser.parse_args(argv)
 
     declared = json.loads((args.base / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    record = {
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "commits": {"base": head(args.base), "change": head(args.change)},
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": seconds,
+        "workloads": {},
+    }
     ok = True
     for workload in args.workload:
         runs = run_pairs(args.base, args.change, workload, args.seed, args.pairs, seconds)
         print(f"workload {workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
-        ok &= report(declared, runs)
+        workload_ok, rows = report(declared, runs)
+        ok &= workload_ok
         print(json.dumps({"workload": workload, "seed": args.seed, "seconds": seconds, "runs": runs}))
+        record["workloads"][workload] = {"table": rows, "runs": runs}
+    if args.record:
+        args.record.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0 if ok else 1
 
 
