@@ -5,7 +5,8 @@ over speed: breadth-first search for the order, bitmask enumeration of all
 subsets for the semantics, subset enumeration for validity and the group
 scan, set comprehensions for the projections.  The package's former
 depth-first preferred search and take/drop naive-set search are kept for
-frameworks too large to enumerate, its former set-based lattice
+frameworks too large to enumerate, its former naming and sorting of
+extension masks checks the kernel's way out, its former set-based lattice
 validation pins which defect is reported, and its former `.afo` parser,
 one branch per directive, pins which error a broken document reports.
 Nothing imports from the package.
@@ -181,6 +182,13 @@ def _members(order, mask):
     return frozenset(a for i, a in enumerate(order) if mask >> i & 1)
 
 
+def oracle_sorted_extensions(ids, masks):
+    """The package's former way out of the kernel: each mask named bit by
+    bit over `ids` (bit i is ids[i]), duplicates dropped in a set of
+    frozensets, then sorted by size and then by the sorted members."""
+    return sorted({_members(ids, m) for m in masks}, key=lambda e: (len(e), tuple(sorted(e))))
+
+
 def oracle_conflict_free(ids, edges, subset):
     order, attackers, _ = _masks(ids, edges)
     mask = sum(1 << order.index(a) for a in subset)
@@ -222,7 +230,7 @@ def oracle_preferred(ids, edges):
     maximal = [
         m for m in admissible if not any(m != o and m | o == o for o in admissible)
     ]
-    return sorted((_members(order, m) for m in maximal), key=lambda e: (len(e), tuple(sorted(e))))
+    return oracle_sorted_extensions(order, maximal)
 
 
 def oracle_maximal_conflict_free(ids, edges):
@@ -233,7 +241,7 @@ def oracle_maximal_conflict_free(ids, edges):
         if all(not (attackers[i] & mask) for i in range(len(order)) if mask >> i & 1)
     ]
     maximal = [m for m in cf if not any(m != o and m | o == o for o in cf)]
-    return sorted((_members(order, m) for m in maximal), key=lambda e: (len(e), tuple(sorted(e))))
+    return oracle_sorted_extensions(order, maximal)
 
 
 def oracle_naive_branch(ids, edges):
@@ -269,7 +277,7 @@ def oracle_naive_branch(ids, edges):
             low = open_ & -open_
             stack.append((taken, open_ ^ low, unsettled | low))
             stack.append((taken | low, open_ & ~(low | neighbours[low.bit_length() - 1]), unsettled))
-    return sorted((_members(order, m) for m in found), key=lambda e: (len(e), tuple(sorted(e))))
+    return oracle_sorted_extensions(order, found)
 
 
 def _defends_all(adj, sub):

@@ -23,6 +23,9 @@ from afo import (
     strongly_connected_components,
 )
 
+from afo.af import _Index
+from afo.semantics import _extensions
+
 from generators import random_framework, random_single_scc_framework, sparse_framework, two_cycle_union
 from oracles import (
     oracle_cf2,
@@ -31,6 +34,8 @@ from oracles import (
     oracle_naive_branch,
     oracle_preferred,
     oracle_preferred_dfs,
+    oracle_sccs_ordered,
+    oracle_sorted_extensions,
 )
 
 
@@ -85,9 +90,85 @@ def test_preferred_small_frameworks():
 
 
 def test_extension_ordering():
-    # two incomparable extensions are reported smallest first, ties broken by name
-    exts = preferred(_mutual())
-    assert exts == sorted(exts, key=lambda e: (len(e), tuple(sorted(e))))
+    # smallest first, ties broken by the sorted ids as strings, which here
+    # disagree with the order the ids are written in: B < a10 < a9 < b < c
+    fs = frozenset
+    fw = _dung(
+        ["a9", "a10", "b", "c", "B"],
+        [("a9", "a10"), ("a10", "a9"), ("B", "b"), ("b", "c"), ("c", "B")],
+    )
+    assert preferred(fw) == [fs({"a10"}), fs({"a9"})]
+    assert cf2(fw) == [
+        fs({"B", "a10"}),
+        fs({"B", "a9"}),
+        fs({"a10", "b"}),
+        fs({"a10", "c"}),
+        fs({"a9", "b"}),
+        fs({"a9", "c"}),
+    ]
+
+
+def _awkward_ids(rng, n):
+    """n distinct ids, shuffled, whose string order is not numeric order
+    (a10 < a9 < b), in mixed case and with non-ASCII letters."""
+    pool = ["a9", "a10", "b", "B", "ab", "Ab", "e", "é", "ß", "Ω", "日本"]
+    pool += [f"{p}{i}" for i in range(n) for p in ("a", "B", "é")]
+    return rng.sample(list(dict.fromkeys(pool)), n)
+
+
+def _mask_list(rng, n):
+    """The empty and the full mask, random and sparse masks, masks of one
+    size that differ in two bits, and duplicates, shuffled."""
+    masks = [0, (1 << n) - 1]
+    for _ in range(40):
+        kind = rng.randrange(3)
+        if kind == 0:
+            masks.append(rng.getrandbits(n))
+        elif kind == 1:
+            masks.append(sum(1 << i for i in rng.sample(range(n), min(n, rng.randint(1, 3)))))
+        else:
+            m = rng.choice(masks)
+            ones = [i for i in range(n) if m >> i & 1]
+            zeros = [i for i in range(n) if not m >> i & 1]
+            if ones and zeros:
+                masks.append(m ^ 1 << rng.choice(ones) ^ 1 << rng.choice(zeros))
+    masks += rng.sample(masks, 8)
+    rng.shuffle(masks)
+    return masks
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_extensions_match_set_and_sort_oracle(n):
+    # the kernel's way out: masks deduplicated, ordered and named on ints
+    rng = random.Random(1200 + n)
+    for _ in range(30):
+        ids = _awkward_ids(rng, n)
+        masks = _mask_list(rng, n)
+        got = _extensions(_Index(_dung(ids, [])), masks)
+        assert got == oracle_sorted_extensions(sorted(ids), masks)
+
+
+@pytest.mark.parametrize("free", [61, 64])
+def test_semantics_past_64_bits(free):
+    """`free` unattacked arguments that attack nothing sort before a tail
+    of three 2-cycles and a 3-cycle that attacks one of them, so the tail's
+    choices lie at bits 61-69 or 64-72.  Each free argument joins every
+    preferred extension, naive set and cf2 extension, so the 2^n oracles
+    run on the tail alone; lifted by the free arguments, which sort first,
+    their lists keep their order."""
+    tail = [f"z{i}" for i in range(9)]
+    tail_edges = [("z0", "z1"), ("z1", "z0"), ("z2", "z3"), ("z3", "z2"), ("z4", "z5"), ("z5", "z4")]
+    tail_edges += [("z6", "z7"), ("z7", "z8"), ("z8", "z6"), ("z8", "z4")]
+    isolated = [f"a{i:02d}" for i in range(free)]
+    fw = _dung(isolated + tail, tail_edges)
+    lift = frozenset(isolated)
+    assert preferred(fw) == [lift | e for e in oracle_preferred(tail, tail_edges)]
+    assert cf2(fw) == [lift | e for e in oracle_cf2(tail, tail_edges)]
+    naive = maximal_conflict_free_sets(fw)
+    assert naive == [lift | e for e in oracle_maximal_conflict_free(tail, tail_edges)]
+    assert (len(preferred(fw)), len(cf2(fw)), len(naive)) == (4, 20, 20)
+    ids, edges = fw.dung_projection()
+    assert strongly_connected_components(fw) == oracle_sccs_ordered(ids, edges)
 
 
 def test_grounded_on_fixtures(boardroom):
