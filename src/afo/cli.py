@@ -32,12 +32,32 @@ def _fmt_set(items) -> str:
     return "{" + ", ".join(sorted(items)) + "}"
 
 
+class _Arglets(list):
+    """`[[argument, expression], ...]`, written by `_arglets_text`."""
+
+    __slots__ = ()
+
+
+class _Attacks(list):
+    """`[[[source, expression], [target, expression]], ...]`, written by
+    `_attacks_text`."""
+
+    __slots__ = ()
+
+
+class _Verdicts(dict):
+    """`{argument: {"concrete_status", "sharpened", "sets_containing",
+    "extensions_containing"}}`, written by `_verdicts_text`."""
+
+    __slots__ = ()
+
+
 def _json_framework(framework: Framework) -> dict:
     return {
-        "arglets": [[a, e] for a, e in sorted(framework.arglets)],
-        "attacks": [
-            [[s, se], [d, de]] for (s, se), (d, de) in sorted(framework.attacks)
-        ],
+        "arglets": _Arglets([[a, e] for a, e in sorted(framework.arglets)]),
+        "attacks": _Attacks(
+            [[[s, se], [d, de]] for (s, se), (d, de) in sorted(framework.attacks)]
+        ),
     }
 
 
@@ -68,15 +88,59 @@ def _json_sigma(report_frameworks, provenance) -> list:
 
 
 def _json_classification(report: SharpeningReport) -> dict:
-    return {
-        v.arg_id: {
-            "concrete_status": v.concrete_status,
-            "sharpened": sorted(v.sharpened),
-            "sets_containing": v.sets_containing,
-            "extensions_containing": v.extensions_containing,
+    return _Verdicts(
+        {
+            v.arg_id: {
+                "concrete_status": v.concrete_status,
+                "sharpened": sorted(v.sharpened),
+                "sets_containing": v.sets_containing,
+                "extensions_containing": v.extensions_containing,
+            }
+            for v in report.verdicts
         }
-        for v in report.verdicts
-    }
+    )
+
+
+def _arglets_text(value: _Arglets, indent: str) -> str:
+    n1, n2 = "\n" + indent + "  ", "\n" + indent + "    "
+    body = ("," + n1).join([f"[{n2}{_quote(a)},{n2}{_quote(e)}{n1}]" for a, e in value])
+    return f"[{n1}{body}\n{indent}]"
+
+
+def _attacks_text(value: _Attacks, indent: str) -> str:
+    n1, n2, n3 = "\n" + indent + "  ", "\n" + indent + "    ", "\n" + indent + "      "
+    body = ("," + n1).join(
+        [
+            f"[{n2}[{n3}{_quote(s)},{n3}{_quote(se)}{n2}],{n2}[{n3}{_quote(d)},{n3}{_quote(de)}{n2}]{n1}]"
+            for (s, se), (d, de) in value
+        ]
+    )
+    return f"[{n1}{body}\n{indent}]"
+
+
+def _verdicts_text(value: _Verdicts, indent: str) -> str:
+    n1, n2, n3 = "\n" + indent + "  ", "\n" + indent + "    ", "\n" + indent + "      "
+    items = []
+    for arg in sorted(value):
+        v = value[arg]
+        sharpened = v["sharpened"]
+        marks = f"[{n3}{(',' + n3).join(map(_quote, sharpened))}{n2}]" if sharpened else "[]"
+        items.append(
+            f"{_quote(arg)}: {{{n2}"
+            f'"concrete_status": {_quote(v["concrete_status"])},{n2}'
+            f'"extensions_containing": {_json(v["extensions_containing"])},{n2}'
+            f'"sets_containing": {_json(v["sets_containing"])},{n2}'
+            f'"sharpened": {marks}{n1}}}'
+        )
+    return f"{{{n1}{(',' + n1).join(items)}\n{indent}}}"
+
+
+# a tagged value's writer and its plain form
+_TEMPLATES = {
+    _Arglets: (_arglets_text, list),
+    _Attacks: (_attacks_text, list),
+    _Verdicts: (_verdicts_text, dict),
+}
 
 
 def _json(value, indent: str = "") -> str:
@@ -84,7 +148,16 @@ def _json(value, indent: str = "") -> str:
     writes it, for the types the `_json_*` builders produce: dicts with
     str keys, lists, str and int (not bool).  Anything else is a TypeError.
     The stdlib falls back to its pure-Python encoder once `indent` is set;
-    this writer is that encoder cut down to those types."""
+    this writer is that encoder cut down to those types.
+
+    Three shapes carry most of the bytes, and their builders tag them:
+    `_json_framework` returns its arglets as `_Arglets` and its attacks as
+    `_Attacks`, `_json_classification` returns `_Verdicts`.  Each is written
+    by a template, one f-string per arglet, attack or argument with indents
+    computed once per call, and the bytes stay those of `json.dumps`.  A
+    tagged value whose items the template cannot write (a non-str id, a
+    bool count) goes to the generic path as its plain form, so it prints,
+    or raises, exactly as the plain form would."""
     if type(value) is str:
         return _quote(value)
     if type(value) is int:
@@ -107,7 +180,16 @@ def _json(value, indent: str = "") -> str:
             raise TypeError(f"keys must be str: {sorted(map(repr, value))}")
         body = sep.join([f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)])
         return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"{type(value).__name__} is not one of the JSON types afo writes")
+    tagged = _TEMPLATES.get(type(value))
+    if tagged is None:
+        raise TypeError(f"{type(value).__name__} is not one of the JSON types afo writes")
+    template, plain = tagged
+    if not value:
+        return _json(plain(), indent)
+    try:
+        return template(value, indent)
+    except (TypeError, ValueError, LookupError):
+        return _json(plain(value), indent)
 
 
 def _dump(payload: dict) -> None:

@@ -338,15 +338,28 @@ def multi_hub_instance(rng: random.Random, outsiders: int = 0):
     return framework, lattice, fmap, frozenset({"top"})
 
 
-def hub_pairs_document(pairs, loners=()) -> str:
+def hub_pairs_document(pairs, loners=(), squares=()) -> str:
     """`.afo` text over bot < p, q < hub < top with M = {top}.  Each pair
     (x, y) is an SCC of x asserting ep at p and y asserting eq at q that
     attack each other, so it merges at hub into the id "x+y" sorted; each
-    loner asserts ep and attacks nothing."""
+    loner asserts ep and attacks nothing.
+
+    Squares add a second hub over atoms r and s.  Each square (w, x, y, z)
+    is the SCC w -> x -> y -> z -> w with w asserting ep, x er, y eq and z
+    es, so it keeps two groups, {w, y} at hub and {x, z} at hub2, and every
+    square doubles the number of derived frameworks."""
     lines = ["node bot", "node p", "node q", "node hub", "node top"]
     lines += [f"cover {c} {p}" for c, p in [("bot", "p"), ("bot", "q"), ("p", "hub"), ("q", "hub"), ("hub", "top")]]
     lines += ["map ep p", "map eq q"]
+    if squares:
+        lines += ["node r", "node s", "node hub2"]
+        lines += [f"cover {c} {p}" for c, p in [("bot", "r"), ("bot", "s"), ("r", "hub2"), ("s", "hub2"), ("hub2", "top")]]
+        lines += ["map er r", "map es s"]
     for x, y in pairs:
         lines += [f"arglet {x} ep", f"arglet {y} eq", f"attack {x}.ep {y}.eq", f"attack {y}.eq {x}.ep"]
     lines += [f"arglet {z} ep" for z in loners]
+    for square in squares:
+        ring = list(zip(square, ["ep", "er", "eq", "es"]))
+        lines += [f"arglet {a} {e}" for a, e in ring]
+        lines += [f"attack {a}.{e} {b}.{f}" for (a, e), (b, f) in zip(ring, ring[1:] + ring[:1])]
     return "\n".join(lines) + "\n"
