@@ -153,11 +153,10 @@ def _check_targets(framework: Framework, targets: Iterable[str]) -> frozenset[st
 
 
 def _absorbs(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, arg_id: str) -> bool:
-    """Whether a_x absorbs the argument (see the module docstring)."""
-    exprs = framework.argument_expressions(arg_id)
-    return all(
-        sum(1 for ex in a_x.expressions if _abstracts(lat, fmap, ex, e)) == 1 for e in exprs
-    ) and all(any(_abstracts(lat, fmap, ex, e) for e in exprs) for ex in a_x.expressions)
+    """Whether a_x absorbs the argument (see the module docstring): for one
+    target, covering holds trivially and the other three conditions say
+    exactly that."""
+    return is_argument_abstraction(lat, fmap, a_x, [Argument(arg_id, framework.argument_expressions(arg_id))])
 
 
 def _absorbed_outsiders(

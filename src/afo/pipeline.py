@@ -6,23 +6,26 @@ groups, every accumulated framework is forked once per group, and groups
 are replaced by their best abstraction with boundary attacks redirected.
 The preferred extensions of every derived framework are then projected
 back onto concrete argument ids, and each concrete argument's verdict is
-re-read against those projections.
+re-read against those projections: per argument, one count of the
+extensions holding it in each projection gives every label, through one
+table (`_LABELS`).
 
 The group scan reads one `_ScanTable`, built per scan and dropped with it:
 each argument's lattice node, then, once some group passes the node
-filter, bit masks for the compatibility and attack-preservation tests.
-Per component, `FiniteLattice.groups_below` gathers the members below
-every node in one pass over their up masks.
+filter, bit masks for the validity, compatibility and attack-preservation
+tests.  Per component, `FiniteLattice.groups_below` gathers the members
+below every node in one pass over their up masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of, is_valid
+from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of
 from .af import Argument, Framework, _home, _Index, _union, strongly_connected_components
-from .errors import IdCollision, UnknownArgument
+from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
 from .semantics import CREDULOUS, SKEPTICAL, _sorted_extensions, preferred
@@ -101,6 +104,13 @@ class _ScanTable:
         outside = _union(self.ix.neighbours, g) & ~g
         return not (self.lat._up[v] | self.lat._down[v]) & _union(self.rank, outside)
 
+    def valid(self, v: str, g: int) -> bool:
+        """The group lies inside one SCC, and no other member of that SCC
+        sits at or below v: a best abstraction at v absorbs exactly those,
+        so none can grow the group."""
+        home = _home(self.ix, (g & -g).bit_length() - 1)
+        return not g & ~home and not self.lat._down[v] & _union(self.rank, home & ~g)
+
 
 def maximal_conservative_subsets(
     framework: Framework,
@@ -121,14 +131,12 @@ def maximal_conservative_subsets(
     the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
     and only when v is its join.  `FiniteLattice.groups_below` gathers every
     G_v in one pass over the members' up masks.  Groups are kept per node
-    outside M, so when `scc` is an SCC each G_v is valid and non-trivial by
-    construction (its best abstraction sits at v, absorbs exactly the SCC
-    members below v, and v is not in M).  Compatibility and attack
-    preservation are bit-mask tests on a `_ScanTable`, which `_group_scan`
-    builds once for all its SCCs and which is built here when not passed.
-    Whether `scc` is one SCC is checked once, when the first group passes
-    both tests; when it is not, each such group is checked for validity, so
-    no group spans several SCCs or can be grown."""
+    outside M, so each is non-trivial by construction.  Validity,
+    compatibility and attack preservation are bit-mask tests on a
+    `_ScanTable`, which `_group_scan` builds once for all its SCCs and which
+    is built here when not passed.  When `scc` is one SCC, each G_v is valid
+    by construction; for any other id set, validity keeps out every group
+    that spans several SCCs or can be grown."""
     blocked = frozenset(blocked)
     if len(scc) < 2:
         return []
@@ -136,19 +144,13 @@ def maximal_conservative_subsets(
         table = _ScanTable(framework, lat, fmap)
     if missing := scc - table.node.keys():
         raise UnknownArgument(f"no arglet carries id {min(missing)!r}")
-    one_scc = None
     found: _Groups = []
     for v, group, is_join in lat.groups_below([(a, table.node[a]) for a in sorted(scc)]):
         if not is_join or len(group) < 2 or v in blocked:
             continue
         g = table.mask(group)
-        if not (table.compatible(g) and table.attack_preserving(v, g)):
-            continue
-        candidate, xmap = best_abstraction_of(lat, fmap, [Argument(a, framework.argument_expressions(a)) for a in group])
-        if one_scc is None:
-            one_scc = _home(table.ix, table.ix.pos[min(scc)]) == table.mask(scc)
-        if one_scc or is_valid(framework, lat, xmap, candidate):
-            found.append((candidate, xmap))
+        if table.compatible(g) and table.attack_preserving(v, g) and table.valid(v, g):
+            found.append(best_abstraction_of(lat, fmap, [Argument(a, framework.argument_expressions(a)) for a in group]))
     maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
     maximal.sort(key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))
     return _renamed(maximal, set(table.node))
@@ -161,6 +163,8 @@ def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg:
     redirected to or from the replacement's arglets; duplicates collapse.
     """
     wanted = _check_targets(framework, targets)
+    if not abstract_arg.expressions:
+        raise EmptySet(f"replacement {abstract_arg.arg_id!r} carries no expression")
     if abstract_arg.arg_id in framework.argument_ids():
         raise IdCollision(f"replacement id {abstract_arg.arg_id!r} already names an argument")
 
@@ -247,16 +251,8 @@ def concretize_extension_sets(
     Projections that come out identical are reported once.
     """
     ids = original.argument_ids()
-    seen: set[tuple[frozenset[str], ...]] = set()
-    out: list[list[frozenset[str]]] = []
-    for extensions in per_framework:
-        projected = restrict_extensions(extensions, ids)
-        key = tuple(projected)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(projected)
-    return out
+    unique = dict.fromkeys(tuple(restrict_extensions(extensions, ids)) for extensions in per_framework)
+    return [list(projected) for projected in unique]
 
 
 # concrete statuses besides SKEPTICAL and CREDULOUS
@@ -292,26 +288,12 @@ class SharpeningReport:
     verdicts: tuple[ArgumentVerdict, ...]
 
 
-def _classify(arg: str, accepted: bool, projections: Sequence[Sequence[frozenset[str]]]) -> frozenset[str]:
-    in_some = any(arg in ext for p in projections for ext in p)
-    in_every = all(p and all(arg in ext for ext in p) for p in projections)
-    in_none = not in_some
-    out: set[str] = set()
-    if accepted:
-        if in_some:
-            out.add(PLUS_APPROVED_CREDULOUS)
-        if in_every:
-            out.add(PLUS_APPROVED_SKEPTICAL)
-        if in_none:
-            out.add(QUESTIONED)
-    else:
-        if in_none:
-            out.add(MINUS_APPROVED)
-        if in_some:
-            out.add(IMPLIED_CREDULOUS)
-        if in_every:
-            out.add(IMPLIED_SKEPTICAL)
-    return frozenset(out)
+# a concretely accepted or rejected argument's labels when it is in some,
+# in every and in no projected extension
+_LABELS = {
+    True: (PLUS_APPROVED_CREDULOUS, PLUS_APPROVED_SKEPTICAL, QUESTIONED),
+    False: (IMPLIED_CREDULOUS, IMPLIED_SKEPTICAL, MINUS_APPROVED),
+}
 
 
 def sharpen(
@@ -331,21 +313,19 @@ def sharpen(
 
     verdicts = []
     for arg in sorted(framework.argument_ids()):
-        in_all_concrete = all(arg in e for e in concrete)
-        in_some_concrete = any(arg in e for e in concrete)
-        if in_all_concrete:
-            status = SKEPTICAL
-        elif in_some_concrete:
-            status = CREDULOUS
-        else:
-            status = REJECTED
+        accepted = sum(arg in e for e in concrete)
+        status = SKEPTICAL if accepted == len(concrete) else CREDULOUS if accepted else REJECTED
+        counts = [sum(arg in ext for ext in p) for p in projected]
+        total = sum(counts)
+        # an empty projection holds no extension, so nothing is in all of it
+        in_every = all(0 < n == len(p) for n, p in zip(counts, projected))
         verdicts.append(
             ArgumentVerdict(
                 arg_id=arg,
                 concrete_status=status,
-                sharpened=_classify(arg, status != REJECTED, projected),
-                sets_containing=sum(1 for p in projected if any(arg in ext for ext in p)),
-                extensions_containing=sum(1 for p in projected for ext in p if arg in ext),
+                sharpened=frozenset(compress(_LABELS[status != REJECTED], (total, in_every, not total))),
+                sets_containing=sum(map(bool, counts)),
+                extensions_containing=total,
             )
         )
 

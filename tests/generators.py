@@ -338,6 +338,26 @@ def multi_hub_instance(rng: random.Random, outsiders: int = 0):
     return framework, lattice, fmap, frozenset({"top"})
 
 
+def ring_instance(rng: random.Random):
+    """Framework, lattice, map and M = {top}: a ring of 2k arguments, k from
+    2 to 4, whose members alternate between the atoms of two hubs.  Only
+    the ring's attacks join them, so the members under one hub never attack
+    each other, and any of them left out of a group leaves it growable."""
+    covers, atoms = [], {hub: [] for hub in ("h0", "h1")}
+    for hub, under in atoms.items():
+        for _ in range(rng.randint(2, 3)):
+            under.append(f"x{sum(map(len, atoms.values()))}")
+            covers += [("bot", under[-1]), (under[-1], hub)]
+        covers.append((hub, "top"))
+    nodes = [x for under in atoms.values() for x in under]
+    lattice = validate_lattice(nodes + list(atoms) + ["bot", "top"], covers)
+    fmap = SemanticMap({f"e_{x}": x for x in nodes})
+    n = 2 * rng.randint(2, 4)
+    arglets = [(f"a{i}", f"e_{rng.choice(atoms[f'h{i % 2}'])}") for i in range(n)]
+    attacks = {(arglets[i], arglets[(i + 1) % n]) for i in range(n)}
+    return Framework.of(arglets, attacks), lattice, fmap, frozenset({"top"})
+
+
 def hub_pairs_document(pairs, loners=(), squares=()) -> str:
     """`.afo` text over bot < p, q < hub < top with M = {top}.  Each pair
     (x, y) is an SCC of x asserting ep at p and y asserting eq at q that

@@ -1,14 +1,15 @@
 """Reference implementations used to cross-check the package.
 
-Everything here is written from the bare definitions, favouring obviousness
-over speed: breadth-first search for the order, bitmask enumeration of all
-subsets for the semantics, subset enumeration for validity and the group
-scan, set comprehensions for the projections.  The package's former
-depth-first preferred search and take/drop naive-set search are kept for
-frameworks too large to enumerate, its former naming and sorting of
-extension masks checks the kernel's way out, its former set-based lattice
-validation pins which defect is reported, and its former `.afo` parser,
-one branch per directive, pins which error a broken document reports.
+Everything here is written from the bare definitions, favouring
+obviousness over speed: breadth-first search for the order, bitmask
+enumeration of all subsets for the semantics, subset enumeration for
+validity and the group scan, set comprehensions for the projections, the
+README's label table for the verdicts.  The package's former depth-first
+preferred search and take/drop naive-set search are kept for frameworks
+too large to enumerate, its former naming and sorting of extension masks
+checks the kernel's way out, its former set-based lattice validation pins
+which defect is reported, and its former `.afo` parser, one branch per
+directive, pins which error a broken document reports.
 Nothing imports from the package.
 """
 
@@ -541,6 +542,28 @@ def oracle_maximal_conservative_groups(nodes, covers, assignments, arglets, atta
 def oracle_sigma(extension_sets, keep):
     keep = frozenset(keep)
     return {e & keep for e in extension_sets} - {frozenset()}
+
+
+def oracle_verdict(arg, concrete, projections):
+    """(concrete status, sharpened labels, projections holding the argument
+    in some extension, extensions holding it), from the label table in the
+    README: an argument is in every projected extension only when each
+    projection has one and all of them hold it."""
+    if all(arg in e for e in concrete):
+        status = "skeptical"
+    elif any(arg in e for e in concrete):
+        status = "credulous"
+    else:
+        status = "rejected"
+    holding = [e for p in projections for e in p if arg in e]
+    in_some = bool(holding)
+    in_every = all(len(p) > 0 for p in projections) and len(holding) == sum(map(len, projections))
+    if status == "rejected":
+        table = {"minus_approved": not in_some, "implied_credulous": in_some, "implied_skeptical": in_every}
+    else:
+        table = {"plus_approved_credulous": in_some, "plus_approved_skeptical": in_every, "questioned": not in_some}
+    labels = frozenset(label for label, holds in table.items() if holds)
+    return status, labels, sum(1 for p in projections if any(arg in e for e in p)), len(holding)
 
 
 def powerset(items):

@@ -5,6 +5,7 @@ import pytest
 import afo.pipeline
 from afo import (
     Argument,
+    EmptySet,
     Framework,
     IdCollision,
     SemanticMap,
@@ -34,6 +35,7 @@ from afo.pipeline import (
     MINUS_APPROVED,
     PLUS_APPROVED_CREDULOUS,
     PLUS_APPROVED_SKEPTICAL,
+    QUESTIONED,
 )
 
 from generators import (
@@ -43,8 +45,9 @@ from generators import (
     multi_hub_instance,
     random_lattice,
     random_map,
+    ring_instance,
 )
-from oracles import oracle_maximal_conservative_groups, oracle_sccs, oracle_sigma
+from oracles import oracle_maximal_conservative_groups, oracle_sccs, oracle_sigma, oracle_verdict
 from witnesses import WITNESS_LATTICE, WITNESS_MAP
 
 fs = frozenset
@@ -189,6 +192,56 @@ def test_scan_mask_paths_match_subset_oracle():
     assert totals["attack preservation"] >= 20
 
 
+def _checked_join_groups(fw, lat, fmap, blocked, ids):
+    """The set-code reference for a scan over any id set: each join group
+    checked by `is_conservative` under the map of its best abstraction, the
+    maximal ones kept and sorted as the scan sorts them.  Also returns the
+    join groups that validity alone rejects."""
+    conservative, invalid = [], []
+    for group in _join_groups(fw, lat, fmap, blocked, ids):
+        candidate, xmap = best_abstraction_of(lat, fmap, [Argument(a, fw.argument_expressions(a)) for a in group])
+        if is_conservative(fw, lat, xmap, blocked, candidate):
+            conservative.append(candidate.targets)
+        elif is_compatible(fw, lat, xmap, group) and is_attack_preserving(fw, lat, xmap, candidate):
+            invalid.append(candidate.targets)
+    maximal = [g for g in conservative if not any(g < bigger for bigger in conservative)]
+    return sorted(maximal, key=lambda g: (-len(g), tuple(sorted(g)))), invalid
+
+
+def test_scan_matches_set_code_on_any_id_set():
+    """Scanned over SCCs, unions of two SCCs and random id sets, the scan
+    keeps exactly the maximal join groups that the set-code predicates find
+    conservative."""
+    rng = random.Random(2215)
+    draws = [multi_hub_instance(rng, outsiders=rng.randint(0, 3)) for _ in range(80)]
+    draws += [conservative_instance(rng)[:4] for _ in range(30)]
+    draws += [ring_instance(rng) for _ in range(30)]
+    for _ in range(80):
+        lat = random_lattice(rng)
+        fmap = random_map(rng, lat)
+        draws.append((mapped_framework(rng, fmap, max_exprs=rng.randint(1, 2)), lat, fmap, fs({lat.top})))
+    kept_off_scc, invalid = 0, {"across SCCs": 0, "growable": 0}
+    for fw, lat, fmap, blocked in draws:
+        sccs = strongly_connected_components(fw)
+        ids = sorted(fw.argument_ids())
+        inputs = sccs + [sccs[i] | sccs[j] for i in range(len(sccs)) for j in range(i + 1, len(sccs))][:3]
+        inputs += [fs(rng.sample(ids, rng.randint(2, len(ids)))) for _ in range(3) if len(ids) >= 2]
+        for scc in inputs:
+            scan = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
+            want, rejected = _checked_join_groups(fw, lat, fmap, blocked, scc)
+            assert [c.targets for c, _ in scan] == want
+            if scc in sccs:
+                assert not rejected
+                continue
+            kept_off_scc += bool(scan)
+            for group in rejected:
+                invalid["growable" if any(group <= c for c in sccs) else "across SCCs"] += 1
+    # 204, 282 and 45 at this seed; the rings give most growable groups
+    assert kept_off_scc >= 170
+    assert invalid["across SCCs"] >= 230
+    assert invalid["growable"] >= 35
+
+
 def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
     fw, lat, fmap = boardroom.framework, boardroom.lattice, boardroom.fmap
     for kwargs in ({}, {"table": _ScanTable(fw, lat, fmap)}):
@@ -265,6 +318,9 @@ def test_abstract_replace_errors(boardroom):
         abstract_replace(fw, set(), Argument("w", fs({"e"})))
     with pytest.raises(IdCollision):
         abstract_replace(fw, {"a1", "a2"}, Argument("a4", fs({"e"})))
+    # with no arglet to carry them, the group's boundary attacks would vanish
+    with pytest.raises(EmptySet):
+        abstract_replace(fw, {"a1"}, Argument("z", fs()))
 
 
 def test_minted_ids_never_collide():
@@ -414,6 +470,43 @@ def test_sharpen_marathon(marathon):
     assert _verdict(report, "a2").sharpened == fs({MINUS_APPROVED})
     a3 = _verdict(report, "a3")
     assert (a3.sets_containing, a3.extensions_containing) == (1, 2)
+
+
+def _odd_cycle(rng):
+    """An odd cycle over the witness symbols, now and then with one more
+    argument that it attacks: unless a merge evens it out, every projection
+    of its preferred extensions is empty."""
+    symbols = sorted(WITNESS_MAP.symbols)
+    k = rng.choice([3, 5])
+    arglets = [(f"c{i}", rng.choice(symbols)) for i in range(k)]
+    attacks = {(arglets[i], arglets[(i + 1) % k]) for i in range(k)}
+    if rng.random() < 0.5:
+        tail = ("t", rng.choice(symbols))
+        attacks.add((rng.choice(arglets), tail))
+        arglets.append(tail)
+    return Framework.of(arglets, attacks), WITNESS_LATTICE, WITNESS_MAP, fs({"top"})
+
+
+def test_verdicts_match_label_table_oracle():
+    rng = random.Random(1517)
+    draws = [(_random_mapped_framework(rng), WITNESS_LATTICE, WITNESS_MAP, fs({"top"})) for _ in range(60)]
+    draws += [multi_hub_instance(rng, outsiders=rng.randint(0, 2)) for _ in range(60)]
+    draws += [conservative_instance(rng)[:4] for _ in range(20)]
+    draws += [_odd_cycle(rng) for _ in range(40)]
+    labels, facing_empty = set(), 0
+    for fw, lat, fmap, blocked in draws:
+        report = sharpen(fw, lat, fmap, blocked)
+        for v in report.verdicts:
+            want = oracle_verdict(v.arg_id, report.concrete, report.projected)
+            assert (v.concrete_status, v.sharpened, v.sets_containing, v.extensions_containing) == want
+            labels |= v.sharpened
+            facing_empty += () in report.projected
+    assert labels == {
+        PLUS_APPROVED_CREDULOUS, PLUS_APPROVED_SKEPTICAL, QUESTIONED,
+        MINUS_APPROVED, IMPLIED_CREDULOUS, IMPLIED_SKEPTICAL,
+    }
+    # 285 at this seed; the rarest label, implied_skeptical, is hit 18 times
+    assert facing_empty >= 250
 
 
 def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
