@@ -112,6 +112,16 @@ class _ScanTable:
         return not g & ~home and not self.lat._down[v] & _union(self.rank, home & ~g)
 
 
+def _arguments(framework: Framework, ids: list[str]) -> list[Argument]:
+    """The arguments of `ids`, in that order, from one pass over the
+    arglets.  Every id carries an arglet: the scan table gave it a node."""
+    exprs: dict[str, set[str]] = {a: set() for a in ids}
+    for a, e in framework.arglets:
+        if a in exprs:
+            exprs[a].add(e)
+    return [Argument(a, frozenset(es)) for a, es in exprs.items()]
+
+
 def maximal_conservative_subsets(
     framework: Framework,
     lat: FiniteLattice,
@@ -150,7 +160,7 @@ def maximal_conservative_subsets(
             continue
         g = table.mask(group)
         if table.compatible(g) and table.attack_preserving(v, g) and table.valid(v, g):
-            found.append(best_abstraction_of(lat, fmap, [Argument(a, framework.argument_expressions(a)) for a in group]))
+            found.append(best_abstraction_of(lat, fmap, _arguments(framework, group)))
     maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
     maximal.sort(key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))
     return _renamed(maximal, set(table.node))

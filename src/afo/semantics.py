@@ -120,42 +120,86 @@ def _preferred_in(ix: _Index, comp: int) -> list[int]:
     labelling leaves undecided, by labelling search (Nofal, Atkinson and
     Dunne 2014).
 
-    A state holds the masks in, out (attacked by in), must-out (attacks in,
-    not yet out) and blank (still open); the rest is undecided and never
-    goes in.  Each step takes the lowest blank argument in, then leaves it
-    undecided.  A blank argument whose attackers are all out or must go out
-    joins every maximal extension of the state, so it goes in at once.
+    A state holds the masks in, out (attacked by in, and everything outside
+    the component), must-out (attacks in, not yet out) and blank (still
+    open); the rest is undecided and never goes in.  Each step branches on
+    the lowest blank argument: in first, then undecided.  Each new state is
+    settled when it is made, by three rules:
 
-    Because the in branch is searched first, a preferred set is found
-    before the search can reach any of its subsets, and those are then cut
-    as lying inside it: every set found is maximal.
+    - a blank argument whose attackers are all out or must-out joins every
+      maximal extension of the state, so it goes in;
+    - a must-out argument with exactly one blank attacker can be attacked
+      back only by that attacker, so it goes in;
+    - a state where some must-out argument has no blank attacker has no
+      extension, so it is dropped.
+
+    Forced attackers go in one at a time: two of them may attack each
+    other, and taking the first then leaves the second's must-out argument
+    with no blank attacker, so the state dies instead of yielding a set
+    with a conflict.  A blank argument can become takeable only when an
+    attacker goes out or must-out, and a must-out argument can lose a blank
+    attacker only when one of its attackers leaves blank, so after each
+    take only the targets of what just went out or must-out are looked at
+    again, not every blank argument.
+
+    The rules drop no maximal extension of a state: each argument they take
+    lies in all of them, and a dropped state has none.  Because the in
+    branch is searched first, a preferred set is found before the search
+    can reach any of its subsets, and those are then cut as lying inside
+    it: every set found is maximal.
     """
-    attackers = ix.attackers
+    attackers, targets = ix.attackers, ix.targets
     found: list[int] = []
-    stack = [(0, 0, 0, comp & ~ix.loops)]
+    stack = [(0, ix.everything & ~comp, 0, comp & ~ix.loops)]
     while stack:
         in_, out, must, blank = stack.pop()
         if any(in_ | blank | f == f for f in found):
             continue  # nothing below is larger than a set already found
-        if any(not attackers[y] & blank for y in _bits(must)):
-            continue  # an attacker of the in set can no longer be attacked back
         if not blank:
-            found.append(in_)
+            found.append(in_)  # settled, so nothing is left must-out
             continue
         low = blank & -blank
-        stack.append((in_, out, must, blank ^ low))
-        take = low
-        while take:
-            in_ |= take
-            out |= _union(ix.targets, take) & comp
-            must |= _union(attackers, take) & comp
-            must &= ~out
-            blank &= ~(take | out | must)
-            take = 0
-            for y in _bits(blank):
-                if not attackers[y] & comp & ~(out | must):
-                    take |= 1 << y
-        stack.append((in_, out, must, blank))
+        # the undecided branch, then the in branch, so the in branch is popped first
+        for in_, out, must, blank, take, watch in (
+            (in_, out, must, blank ^ low, 0, targets[low.bit_length() - 1] & must),
+            (in_, out, must, blank, low, 0),
+        ):
+            ready = 0  # blank arguments an attacker of which went out or must-out
+            while True:
+                if take:
+                    i = take.bit_length() - 1
+                    in_ |= take
+                    hit = targets[i] & ~out
+                    out |= hit
+                    grow = attackers[i] & ~(out | must)
+                    must = must & ~hit | grow
+                    blank &= ~(take | hit | grow)
+                    near = _union(targets, hit | grow)
+                    ready |= near & blank
+                    watch |= grow | near & must
+                    take = 0
+                # the second and third rules, on must-out arguments new or short of a blank attacker
+                while watch:
+                    y = watch & -watch
+                    watch ^= y
+                    if y & must:
+                        take = attackers[y.bit_length() - 1] & blank
+                        if not take & (take - 1):
+                            break  # one blank attacker is left, or none
+                else:
+                    take = 0
+                    while ready:  # the first rule
+                        y = ready & -ready
+                        ready ^= y
+                        if y & blank and not attackers[y.bit_length() - 1] & ~(out | must):
+                            take = y
+                            break
+                    else:
+                        stack.append((in_, out, must, blank))
+                        break
+                    continue
+                if not take:
+                    break  # dead: nothing is left to attack back an attacker of in
     return found
 
 

@@ -198,6 +198,10 @@ def sparse_framework(
     return Framework.of([al for als in arglets.values() for al in als], attacks)
 
 
+def _plain(names, edges) -> Framework:
+    return Framework.of([(a, f"x{a}") for a in names], [((s, f"x{s}"), (d, f"x{d}")) for s, d in edges])
+
+
 def two_cycle_union(rng: random.Random, m: int, links: int) -> tuple[Framework, int]:
     """m disjoint 2-cycles plus one-way links between 2*links distinct
     pairs, with its preferred extension count.
@@ -212,8 +216,48 @@ def two_cycle_union(rng: random.Random, m: int, links: int) -> tuple[Framework, 
     linked = rng.sample(range(m), 2 * links)
     for t in range(links):
         edges.add((rng.choice(pairs[linked[2 * t]]), rng.choice(pairs[linked[2 * t + 1]])))
-    framework = Framework.of([(a, f"x{a}") for a in names], [((s, f"x{s}"), (d, f"x{d}")) for s, d in edges])
-    return framework, 2 ** (m - 2 * links) * 3**links
+    return _plain(names, edges), 2 ** (m - 2 * links) * 3**links
+
+
+def chained_four_cycles(k: int) -> tuple[Framework, list[frozenset[str]]]:
+    """k cycles a_i -> b_i -> c_i -> d_i -> a_i plus d_i -> a_{i+1}, with
+    their preferred extensions: k SCCs in one chain.
+
+    The first cycle picks {a, c} or {b, d}.  Once a cycle picks {b, d}, its
+    d defeats the next a, so every later cycle picks {b, d} too: the
+    extensions are the k + 1 ways to pick {a, c} in the first j cycles."""
+    cycles = [[f"{x}{i:02d}" for x in "abcd"] for i in range(k)]
+    edges = [(c[j], c[(j + 1) % 4]) for c in cycles for j in range(4)]
+    edges += [(c[3], after[0]) for c, after in zip(cycles, cycles[1:])]
+    names = [x for c in cycles for x in c]
+    expected = [frozenset(x for i, c in enumerate(cycles) for x in (c[0::2] if i < j else c[1::2])) for j in range(k + 1)]
+    return _plain(names, edges), expected
+
+
+def linked_two_cycles(n: int) -> tuple[Framework, list[frozenset[str]]]:
+    """n/2 2-cycles x_i <-> y_i plus y_i -> x_{i+1}, for even n, with their
+    preferred extensions: n/2 SCCs in one chain.
+
+    Once some y_i is in, x_{i+1} is defeated and y_{i+1} defended, so the
+    extensions are the n/2 + 1 ways to take x in the first j pairs and y
+    in the rest."""
+    pairs = [(f"x{i:03d}", f"y{i:03d}") for i in range(n // 2)]
+    edges = [e for x, y in pairs for e in ((x, y), (y, x))]
+    edges += [(y, after[0]) for (_, y), after in zip(pairs, pairs[1:])]
+    names = [a for p in pairs for a in p]
+    expected = [frozenset(p[i >= j] for i, p in enumerate(pairs)) for j in range(len(pairs) + 1)]
+    return _plain(names, edges), expected
+
+
+def ring(n: int) -> tuple[Framework, list[frozenset[str]]]:
+    """One n-cycle r_0 -> r_1 -> ... -> r_0, a single SCC, with its
+    preferred extensions: the even and the odd positions when n is even,
+    only the empty set when n is odd."""
+    names = [f"r{i:04d}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    if n % 2:
+        return _plain(names, edges), [frozenset()]
+    return _plain(names, edges), [frozenset(names[0::2]), frozenset(names[1::2])]
 
 
 def mapped_framework(
