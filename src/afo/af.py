@@ -85,12 +85,6 @@ def has_path(framework: Framework, src_id: str, dst_id: str) -> bool:
     return bool(reached >> ix.pos[dst_id] & 1)
 
 
-def _home_scc(framework: Framework, arg_id: str) -> frozenset[str]:
-    """The SCC of one argument: what it reaches that also reaches it."""
-    ix = _Index(framework)
-    return ix.members(_home(ix, ix.pos[arg_id]))
-
-
 def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
     """SCCs of the argument graph in a topological order, attackers first.
 
@@ -103,10 +97,10 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
 
 # ------------------------------------------------------------ graph index
 #
-# Every graph question of the package (SCCs, paths, validity's home SCC and
-# the semantics) is answered on one index: argument i is bit i of a Python
-# int, in id order.  Each walk keeps its own stack, so no depth of input
-# can hit the interpreter's recursion limit.
+# Every graph question of the package (SCCs, paths and the semantics) is
+# answered on one index: argument i is bit i of a Python int, in id order.
+# Each walk keeps its own stack, so no depth of input can hit the
+# interpreter's recursion limit.
 
 
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to selector bytes
@@ -169,14 +163,6 @@ def _reach(adj: list[int], seeds: int, within: int) -> int:
         frontier = _union(adj, frontier) & within & ~seen
         seen |= frontier
     return seen
-
-
-def _home(ix: _Index, i: int) -> int:
-    """The mask of the SCC of argument i."""
-    seed = 1 << i
-    forward = _reach(ix.targets, seed, ix.everything)
-    # every path back to the seed stays inside what the seed reaches
-    return forward & _reach(ix.attackers, seed, forward)
 
 
 def _sccs(ix: _Index, within: int) -> list[int]:

@@ -11,10 +11,10 @@ extensions holding it in each projection gives every label, through one
 table (`_LABELS`).
 
 The group scan reads one `_ScanTable`, built per scan and dropped with it:
-each argument's lattice node, then, once some group passes the node
-filter, bit masks for the validity, compatibility and attack-preservation
-tests.  Per component, `FiniteLattice.groups_below` gathers the members
-below every node in one pass over their up masks.
+the framework's SCCs and each argument's lattice node, then, once some
+group passes the node filter, bit masks for the validity, compatibility
+and attack-preservation tests.  Per component, `FiniteLattice.groups_below`
+gathers the members below every node in one pass over their up masks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of
-from .af import Argument, Framework, _home, _Index, _union, strongly_connected_components
+from .af import Argument, Framework, _Index, _union, strongly_connected_components
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
@@ -66,14 +66,15 @@ def _renamed(groups: _Groups, taken: set[str]) -> _Groups:
 
 class _ScanTable:
     """What one group scan reads of the framework, built once per scan and
-    never kept on it: per argument its node, the join of its expressions'
-    nodes, whose up mask is the AND of theirs.  The first group to pass the
-    node filter builds the rest: an `_Index`, per argument the rank bit of
-    its node, and per argument the mask of the arguments it attacks through
-    comparable expression images."""
+    never kept on it: its SCCs, attackers first, and per argument its node,
+    the join of its expressions' nodes, whose up mask is the AND of theirs.
+    The first group to pass the node filter builds the rest: an `_Index`,
+    and per argument the rank bit of its node, the mask of its SCC and the
+    mask of the arguments it attacks through comparable expression images."""
 
     def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap):
         self.framework, self.lat, self.fmap = framework, lat, fmap
+        self.sccs = strongly_connected_components(framework)
         self.node: dict[str, str] = {}
         for a, e in framework.arglets:
             self.node[a] = lat.join((self.node.get(a, lat.bottom), fmap.image(e)))
@@ -84,6 +85,11 @@ class _ScanTable:
             self.ix = ix = _Index(self.framework)
             up, image = self.lat._up, self.fmap.image
             self.rank = [up[self.node[a]] & -up[self.node[a]] for a in ix.ids]
+            self.home = [0] * len(ix.ids)
+            for scc in self.sccs:
+                home = self.mask(scc)
+                for a in scc:
+                    self.home[ix.pos[a]] = home
             self.conflicts = [0] * len(ix.ids)
             for (s, e1), (d, e2) in self.framework.attacks:
                 if self.lat.comparable(image(e1), image(e2)):
@@ -108,7 +114,7 @@ class _ScanTable:
         """The group lies inside one SCC, and no other member of that SCC
         sits at or below v: a best abstraction at v absorbs exactly those,
         so none can grow the group."""
-        home = _home(self.ix, (g & -g).bit_length() - 1)
+        home = self.home[(g & -g).bit_length() - 1]
         return not g & ~home and not self.lat._down[v] & _union(self.rank, home & ~g)
 
 
@@ -148,12 +154,12 @@ def maximal_conservative_subsets(
     by construction; for any other id set, validity keeps out every group
     that spans several SCCs or can be grown."""
     blocked = frozenset(blocked)
-    if len(scc) < 2:
-        return []
     if table is None:
         table = _ScanTable(framework, lat, fmap)
     if missing := scc - table.node.keys():
         raise UnknownArgument(f"no arglet carries id {min(missing)!r}")
+    if len(scc) < 2:
+        return []
     found: _Groups = []
     for v, group, is_join in lat.groups_below([(a, table.node[a]) for a in sorted(scc)]):
         if not is_join or len(group) < 2 or v in blocked:
@@ -202,12 +208,11 @@ def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blo
     """Every SCC, attackers first, with the groups kept in it, renamed
     against one set shared by the scan so merged ids stay distinct."""
     blocked = frozenset(blocked)
-    sccs = strongly_connected_components(framework)
     table = _ScanTable(framework, lat, fmap)
     taken = set(table.node)
     return [
         (scc, _renamed(maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table), taken))
-        for scc in sccs
+        for scc in table.sccs
     ]
 
 

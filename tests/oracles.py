@@ -9,13 +9,14 @@ preferred search and take/drop naive-set search are kept for frameworks
 too large to enumerate, its former naming and sorting of extension masks
 checks the kernel's way out, its former set-based lattice validation pins
 which defect is reported, and its former `.afo` parser, one branch per
-directive, pins which error a broken document reports.
+directive, pins which error a broken document reports.  `oracle_sharpen`
+chains them from an `.afo` text to the whole `sharpen --json` payload.
 Nothing imports from the package.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 
 # ------------------------------------------------------------ order theory
@@ -564,6 +565,102 @@ def oracle_verdict(arg, concrete, projections):
         table = {"plus_approved_credulous": in_some, "plus_approved_skeptical": in_every, "questioned": not in_some}
     labels = frozenset(label for label, holds in table.items() if holds)
     return status, labels, sum(1 for p in projections if any(arg in e for e in p)), len(holding)
+
+
+def _oracle_replace(arglets, attacks, targets, new):
+    """One merge read off the definition: the targets' arglets give way to
+    the one new arglet, attacks inside the group vanish and every attack
+    across its boundary moves to the new arglet; repeats collapse."""
+    arglets = {al for al in arglets if al[0] not in targets} | {new}
+    moved = set()
+    for s, d in attacks:
+        s_in, d_in = s[0] in targets, d[0] in targets
+        if not (s_in and d_in):
+            moved.add((new if s_in else s, new if d_in else d))
+    return arglets, moved
+
+
+def oracle_sharpen(text):
+    """The `sharpen --json` payload of an `.afo` document, chained from the
+    references above: the former parser, the ordered SCCs, the subset scan
+    per SCC, one definition-level replacement per chosen group, brute-force
+    preferred per derived framework, the projections and the label table.
+
+    A group merges into one arglet at the join of its members' nodes.  Its
+    expression is the smallest symbol mapped to that node, else the node's
+    name with '#abs' appended, primed until no symbol of the map has it.
+    Its id is the targets joined with '+', primed until no argument of the
+    framework and no merged id handed out before it has it.  One derived
+    framework is built per choice of one group in every SCC that has one,
+    earlier SCCs varying slowest."""
+    nodes, covers, generals, assignments, arglets, attacks, _ = _oracle_parse(text)
+    assignments = dict(assignments)
+    reach = oracle_up_reach(nodes, covers)
+    top = next(n for n in nodes if all(n in reach[m] for m in nodes))
+    blocked = oracle_upward_closure(nodes, covers, generals or [top])
+    ids = {a for a, _ in arglets}
+    edges = {(s[0], d[0]) for s, d in attacks}
+
+    taken = set(ids)
+    per_scc = []
+    for scc in oracle_sccs_ordered(ids, edges):
+        steps = []
+        for group in oracle_maximal_conservative_groups(nodes, covers, assignments, arglets, attacks, blocked, scc):
+            node = _oracle_join_all(reach, {assignments[e] for a, e in arglets if a in group})
+            symbol = min((s for s, n in assignments.items() if n == node), default=None)
+            if symbol is None:
+                symbol = node + "#abs"
+                while symbol in assignments:
+                    symbol += "'"
+            arg_id = "+".join(sorted(group))
+            while arg_id in taken:
+                arg_id += "'"
+            taken.add(arg_id)
+            steps.append((scc, group, arg_id, symbol))
+        if steps:
+            per_scc.append(steps)
+
+    def framework_json(als, ats):
+        return {"arglets": [list(al) for al in sorted(als)], "attacks": [[list(s), list(d)] for s, d in sorted(ats)]}
+
+    def extensions_json(extensions):
+        return [sorted(e) for e in extensions]
+
+    sigma, abstract = [], []
+    for combo in product(*per_scc):
+        als, ats = set(arglets), set(attacks)
+        for _, group, arg_id, symbol in combo:
+            als, ats = _oracle_replace(als, ats, group, (arg_id, symbol))
+        provenance = [
+            {"scc": sorted(scc), "targets": sorted(group), "abstract": {"id": arg_id, "expressions": [symbol]}}
+            for scc, group, arg_id, symbol in combo
+        ]
+        sigma.append({"framework": framework_json(als, ats), "provenance": provenance})
+        abstract.append(oracle_preferred({a for a, _ in als}, {(s[0], d[0]) for s, d in ats}))
+
+    concrete = oracle_preferred(ids, edges)
+    projected = []
+    for extensions in abstract:
+        projection = sorted(oracle_sigma(extensions, ids), key=lambda e: (len(e), tuple(sorted(e))))
+        if projection not in projected:
+            projected.append(projection)
+    classification = {}
+    for arg in sorted(ids):
+        status, labels, sets_containing, extensions_containing = oracle_verdict(arg, concrete, projected)
+        classification[arg] = {
+            "concrete_status": status,
+            "sharpened": sorted(labels),
+            "sets_containing": sets_containing,
+            "extensions_containing": extensions_containing,
+        }
+    return {
+        "framework": framework_json(arglets, attacks),
+        "sigma": sigma,
+        "concrete": extensions_json(concrete),
+        "abstract_preferred": [extensions_json(p) for p in abstract],
+        "projected": [extensions_json(p) for p in projected],
+        "classification": classification,
+    }
 
 
 def powerset(items):

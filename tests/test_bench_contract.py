@@ -54,7 +54,15 @@ def test_small_pools_pass_their_checks_under_the_tracer(traced):
 
 def test_the_traced_layers_record_calls(traced):
     summary, _ = traced
-    for name in ("cli.main", "cli.parse_afo", "semantics.cf2", "pipeline.maximal_conservative_subsets", "pipeline.sharpen"):
+    for name in (
+        "cli.main",
+        "cli.parse_afo",
+        "af.strongly_connected_components",
+        "semantics.cf2",
+        "abstraction.best_abstraction_of",
+        "pipeline.maximal_conservative_subsets",
+        "pipeline.sharpen",
+    ):
         assert summary["calls"][name] > 0, name
 
 

@@ -245,8 +245,9 @@ def test_scan_matches_set_code_on_any_id_set():
 def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
     fw, lat, fmap = boardroom.framework, boardroom.lattice, boardroom.fmap
     for kwargs in ({}, {"table": _ScanTable(fw, lat, fmap)}):
-        with pytest.raises(UnknownArgument, match="ghost"):
-            maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs({"a1", "ghost"}), **kwargs)
+        for scc in ({"a1", "ghost"}, {"ghost"}):
+            with pytest.raises(UnknownArgument, match="ghost"):
+                maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc), **kwargs)
 
 
 def test_scan_table_lives_for_one_scan(boardroom, marathon):
