@@ -3,8 +3,15 @@
 A lattice is handed to :func:`validate_lattice` as a set of node ids plus a
 set of cover pairs ``(child, parent)`` meaning the parent sits directly above
 the child with nothing in between.  Validation rejects cyclic or transitively
-implied covers, then checks that every pair of nodes has a unique least upper
-bound and a unique greatest lower bound.
+implied covers and any pair of nodes without a unique least upper bound or
+greatest lower bound.  Both are decided on the masks below: the covers once
+per child, and the joins once per pair of classes of nodes that share a
+strict up mask, since two incomparable nodes' strict up masks meet in all
+their common upper bounds.  A finite poset with a bottom in which every pair
+has a join is a lattice (Davey and Priestley, *Introduction to Lattices and
+Order*, CUP 2002), so the meets need no test of their own.  Only a diagram
+that fails is checked again cover by cover and pair by pair in sorted
+order, to name its first defect.
 
 The order is kept as bitsets over ranks (Aït-Kaci, Boyer, Lincoln and Nasr,
 TOPLAS 1989): nodes are ranked by a linear extension, bottom first, and each
@@ -159,6 +166,51 @@ class FiniteLattice:
         return closure == given
 
 
+def _covers_irredundant(parents: dict[str, list[str]], up: dict[str, int]) -> bool:
+    """True when no cover is transitively implied.  The cover c -> p is
+    redundant exactly when p lies strictly above another parent q of c, so
+    one OR of the parents' own bits decides every cover of c: each parent's
+    up mask may meet it only in that parent's own bit."""
+    for ps in parents.values():
+        if len(ps) > 1:
+            own = 0
+            for q in ps:
+                own |= up[q] & -up[q]
+            if any(up[q] & own != up[q] & -up[q] for q in ps):
+                return False
+    return True
+
+
+def _joins_unique(ups: list[int], downs: list[int]) -> bool:
+    """True when every pair of ranks has a least upper bound, given the up
+    and down masks by rank.  A comparable pair always has one.  For
+    incomparable x and y the common upper bounds are exactly strict(x) &
+    strict(y), the up masks without their own bits, so the ranks fall into
+    classes by strict mask and each pair of classes is tested once, and
+    only when some member of one is incomparable with some member of the
+    other.  Two members of one class are incomparable, so a class of two
+    or more meets itself."""
+    everything = (1 << len(ups)) - 1
+    strict: list[int] = []
+    members: dict[int, int] = {}  # strict mask -> the ranks that have it
+    hits: dict[int, int] = {}  # strict mask -> the ranks incomparable with one of them
+    for r, (u, d) in enumerate(zip(ups, downs)):
+        strict.append(s := u & ~(1 << r))
+        members[s] = members.get(s, 0) | 1 << r
+        hits[s] = hits.get(s, 0) | everything & ~(u | d)
+    done = 0  # ranks of the classes already walked
+    for s, own in members.items():
+        hit = hits[s] & ~done
+        while hit:
+            t = strict[_lowest(hit)]
+            common = s & t
+            if not common or common & ~ups[_lowest(common)]:
+                return False
+            hit &= ~members[t]
+        done |= own
+    return True
+
+
 def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
     """Validate a Hasse diagram and return the lattice it describes.
 
@@ -166,6 +218,13 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     that is not a node, CycleInCovers, RedundantCover for a cover already
     implied transitively, and NonUniqueJoin / NonUniqueMeet when some pair
     of nodes lacks a unique least upper or greatest lower bound.
+
+    Redundant covers are found with one mask test per child, and missing
+    bounds by a bottom test and one join test per pair of classes of nodes
+    sharing a strict up mask, where some pair of members is incomparable.
+    Only when a test fails do the loops over sorted covers and sorted node
+    pairs run, so the error names the same first defect as a pair-by-pair
+    check.
     """
     node_set = frozenset(nodes)
     if not node_set:
@@ -207,20 +266,27 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
         for p in parents[n]:
             down[p] |= down[n]
 
-    # A cover is redundant if its parent is reachable from its child some
-    # longer way round; equivalently through any other parent of the child.
-    for c, p in sorted(cover_set):
-        if any(up[q] & down[p] for q in parents[c] if q != p):
-            raise RedundantCover(f"cover {c!r} -> {p!r} is transitively implied")
+    # Two mask checks decide validity; the ordered loops below run only when
+    # one fails, to report the first defect in sorted order.
+    if not _covers_irredundant(parents, up):
+        # A cover is redundant if its parent is reachable from its child some
+        # longer way round; equivalently through any other parent of the child.
+        for c, p in sorted(cover_set):
+            if any(up[q] & down[p] for q in parents[c] if q != p):
+                raise RedundantCover(f"cover {c!r} -> {p!r} is transitively implied")
 
-    # The lowest common upper bound is the least one exactly when every
-    # common upper bound lies above it; dually for the highest lower bound.
-    for a, b in combinations(sorted(node_set), 2):
-        uppers = up[a] & up[b]
-        if not uppers or uppers & ~up[ranked[_lowest(uppers)]]:
-            raise NonUniqueJoin(f"nodes {a!r} and {b!r} have no unique least upper bound")
-        lowers = down[a] & down[b]
-        if not lowers or lowers & ~down[ranked[_highest(lowers)]]:
-            raise NonUniqueMeet(f"nodes {a!r} and {b!r} have no unique greatest lower bound")
+    # With a bottom, the join of a pair's common lower bounds is their meet,
+    # so the bottom and the joins decide the meets too.
+    ups = [up[n] for n in ranked]
+    if not (ups[0] == (1 << len(ranked)) - 1 and _joins_unique(ups, [down[n] for n in ranked])):
+        # The lowest common upper bound is the least one exactly when every
+        # common upper bound lies above it; dually for the highest lower bound.
+        for a, b in combinations(sorted(node_set), 2):
+            uppers = up[a] & up[b]
+            if not uppers or uppers & ~up[ranked[_lowest(uppers)]]:
+                raise NonUniqueJoin(f"nodes {a!r} and {b!r} have no unique least upper bound")
+            lowers = down[a] & down[b]
+            if not lowers or lowers & ~down[ranked[_highest(lowers)]]:
+                raise NonUniqueMeet(f"nodes {a!r} and {b!r} have no unique greatest lower bound")
 
     return FiniteLattice(node_set, cover_set, ranked, up, down)

@@ -108,10 +108,33 @@ def pentagon_lattice():
     return validate_lattice(nodes, covers)
 
 
-def chain_lattice(length: int = 4):
+def chain_diagram(length: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """Nodes and covers of the chain c0 < c1 < ... ."""
     nodes = [f"c{i}" for i in range(length)]
-    covers = [(nodes[i], nodes[i + 1]) for i in range(length - 1)]
-    return validate_lattice(nodes, covers)
+    return nodes, [(nodes[i], nodes[i + 1]) for i in range(length - 1)]
+
+
+def flat_diagram(atoms: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """Nodes and covers of a bottom, `atoms` atoms and a top."""
+    names = [f"a{i}" for i in range(atoms)]
+    return ["bot", *names, "top"], [("bot", a) for a in names] + [(a, "top") for a in names]
+
+
+def flower_diagram(hubs: int, petals: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """Nodes and covers of a bottom, `hubs` hubs over `petals` atoms each,
+    and a top."""
+    nodes, covers = ["bot", "top"], []
+    for i in range(hubs):
+        nodes.append(hub := f"h{i}")
+        covers.append((hub, "top"))
+        for j in range(petals):
+            nodes.append(atom := f"a{i}_{j}")
+            covers += [("bot", atom), (atom, hub)]
+    return nodes, covers
+
+
+def chain_lattice(length: int = 4):
+    return validate_lattice(*chain_diagram(length))
 
 
 def random_lattice(rng: random.Random, max_nodes: int = 12):

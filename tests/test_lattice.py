@@ -1,9 +1,12 @@
 import random
+import time
+from collections import Counter
 from functools import reduce
 
 import pytest
 
 from afo import (
+    AfoDocument,
     AfoError,
     CycleInCovers,
     EmptySet,
@@ -11,14 +14,25 @@ from afo import (
     NonUniqueMeet,
     RedundantCover,
     UnknownNode,
+    serialize_afo,
     validate_lattice,
 )
+from afo.cli import main
 
-from generators import random_lattice, pentagon_lattice, chain_lattice, cube_lattice
+from generators import (
+    chain_diagram,
+    chain_lattice,
+    cube_lattice,
+    flat_diagram,
+    flower_diagram,
+    pentagon_lattice,
+    random_lattice,
+)
 from oracles import (
     oracle_is_upper_set,
     oracle_join,
     oracle_lattice_error,
+    oracle_lattice_error_bitsets,
     oracle_leq,
     oracle_lower_covers,
     oracle_meet,
@@ -254,3 +268,122 @@ def test_errors_match_former_validation_on_random_diagrams():
     assert seen[None] < 1000
     for kind in ["UnknownNode", "self cover", "CycleInCovers", "RedundantCover", "NonUniqueJoin", "NonUniqueMeet"]:
         assert seen.get(kind, 0) >= 30, seen
+
+
+def _plant(rng, nodes, covers, reach, defect):
+    """A lattice's diagram, given its up reach, with one defect planted, or
+    None where there is no room for it.  "implied" adds a cover that a
+    longer path already gives; "maximal" and "minimal" add a second maximal
+    or minimal node, the latter leaving every join in place; "bounds" adds
+    two nodes over one pair, two incomparable nodes or two new nodes over
+    the bottom, and a new top over them and the old one, so the pair has
+    two minimal upper bounds and the new nodes two maximal lower bounds."""
+    nodes, covers = list(nodes), list(covers)
+
+    def fresh():
+        nodes.append(f"{rng.choice('Amz')}{len(nodes)}")
+        return nodes[-1]
+
+    if defect == "implied":
+        given = set(covers)
+        for c in rng.sample(nodes, len(nodes)):
+            if far := sorted(p for p in reach[c] if p != c and (c, p) not in given):
+                covers.append((c, rng.choice(far)))
+                break
+        else:
+            return None
+    elif len(nodes) < 2:
+        return None
+    elif defect == "maximal":
+        covers.append((rng.choice([n for n in nodes if reach[n] != {n}]), fresh()))
+    elif defect == "minimal":
+        above = rng.choice([n for n in nodes if len(reach[n]) < len(nodes)])
+        covers.append((fresh(), above))
+    else:
+        top = next(n for n in nodes if reach[n] == {n})
+        bottom = next(n for n in nodes if len(reach[n]) == len(nodes))
+        a, b = rng.sample(nodes, 2)
+        if rng.random() < 0.5 or a in reach[b] or b in reach[a]:
+            a, b = fresh(), fresh()
+            covers += [(bottom, a), (bottom, b)]
+        roof = fresh()
+        covers.append((top, roof))
+        for m in (fresh(), fresh()):
+            covers += [(a, m), (b, m), (m, roof)]
+    rng.shuffle(covers)
+    return nodes, covers
+
+
+def test_errors_match_former_validation_at_scale():
+    """Flat lattices up to 300 atoms, chains up to 300 and random lattices
+    up to 60 nodes, each as it is and with each defect planted, against
+    the former validation on bitsets, and up to 62 nodes also against the
+    set-based one, whose pair loop takes seconds beyond that."""
+    rng = random.Random(6114)
+    diagrams = [flat_diagram(n) for n in (1, 2, 7, 40, 300)]
+    diagrams += [chain_diagram(n) for n in (1, 2, 3, 9, 60, 300)]
+    for _ in range(30):
+        lat = random_lattice(rng, max_nodes=rng.randint(12, 60))
+        diagrams.append((sorted(lat.nodes), sorted(lat.covers)))
+    seen = Counter()
+    for base in diagrams:
+        reach = oracle_up_reach(*base)
+        for defect in (None, "implied", "maximal", "minimal", "bounds"):
+            planted = _plant(rng, *base, reach, defect) if defect else base
+            if planted is None:
+                continue
+            nodes, covers = planted
+            expected = oracle_lattice_error_bitsets(nodes, covers)
+            if len(nodes) <= 62:
+                assert oracle_lattice_error(nodes, covers) == expected, (nodes, covers)
+            try:
+                lat = validate_lattice(nodes, covers)
+            except AfoError as e:
+                got = (type(e).__name__, str(e))
+            else:
+                got = None
+                assert lat.covers == frozenset(covers) and lat.nodes == frozenset(nodes)
+            assert got == expected, (nodes, covers)
+            seen[defect, expected and expected[0]] += 1
+    kinds = {(None, None), ("implied", "RedundantCover"), ("maximal", "NonUniqueJoin"), ("minimal", "NonUniqueMeet")}
+    assert set(seen) == kinds | {("bounds", "NonUniqueJoin"), ("bounds", "NonUniqueMeet")}
+    # every diagram but the one-node chain takes a second maximal or minimal
+    # node and a pair with two minimal upper bounds; 36 of 41 have an
+    # implied cover
+    assert seen[None, None] == seen["maximal", "NonUniqueJoin"] + 1 == seen["minimal", "NonUniqueMeet"] + 1 == len(diagrams)
+    assert seen["bounds", "NonUniqueJoin"] + seen["bounds", "NonUniqueMeet"] == len(diagrams) - 1
+    assert seen["implied", "RedundantCover"] >= 30 and seen["bounds", "NonUniqueMeet"] >= 5, seen
+
+
+def test_ontology_scale_lattices_validate_within_a_limit(tmp_path, capsys):
+    """A 2,000-atom flat lattice, a flower of 200 hubs over 9 atoms each and
+    a 2,000-chain, then `afo validate` on an `.afo` file of that flower.
+    On a shared 2-core Xeon under CPython 3.11 this took about 10, 30-50
+    and 15 ms for the three lattices and 0.15 s in all; checking every pair
+    of nodes took about 2 s for each lattice and 8.5 s in all."""
+    start = time.perf_counter()
+    flat = validate_lattice(*flat_diagram(2000))
+    assert (flat.top, flat.bottom) == ("top", "bot")
+    assert flat.join(["a0", "a1999"]) == "top" and flat.meet(["a0", "a1999"]) == "bot"
+    nodes, covers = flower_diagram(200, 9)
+    flower = validate_lattice(nodes, covers)
+    assert (flower.top, flower.bottom) == ("top", "bot")
+    assert flower.join(["a7_0", "a7_8"]) == "h7" and flower.meet(["h3", "h150"]) == "bot"
+    chain = validate_lattice(*chain_diagram(2000))
+    assert (chain.top, chain.bottom) == ("c1999", "c0")
+    assert chain.join(["c5", "c1500"]) == "c1500" and chain.meet(["c5", "c1500"]) == "c5"
+
+    arglets = (("x", "e0"), ("y", "e1"), ("z", "e2"))
+    document = AfoDocument(
+        nodes=tuple(sorted(nodes)),
+        covers=tuple(sorted(covers)),
+        generals=(),
+        assignments=(("e0", "a0_0"), ("e1", "a0_1"), ("e2", "h5")),
+        arglets=arglets,
+        attacks=((arglets[0], arglets[1]), (arglets[1], arglets[0])),
+    )
+    path = tmp_path / "flower.afo"
+    path.write_text(serialize_afo(document), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 2002 nodes, 3800 covers, 3 arguments, 3 arglets, 2 attacks, M={top}\n"
+    assert time.perf_counter() - start < 2.0

@@ -530,8 +530,9 @@ def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
 
 
 def test_derivation_computes_sccs_once(monkeypatch):
-    """Validity finds the targets' SCC by reachability from one target, so
-    a derivation runs the whole-framework SCC computation only once."""
+    """The scan's table computes the framework's SCCs once and validity
+    reads its SCC there, so a derivation runs the whole-framework SCC
+    computation only once."""
     import afo.abstraction
     import afo.af
 
@@ -552,6 +553,30 @@ def test_derivation_computes_sccs_once(monkeypatch):
         kept += len(derive_abstract_frameworks(fw, lat, fmap, blocked).provenance[0])
     assert kept >= 100
     assert len(calls) == 200
+
+
+def test_scan_without_table_computes_sccs_only_for_a_candidate_group(monkeypatch):
+    """Called without `table=`, the per-SCC scan computes no SCCs for a
+    one-id set or when no group passes the node filter, and one set of
+    SCCs when some group does."""
+    calls = []
+    sccs = afo.pipeline.strongly_connected_components
+    monkeypatch.setattr(afo.pipeline, "strongly_connected_components", lambda fw: calls.append(fw) or sccs(fw))
+    rng = random.Random(447)
+    scans = kept = 0
+    for _ in range(30):
+        fw, lat, fmap, blocked = multi_hub_instance(rng, outsiders=2)
+        for scc in sccs(fw):
+            assert maximal_conservative_subsets(fw, lat, fmap, blocked, frozenset([min(scc)])) == []
+            assert maximal_conservative_subsets(fw, lat, fmap, lat.nodes, scc) == []
+            assert not calls
+            if len(scc) > 1:
+                groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
+                assert len(calls) == 1 if groups else len(calls) <= 1
+                kept += len(groups)
+                scans += 1
+                calls.clear()
+    assert scans == 30 and kept >= 10  # 14 at this seed
 
 
 def test_sharpen_attack_free_framework():
