@@ -4,14 +4,15 @@ A lattice is handed to :func:`validate_lattice` as a set of node ids plus a
 set of cover pairs ``(child, parent)`` meaning the parent sits directly above
 the child with nothing in between.  Validation rejects cyclic or transitively
 implied covers and any pair of nodes without a unique least upper bound or
-greatest lower bound.  Both are decided on the masks below: the covers once
-per child, and the joins once per pair of classes of nodes that share a
-strict up mask, since two incomparable nodes' strict up masks meet in all
-their common upper bounds.  A finite poset with a bottom in which every pair
-has a join is a lattice (Davey and Priestley, *Introduction to Lattices and
-Order*, CUP 2002), so the meets need no test of their own.  Only a diagram
-that fails is checked again cover by cover and pair by pair in sorted
-order, to name its first defect.
+greatest lower bound.  Both are decided on the masks below: the covers in
+one pass over each child's parents, which collects every redundant cover
+and reports the first in sorted order, and the joins once per pair of
+classes of nodes that share a strict up mask, since two incomparable
+nodes' strict up masks meet in all their common upper bounds.  A finite
+poset with a bottom in which every pair has a join is a lattice (Davey and
+Priestley, *Introduction to Lattices and Order*, CUP 2002), so the meets
+need no test of their own.  Only a diagram that fails that test is checked
+again pair by pair in sorted order, to name its first failing pair.
 
 The order is kept as bitsets over ranks (Aït-Kaci, Boyer, Lincoln and Nasr,
 TOPLAS 1989): nodes are ranked by a linear extension, bottom first, and each
@@ -166,21 +167,6 @@ class FiniteLattice:
         return closure == given
 
 
-def _covers_irredundant(parents: dict[str, list[str]], up: dict[str, int]) -> bool:
-    """True when no cover is transitively implied.  The cover c -> p is
-    redundant exactly when p lies strictly above another parent q of c, so
-    one OR of the parents' own bits decides every cover of c: each parent's
-    up mask may meet it only in that parent's own bit."""
-    for ps in parents.values():
-        if len(ps) > 1:
-            own = 0
-            for q in ps:
-                own |= up[q] & -up[q]
-            if any(up[q] & own != up[q] & -up[q] for q in ps):
-                return False
-    return True
-
-
 def _joins_unique(ups: list[int], downs: list[int]) -> bool:
     """True when every pair of ranks has a least upper bound, given the up
     and down masks by rank.  A comparable pair always has one.  For
@@ -219,12 +205,12 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     implied transitively, and NonUniqueJoin / NonUniqueMeet when some pair
     of nodes lacks a unique least upper or greatest lower bound.
 
-    Redundant covers are found with one mask test per child, and missing
-    bounds by a bottom test and one join test per pair of classes of nodes
-    sharing a strict up mask, where some pair of members is incomparable.
-    Only when a test fails do the loops over sorted covers and sorted node
-    pairs run, so the error names the same first defect as a pair-by-pair
-    check.
+    Redundant covers are all collected in one pass over each child's
+    parents, and the least in sorted order is reported.  Missing bounds are
+    found by a bottom test and one join test per pair of classes of nodes
+    sharing a strict up mask, where some pair of members is incomparable;
+    only when that fails does the loop over sorted node pairs run, so the
+    error names the same first pair as a pair-by-pair check.
     """
     node_set = frozenset(nodes)
     if not node_set:
@@ -266,17 +252,23 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
         for p in parents[n]:
             down[p] |= down[n]
 
-    # Two mask checks decide validity; the ordered loops below run only when
-    # one fails, to report the first defect in sorted order.
-    if not _covers_irredundant(parents, up):
-        # A cover is redundant if its parent is reachable from its child some
-        # longer way round; equivalently through any other parent of the child.
-        for c, p in sorted(cover_set):
-            if any(up[q] & down[p] for q in parents[c] if q != p):
-                raise RedundantCover(f"cover {c!r} -> {p!r} is transitively implied")
+    # A cover c -> p is redundant exactly when p lies strictly above another
+    # parent of c, so one OR of the parents' strict up masks decides every
+    # cover of c; the first redundant cover in sorted order is reported.
+    redundant = []
+    for c, ps in parents.items():
+        if len(ps) > 1:
+            above = 0
+            for q in ps:
+                above |= up[q] & (up[q] - 1)
+            redundant += [(c, p) for p in ps if above & up[p] & -up[p]]
+    if redundant:
+        c, p = min(redundant)
+        raise RedundantCover(f"cover {c!r} -> {p!r} is transitively implied")
 
     # With a bottom, the join of a pair's common lower bounds is their meet,
-    # so the bottom and the joins decide the meets too.
+    # so the bottom and the joins decide the meets too.  The ordered loop
+    # runs only when one fails, to report the first pair in sorted order.
     ups = [up[n] for n in ranked]
     if not (ups[0] == (1 << len(ranked)) - 1 and _joins_unique(ups, [down[n] for n in ranked])):
         # The lowest common upper bound is the least one exactly when every

@@ -11,11 +11,10 @@ extensions holding it in each projection gives every label, through one
 table (`_LABELS`).
 
 The group scan reads one `_ScanTable`, built per scan and dropped with it:
-each argument's lattice node, the framework's SCCs when first read, then,
-once some group passes the node filter, bit masks for the validity,
-compatibility and attack-preservation tests.  Per component,
-`FiniteLattice.groups_below` gathers the members below every node in one
-pass over their up masks.
+the framework's SCCs and each argument's lattice node, then, once some
+group passes the node filter, bit masks for the validity, compatibility
+and attack-preservation tests.  Per component, `FiniteLattice.groups_below`
+gathers the members below every node in one pass over their up masks.
 """
 
 from __future__ import annotations
@@ -67,29 +66,26 @@ def _renamed(groups: _Groups, taken: set[str]) -> _Groups:
 
 class _ScanTable:
     """What one group scan reads of the framework, built once per scan and
-    never kept on it: per argument its node, the join of its expressions'
-    nodes, whose up mask is the AND of theirs, and, from the first read of
-    `sccs`, the framework's SCCs, attackers first.  The first group to pass
-    the node filter builds the rest: an `_Index`, and per argument the rank
-    bit of its node, the mask of its SCC and the mask of the arguments it
-    attacks through comparable expression images."""
+    never kept on it: the framework's SCCs, attackers first, when the
+    caller has them, and per argument its node, the join of its
+    expressions' nodes, whose up mask is the AND of theirs.  The first
+    group to pass the node filter builds the rest: an `_Index`, the SCCs if
+    not given, and per argument the rank bit of its node, the mask of its
+    SCC and the mask of the arguments it attacks through comparable
+    expression images."""
 
-    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap):
+    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, sccs: list[frozenset[str]] | None = None):
         self.framework, self.lat, self.fmap = framework, lat, fmap
+        self.sccs: list[frozenset[str]] | None = sccs
         self.node: dict[str, str] = {}
         for a, e in framework.arglets:
             self.node[a] = lat.join((self.node.get(a, lat.bottom), fmap.image(e)))
         self.ix: _Index | None = None
-        self._sccs: list[frozenset[str]] | None = None
-
-    @property
-    def sccs(self) -> list[frozenset[str]]:
-        if self._sccs is None:
-            self._sccs = strongly_connected_components(self.framework)
-        return self._sccs
 
     def index(self) -> _Index:
         if self.ix is None:
+            if self.sccs is None:
+                self.sccs = strongly_connected_components(self.framework)
             self.ix = ix = _Index(self.framework)
             up, image = self.lat._up, self.fmap.image
             self.rank = [up[self.node[a]] & -up[self.node[a]] for a in ix.ids]
@@ -216,12 +212,11 @@ def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blo
     """Every SCC, attackers first, with the groups kept in it, renamed
     against one set shared by the scan so merged ids stay distinct."""
     blocked = frozenset(blocked)
-    table = _ScanTable(framework, lat, fmap)
-    # SCCs first: Tarjan's working set is freed before `taken` is built
-    sccs, taken = table.sccs, set(table.node)
+    table = _ScanTable(framework, lat, fmap, strongly_connected_components(framework))
+    taken = set(table.node)
     return [
         (scc, _renamed(maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table), taken))
-        for scc in sccs
+        for scc in table.sccs
     ]
 
 
