@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .af import Argument, Framework, strongly_connected_components
+from .af import Argument, Framework, _index
 from .errors import EmptySet, TargetsNotInFramework
 from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
@@ -165,8 +165,8 @@ def _absorbed_outsiders(
     """In id order, the other members of the targets' SCC that the candidate
     absorbs, none unless it absorbs every target, and None across SCCs."""
     targets = _check_targets(framework, candidate.targets)
-    low = min(targets)
-    home = next(scc for scc in strongly_connected_components(framework) if low in scc)
+    ix = _index(framework)
+    home = ix.members(ix.scc_homes()[ix.pos[min(targets)]])
     if not targets <= home:
         return None
     a_x = candidate.abstract_arg

@@ -27,7 +27,13 @@ class Argument:
 
 @dataclass(frozen=True)
 class Framework:
-    """Arglets plus arglet-level attacks."""
+    """Arglets plus arglet-level attacks.
+
+    The graph index (`_index`) is built on first use and kept in a slot
+    beside the instance dict, so it is no field: equality, hashing, `repr`,
+    `vars()` and `dataclasses.fields()` see only the arglets and attacks."""
+
+    __slots__ = ("_ix", "__dict__", "__weakref__")
 
     arglets: frozenset[Arglet]
     attacks: frozenset[tuple[Arglet, Arglet]]
@@ -78,7 +84,7 @@ def attack_relation(framework: Framework) -> dict[str, set[str]]:
 
 def has_path(framework: Framework, src_id: str, dst_id: str) -> bool:
     """Directed attack path of length at least one."""
-    ix = _Index(framework)
+    ix = _index(framework)
     if src_id not in ix.pos or dst_id not in ix.pos:
         raise UnknownArgument(f"path endpoints {src_id!r}, {dst_id!r} must be argument ids")
     reached = _reach(ix.targets, ix.targets[ix.pos[src_id]], ix.everything)
@@ -91,28 +97,44 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
     Ties in the ordering are broken by visiting argument ids
     lexicographically, so the result is deterministic.
     """
-    ix = _Index(framework)
-    return [ix.members(comp) for comp in _sccs(ix, ix.everything)]
+    ix = _index(framework)
+    return [ix.members(comp) for comp in ix.scc_masks()]
 
 
 # ------------------------------------------------------------ graph index
 #
-# Every graph question of the package (SCCs, paths and the semantics) is
-# answered on one index: argument i is bit i of a Python int, in id order.
-# Each walk keeps its own stack, so no depth of input can hit the
-# interpreter's recursion limit.
+# Every graph question of the package (SCCs, paths, the semantics, the
+# group scan and validity) is answered on one index per framework, built on
+# first use by `_index` and kept on the framework: argument i is bit i of a
+# Python int, in id order.  Its SCC masks are computed the first time they
+# are asked for, and kept with it.  Each walk keeps its own stack, so no
+# depth of input can hit the interpreter's recursion limit.
 
 
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to selector bytes
 
 
+def _index(framework: Framework) -> _Index:
+    """The framework's graph index, built on its first call and kept in the
+    framework's slot.  The frozen dataclass refuses plain assignment, and
+    the index is no part of the framework's value, so it goes in through
+    `object.__setattr__`."""
+    try:
+        return framework._ix
+    except AttributeError:
+        ix = _Index(framework)
+        object.__setattr__(framework, "_ix", ix)
+        return ix
+
+
 class _Index:
     """Sorted ids and their bits; per argument the masks of its attackers,
     of its targets and of both; the mask of self-attacking arguments and of
-    every argument.  A plain class: a NamedTuple would add its
-    class-building cost to every import."""
+    every argument; and, once asked for, the SCC masks and each bit's SCC.  A
+    plain class: a NamedTuple would add its class-building cost to every
+    import."""
 
-    __slots__ = ("ids", "pos", "attackers", "targets", "neighbours", "loops", "everything")
+    __slots__ = ("ids", "pos", "attackers", "targets", "neighbours", "loops", "everything", "sccs", "homes")
 
     def __init__(self, framework: Framework):
         self.ids = ids = sorted({a for a, _ in framework.arglets})
@@ -126,6 +148,24 @@ class _Index:
         self.neighbours = [a | t for a, t in zip(attackers, targets)]
         self.loops = sum(1 << i for i, a in enumerate(attackers) if a >> i & 1)
         self.everything = (1 << len(ids)) - 1
+        self.sccs: list[int] | None = None
+        self.homes: list[int] | None = None
+
+    def scc_masks(self) -> list[int]:
+        """The SCC masks of the whole graph, attackers first (`_sccs`): one
+        Tarjan run, on the first call."""
+        if self.sccs is None:
+            self.sccs = _sccs(self, self.everything)
+        return self.sccs
+
+    def scc_homes(self) -> list[int]:
+        """Per bit, the mask of its SCC, from `scc_masks`, on the first call."""
+        if self.homes is None:
+            self.homes = homes = [0] * len(self.ids)
+            for comp in self.scc_masks():
+                for i in _bits(comp):
+                    homes[i] = comp
+        return self.homes
 
     def members(self, mask: int) -> frozenset[str]:
         """The ids of the bits of `mask`: every argument mask the package

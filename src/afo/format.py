@@ -1,8 +1,9 @@
 """The `.afo` interchange format.
 
-One text file carries the whole problem: the lattice, the expression map,
-and the framework.  `#` starts a comment; the rest is whitespace-separated
-directives, one per line, in any order:
+One UTF-8 text file carries the whole problem: the lattice, the
+expression map, and the framework; a leading byte order mark is ignored.
+`#` starts a comment; the rest is whitespace-separated directives, one per
+line, in any order:
 
     node <id>                 declare a lattice node
     cover <child> <parent>    Hasse edge: parent covers child
@@ -22,6 +23,7 @@ attack syntax.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,6 +184,9 @@ def build_model(document: AfoDocument) -> AfoModel:
 
 def load_afo(path: str) -> tuple[AfoModel, AfoDocument, list[str]]:
     data = Path(path).read_bytes()
+    # a leading byte order mark is dropped, not decoded by "utf-8-sig",
+    # whose error offsets would not count its three bytes
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

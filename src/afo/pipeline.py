@@ -10,11 +10,13 @@ re-read against those projections: per argument, one count of the
 extensions holding it in each projection gives every label, through one
 table (`_LABELS`).
 
-The group scan reads one `_ScanTable`, built per scan and dropped with it:
-the framework's SCCs and each argument's lattice node, then, once some
-group passes the node filter, bit masks for the validity, compatibility
-and attack-preservation tests.  Per component, `FiniteLattice.groups_below`
-gathers the members below every node in one pass over their up masks.
+The group scan reads the framework's graph index (`af._index`, built once
+per framework and kept on it, with its SCC masks) and one `_ScanTable`,
+built per scan and dropped with it: each argument's lattice node, then,
+once some group passes the node filter, the lattice-side bit masks for the
+compatibility, attack-preservation and validity tests.  Per component,
+`FiniteLattice.groups_below` gathers the members below every node in one
+pass over their up masks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of
-from .af import Argument, Framework, _Index, _union, strongly_connected_components
+from .af import Argument, Framework, _index, _union, strongly_connected_components
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
@@ -65,44 +67,32 @@ def _renamed(groups: _Groups, taken: set[str]) -> _Groups:
 
 
 class _ScanTable:
-    """What one group scan reads of the framework, built once per scan and
-    never kept on it: the framework's SCCs, attackers first, when the
-    caller has them, and per argument its node, the join of its
-    expressions' nodes, whose up mask is the AND of theirs.  The first
-    group to pass the node filter builds the rest: an `_Index`, the SCCs if
-    not given, and per argument the rank bit of its node, the mask of its
-    SCC and the mask of the arguments it attacks through comparable
-    expression images."""
+    """What one group scan reads of the framework besides its graph index:
+    per argument its node, the join of its expressions' nodes, whose up
+    mask is the AND of theirs.  The first group to pass the node filter
+    builds the rest: per argument the rank bit of its node and the mask of
+    the arguments it attacks through comparable expression images.  Bits
+    and neighbours come from the framework's index (`af._index`), and
+    validity reads the SCC masks kept there."""
 
-    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, sccs: list[frozenset[str]] | None = None):
+    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap):
         self.framework, self.lat, self.fmap = framework, lat, fmap
-        self.sccs: list[frozenset[str]] | None = sccs
         self.node: dict[str, str] = {}
         for a, e in framework.arglets:
             self.node[a] = lat.join((self.node.get(a, lat.bottom), fmap.image(e)))
-        self.ix: _Index | None = None
+        self.rank: list[int] | None = None
+        self.conflicts: list[int] = []
 
-    def index(self) -> _Index:
-        if self.ix is None:
-            if self.sccs is None:
-                self.sccs = strongly_connected_components(self.framework)
-            self.ix = ix = _Index(self.framework)
+    def mask(self, ids: Iterable[str]) -> int:
+        ix = _index(self.framework)
+        if self.rank is None:
             up, image = self.lat._up, self.fmap.image
             self.rank = [up[self.node[a]] & -up[self.node[a]] for a in ix.ids]
-            self.home = [0] * len(ix.ids)
-            for scc in self.sccs:
-                home = self.mask(scc)
-                for a in scc:
-                    self.home[ix.pos[a]] = home
             self.conflicts = [0] * len(ix.ids)
             for (s, e1), (d, e2) in self.framework.attacks:
                 if self.lat.comparable(image(e1), image(e2)):
                     self.conflicts[ix.pos[s]] |= 1 << ix.pos[d]
-        return self.ix
-
-    def mask(self, ids: Iterable[str]) -> int:
-        pos = self.index().pos
-        return sum(1 << pos[a] for a in ids)
+        return sum(1 << ix.pos[a] for a in ids)
 
     def compatible(self, g: int) -> bool:
         """No member attacks a member through comparable images."""
@@ -111,14 +101,14 @@ class _ScanTable:
     def attack_preserving(self, v: str, g: int) -> bool:
         """No argument outside the group that attacks it or that it attacks
         sits at a node comparable with v."""
-        outside = _union(self.ix.neighbours, g) & ~g
+        outside = _union(_index(self.framework).neighbours, g) & ~g
         return not (self.lat._up[v] | self.lat._down[v]) & _union(self.rank, outside)
 
     def valid(self, v: str, g: int) -> bool:
         """The group lies inside one SCC, and no other member of that SCC
         sits at or below v: a best abstraction at v absorbs exactly those,
         so none can grow the group."""
-        home = self.home[(g & -g).bit_length() - 1]
+        home = _index(self.framework).scc_homes()[(g & -g).bit_length() - 1]
         return not g & ~home and not self.lat._down[v] & _union(self.rank, home & ~g)
 
 
@@ -212,11 +202,11 @@ def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blo
     """Every SCC, attackers first, with the groups kept in it, renamed
     against one set shared by the scan so merged ids stay distinct."""
     blocked = frozenset(blocked)
-    table = _ScanTable(framework, lat, fmap, strongly_connected_components(framework))
+    table = _ScanTable(framework, lat, fmap)
     taken = set(table.node)
     return [
         (scc, _renamed(maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table), taken))
-        for scc in table.sccs
+        for scc in strongly_connected_components(framework)
     ]
 
 

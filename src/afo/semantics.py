@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable
 
-from .af import Framework, _bits, _Index, _reach, _sccs, _union, attack_relation
+from .af import Framework, _bits, _Index, _index, _reach, _sccs, _union, attack_relation
 from .errors import UnknownArgument
 
 IN = "in"
@@ -65,7 +65,9 @@ def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
 # ------------------------------------------------------------ bitmask kernel
 #
 # preferred, grounded_labelling, maximal_conflict_free_sets and cf2 work on
-# the graph index of `af`, built once per call.
+# the framework's graph index (`af._index`), built once per framework and
+# kept on it, so a second call on the same framework, or a call after the
+# group scan, builds none; cf2 takes its top-level SCCs from it too.
 
 
 def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
@@ -212,7 +214,7 @@ def preferred(framework: Framework) -> list[frozenset[str]]:
     on its own and the extensions are the grounded extension plus one
     choice per component.
     """
-    ix = _Index(framework)
+    ix = _index(framework)
     accepted, defeated = _grounded(ix)
     undecided = ix.everything & ~(accepted | defeated)
     per_component = [_preferred_in(ix, comp) for comp in _components(ix, undecided)]
@@ -225,7 +227,7 @@ def grounded_labelling(framework: Framework) -> dict[str, str]:
     An argument goes in once all its attackers are out, out once some
     attacker is in; whatever never settles stays undecided.
     """
-    ix = _Index(framework)
+    ix = _index(framework)
     accepted, defeated = _grounded(ix)
     return {
         a: IN if accepted >> i & 1 else OUT if defeated >> i & 1 else UNDECIDED
@@ -280,7 +282,7 @@ def _naive_in(ix: _Index, comp: int) -> list[int]:
 
 def maximal_conflict_free_sets(framework: Framework) -> list[frozenset[str]]:
     """Naive sets, by one search over the whole framework, split or not."""
-    ix = _Index(framework)
+    ix = _index(framework)
     return _extensions(ix, _naive_in(ix, ix.everything))
 
 
@@ -290,7 +292,7 @@ _Choices = list[tuple[int, int]]  # (extension, the mask it attacks)
 def _cf2_frame(ix: _Index, within: int) -> Generator[int, _Choices, _Choices]:
     """cf2 of the sub-framework induced by `within`.  Yields each set of
     survivors whose cf2 extensions it needs and is sent them back."""
-    sccs = _sccs(ix, within)
+    sccs = ix.scc_masks() if within == ix.everything else _sccs(ix, within)
     if len(sccs) == 1:
         return [(m, _union(ix.targets, m)) for m in _naive_in(ix, within)]
     partials: _Choices = [(0, 0)]
@@ -321,7 +323,7 @@ def cf2(framework: Framework) -> list[frozenset[str]]:
     recursion runs on an explicit stack of frames, and each survivor set
     is solved once.
     """
-    ix = _Index(framework)
+    ix = _index(framework)
     solved: dict[int, _Choices] = {}
     frames = [(ix.everything, _cf2_frame(ix, ix.everything))]
     reply: _Choices | None = None

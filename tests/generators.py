@@ -425,7 +425,7 @@ def ring_instance(rng: random.Random):
     return Framework.of(arglets, attacks), lattice, fmap, frozenset({"top"})
 
 
-def hub_pairs_document(pairs, loners=(), squares=()) -> str:
+def hub_pairs_document(pairs, loners=(), squares=(), raiders=()) -> str:
     """`.afo` text over bot < p, q < hub < top with M = {top}.  Each pair
     (x, y) is an SCC of x asserting ep at p and y asserting eq at q that
     attack each other, so it merges at hub into the id "x+y" sorted; each
@@ -434,7 +434,13 @@ def hub_pairs_document(pairs, loners=(), squares=()) -> str:
     Squares add a second hub over atoms r and s.  Each square (w, x, y, z)
     is the SCC w -> x -> y -> z -> w with w asserting ep, x er, y eq and z
     es, so it keeps two groups, {w, y} at hub and {x, z} at hub2, and every
-    square doubles the number of derived frameworks."""
+    square doubles the number of derived frameworks.
+
+    Raiders need a square.  Each asserts et at a node t below top only, so
+    it is incomparable with both hubs and no merge is refused for it, is
+    attacked by nothing and attacks every member of the first square: the
+    frameworks that differ only in that square's group then have the same
+    preferred extensions on the concrete ids."""
     lines = ["node bot", "node p", "node q", "node hub", "node top"]
     lines += [f"cover {c} {p}" for c, p in [("bot", "p"), ("bot", "q"), ("p", "hub"), ("q", "hub"), ("hub", "top")]]
     lines += ["map ep p", "map eq q"]
@@ -449,4 +455,9 @@ def hub_pairs_document(pairs, loners=(), squares=()) -> str:
         ring = list(zip(square, ["ep", "er", "eq", "es"]))
         lines += [f"arglet {a} {e}" for a, e in ring]
         lines += [f"attack {a}.{e} {b}.{f}" for (a, e), (b, f) in zip(ring, ring[1:] + ring[:1])]
+    if raiders:
+        lines += ["node t", "cover bot t", "cover t top", "map et t"]
+    for raider in raiders:
+        lines += [f"arglet {raider} et"]
+        lines += [f"attack {raider}.et {a}.{e}" for a, e in zip(squares[0], ["ep", "er", "eq", "es"])]
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import afo.af
 from afo import (
     AbstractionCandidate,
     Argument,
@@ -225,6 +226,30 @@ def test_growth_witnesses_one_per_outsider():
     report = conservativity_report(fw, lat, fmap, {"top"}, candidate)
     assert report.growth_witnesses == tuple(("a00", "a01", f"a{i:02d}") for i in range(2, 18))
     assert not report.valid and not is_valid(fw, lat, fmap, candidate)
+
+
+def test_validity_runs_tarjan_once_per_framework(monkeypatch):
+    """`is_valid` and `conservativity_report` take the targets' SCC from the
+    framework's index, so any number of calls on one framework run the
+    whole-framework Tarjan once."""
+    runs = []
+    tarjan = afo.af._sccs
+    monkeypatch.setattr(afo.af, "_sccs", lambda ix, within: runs.append(within) or tarjan(ix, within))
+    rng = random.Random(1905)
+    checked = 0
+    for _ in range(20):
+        fw, lat, fmap, blocked = multi_hub_instance(rng, outsiders=2)
+        ids = sorted(fw.argument_ids())
+        symbols = sorted(fmap.symbols)
+        runs.clear()
+        for _ in range(10):
+            targets = frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
+            candidate = AbstractionCandidate(targets, Argument("w", frozenset({rng.choice(symbols)})))
+            report = conservativity_report(fw, lat, fmap, blocked, candidate)
+            assert is_valid(fw, lat, fmap, candidate) == report.valid
+            checked += 1
+        assert len(runs) == 1
+    assert checked == 200
 
 
 def test_non_trivial(boardroom):

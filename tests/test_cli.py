@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import random
@@ -54,6 +55,23 @@ def test_missing_file(capsys):
 def test_non_utf8_input_is_a_syntax_error(capsys, tmp_path):
     path = tmp_path / "latin1.afo"
     path.write_bytes(b"node top\r\n# caf\xe9\narglet a e\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: AfoSyntaxError: line 2: byte 0xe9 is not valid UTF-8\n"
+
+
+def test_byte_order_mark_is_accepted(capsys, fixtures_dir, tmp_path):
+    path = tmp_path / "bom.afo"
+    path.write_bytes(codecs.BOM_UTF8 + (fixtures_dir / "fix1.afo").read_bytes())
+    assert run_cli(capsys, "validate", str(path)) == run_cli(capsys, "validate", str(fixtures_dir / "fix1.afo"))
+    code, out, err = run_cli(capsys, "sharpen", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "sharpen", str(fixtures_dir / "fix1.afo"), "--json")[1]
+
+
+def test_byte_order_mark_keeps_bad_byte_lines(capsys, tmp_path):
+    path = tmp_path / "bom_latin1.afo"
+    path.write_bytes(codecs.BOM_UTF8 + b"node top\r\n# caf\xe9\narglet a e\n")
     code, out, err = run_cli(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err == "error: AfoSyntaxError: line 2: byte 0xe9 is not valid UTF-8\n"

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+import afo.af
 import afo.pipeline
 from afo import (
     Argument,
@@ -26,6 +28,7 @@ from afo import (
     strongly_connected_components,
     validate_lattice,
 )
+from afo.af import _Index, _index
 from afo.format import build_model, parse_afo
 from afo.pipeline import (
     _group_scan,
@@ -250,18 +253,28 @@ def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
                 maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc), **kwargs)
 
 
-def test_scan_table_lives_for_one_scan(boardroom, marathon):
-    """Nothing the scan builds stays on the framework, and a passed table
-    changes no result."""
+def test_index_lives_on_the_framework_outside_its_value(boardroom, marathon):
+    """The graph index is all that `sharpen` leaves on a framework, and it
+    stays out of the framework's value: `vars`, `repr`, the hash and
+    equality with an unindexed twin are unchanged, and the index equals a
+    fresh one.  A passed table changes no result."""
     rng = random.Random(4321)
     inputs = [(m.framework, m.lattice, m.fmap, m.blocked) for m in (boardroom, marathon)]
     inputs += [multi_hub_instance(rng, outsiders=rng.randint(0, 2)) for _ in range(40)]
     kept = 0
     for fw, lat, fmap, blocked in inputs:
-        before = dict(vars(fw))
+        before = (dict(vars(fw)), repr(fw), hash(fw))
+        twin = Framework(fw.arglets, fw.attacks)
         sharpen(fw, lat, fmap, blocked)
         scan = _group_scan(fw, lat, fmap, blocked)
-        assert vars(fw) == before
+        assert (vars(fw), repr(fw), hash(fw)) == before
+        assert fw == twin and twin == fw and hash(twin) == hash(fw)
+        assert [f.name for f in dataclasses.fields(fw)] == ["arglets", "attacks"]
+        ix, fresh = _index(fw), _Index(fw)
+        assert ix is _index(fw) and _index(twin) is not ix
+        for index in (ix, fresh):
+            index.scc_homes()
+        assert all(getattr(ix, slot) == getattr(fresh, slot) for slot in _Index.__slots__)
         table = _ScanTable(fw, lat, fmap)
         for scc, _ in scan:
             groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
@@ -530,11 +543,11 @@ def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
 
 
 def test_derivation_computes_sccs_once(monkeypatch):
-    """The scan's table computes the framework's SCCs once and validity
-    reads its SCC there, so a derivation runs the whole-framework SCC
+    """The scan asks `strongly_connected_components` for the framework's
+    SCCs once, and validity reads the SCC masks that call left on the
+    framework's index, so a derivation runs the whole-framework SCC
     computation only once."""
     import afo.abstraction
-    import afo.af
 
     calls = []
     sccs = afo.af.strongly_connected_components
@@ -555,27 +568,31 @@ def test_derivation_computes_sccs_once(monkeypatch):
     assert len(calls) == 200
 
 
-def test_scan_without_table_computes_sccs_only_for_a_candidate_group(monkeypatch):
-    """Called without `table=`, the per-SCC scan computes no SCCs for a
-    one-id set or when no group passes the node filter, and one set of
-    SCCs when some group does."""
-    calls = []
-    sccs = afo.pipeline.strongly_connected_components
-    monkeypatch.setattr(afo.pipeline, "strongly_connected_components", lambda fw: calls.append(fw) or sccs(fw))
+def test_scan_without_table_runs_tarjan_only_for_a_candidate_group(monkeypatch):
+    """Called without `table=`, the per-SCC scan runs no Tarjan for a
+    one-id set or when no group passes the node filter.  Over all the scans
+    of one framework it runs Tarjan at most once, and exactly once when it
+    keeps a group: the SCC masks stay on the framework's index."""
+    runs = []
+    tarjan = afo.af._sccs
+    monkeypatch.setattr(afo.af, "_sccs", lambda ix, within: runs.append(within) or tarjan(ix, within))
     rng = random.Random(447)
     scans = kept = 0
     for _ in range(30):
         fw, lat, fmap, blocked = multi_hub_instance(rng, outsiders=2)
-        for scc in sccs(fw):
+        comps = strongly_connected_components(Framework(fw.arglets, fw.attacks))
+        runs.clear()
+        kept_here = 0
+        for scc in comps:
+            ran = len(runs)
             assert maximal_conservative_subsets(fw, lat, fmap, blocked, frozenset([min(scc)])) == []
             assert maximal_conservative_subsets(fw, lat, fmap, lat.nodes, scc) == []
-            assert not calls
+            assert len(runs) == ran
             if len(scc) > 1:
-                groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
-                assert len(calls) == 1 if groups else len(calls) <= 1
-                kept += len(groups)
+                kept_here += len(maximal_conservative_subsets(fw, lat, fmap, blocked, scc))
+                assert len(runs) == 1 if kept_here else len(runs) <= 1
                 scans += 1
-                calls.clear()
+        kept += kept_here
     assert scans == 30 and kept >= 10  # 14 at this seed
 
 
