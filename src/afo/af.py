@@ -31,7 +31,8 @@ class Framework:
 
     The graph index (`_index`) is built on first use and kept in a slot
     beside the instance dict, so it is no field: equality, hashing, `repr`,
-    `vars()` and `dataclasses.fields()` see only the arglets and attacks."""
+    `vars()`, `dataclasses.fields()`, copies and pickles see only the
+    arglets and attacks."""
 
     __slots__ = ("_ix", "__dict__", "__weakref__")
 
@@ -44,6 +45,11 @@ class Framework:
                 raise UnknownArgument(f"attack source {src!r} is not an arglet of the framework")
             if dst not in self.arglets:
                 raise UnknownArgument(f"attack target {dst!r} is not an arglet of the framework")
+
+    def __reduce__(self):
+        # copies and pickles carry the fields alone; the frozen class would
+        # refuse the index slot on restore, and a copy builds its own
+        return type(self), (self.arglets, self.attacks)
 
     @staticmethod
     def of(arglets: Iterable[Arglet], attacks: Iterable[tuple[Arglet, Arglet]]) -> "Framework":
@@ -105,20 +111,18 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
 #
 # Every graph question of the package (SCCs, paths, the semantics, the
 # group scan and validity) is answered on one index per framework, built on
-# first use by `_index` and kept on the framework: argument i is bit i of a
-# Python int, in id order.  Its SCC masks are computed the first time they
-# are asked for, and kept with it.  Each walk keeps its own stack, so no
-# depth of input can hit the interpreter's recursion limit.
+# first use by `_index` and kept on the framework, with its SCC masks once
+# asked for: argument i is bit i of a Python int, in id order.  Each walk
+# keeps its own stack, so no depth of input can hit the interpreter's
+# recursion limit.
 
 
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to selector bytes
 
 
 def _index(framework: Framework) -> _Index:
-    """The framework's graph index, built on its first call and kept in the
-    framework's slot.  The frozen dataclass refuses plain assignment, and
-    the index is no part of the framework's value, so it goes in through
-    `object.__setattr__`."""
+    """The framework's graph index, built on the first call and kept in its
+    `_ix` slot, set through `object.__setattr__` as the class is frozen."""
     try:
         return framework._ix
     except AttributeError:

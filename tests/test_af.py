@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from afo import (
     UnknownArgument,
     attack_relation,
     has_path,
+    preferred,
     strongly_connected_components,
 )
 
@@ -133,3 +136,15 @@ def test_acyclic_framework_sccs_are_singletons():
         frozenset({"b"}),
         frozenset({"c"}),
     ]
+
+
+def test_indexed_framework_copies_and_pickles():
+    """A framework whose index is built copies and pickles, under every
+    protocol, into an equal framework that builds its own index."""
+    fw = random_framework(random.Random(29), max_args=8)
+    want = preferred(fw)
+    copies = [copy.copy(fw), copy.deepcopy(fw)]
+    copies += [pickle.loads(pickle.dumps(fw, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin == fw and hash(twin) == hash(fw) and vars(twin) == vars(fw)
+        assert preferred(twin) == want
