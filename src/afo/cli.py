@@ -10,18 +10,12 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .abstraction import conservativity_report
-from .af import Framework
+from .abstraction import AbstractionCandidate, conservativity_report
+from .af import Framework, strongly_connected_components
 from .errors import AfoError
 # parse_afo and build_model stay bound here: bench/tracing.py traces them as afo.cli.*
 from .format import AfoModel, build_model, load_afo, parse_afo
-from .pipeline import (
-    SharpeningReport,
-    _derive,
-    _group_scan,
-    _GroupScan,
-    sharpen,
-)
+from .pipeline import AbstractionResult, ReplacementStep, SharpeningReport, derive_abstract_frameworks, sharpen
 from .semantics import cf2, grounded_labelling, preferred, preferred_bruteforce
 
 
@@ -201,12 +195,11 @@ def _dot_escape(text: str) -> str:
 
 
 def _dot(framework: Framework) -> str:
-    ids, edges = framework.dung_projection()
     lines = ["digraph framework {"]
-    for arg in sorted(ids):
-        exprs = _dot_escape(",".join(sorted(framework.argument_expressions(arg))))
-        lines.append(f'  "{_dot_escape(arg)}" [label="{_dot_escape(arg)}\\n{exprs}"];')
-    for src, dst in sorted(edges):
+    for arg in framework.arguments():
+        exprs = _dot_escape(",".join(sorted(arg.expressions)))
+        lines.append(f'  "{_dot_escape(arg.arg_id)}" [label="{_dot_escape(arg.arg_id)}\\n{exprs}"];')
+    for src, dst in sorted(framework.dung_projection()[1]):
         lines.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -218,7 +211,7 @@ def _dot(framework: Framework) -> str:
 def _cmd_validate(args, model: AfoModel) -> int:
     print(
         f"ok: {len(model.lattice.nodes)} nodes, {len(model.lattice.covers)} covers, "
-        f"{len(model.framework.arguments())} arguments, {len(model.framework.arglets)} arglets, "
+        f"{len(model.framework.argument_ids())} arguments, {len(model.framework.arglets)} arglets, "
         f"{len(model.framework.attacks)} attacks, M={_fmt_set(model.blocked)}"
     )
     return 0
@@ -248,17 +241,25 @@ def _cmd_semantics(args, model: AfoModel) -> int:
     return 0
 
 
-def _explain(model: AfoModel, scan: _GroupScan) -> None:
+def _explain(model: AfoModel, result: AbstractionResult) -> None:
+    """Each SCC of two or more arguments with the replacements the
+    derivation made in it, in scan order: the forks run through each SCC's
+    replacements in turn, so first appearance across them is that order."""
     framework, lat = model.framework, model.lattice
-    for scc, groups in scan:
+    made: dict[frozenset[str], dict[ReplacementStep, None]] = {}
+    for steps in result.provenance:
+        for step in steps:
+            made.setdefault(step.scc, {})[step] = None
+    for scc in strongly_connected_components(framework):
         if len(scc) < 2:
             continue
         print(f"scc {_fmt_set(scc)}:")
-        if not groups:
+        if scc not in made:
             print("  no conservative group")
             continue
-        for candidate, xmap in groups:
-            report = conservativity_report(framework, lat, xmap, model.blocked, candidate)
+        for step in made[scc]:
+            candidate = AbstractionCandidate(step.targets, step.abstract_arg)
+            report = conservativity_report(framework, lat, result.fmap, model.blocked, candidate)
             expr = sorted(candidate.abstract_arg.expressions)[0]
             print(f"  group {_fmt_set(candidate.targets)} -> {candidate.abstract_arg.arg_id} at {report.merged_node} (via {expr})")
             growth = "; ".join(_fmt_set(g) for g in report.growth_witnesses)
@@ -279,10 +280,9 @@ def _explain(model: AfoModel, scan: _GroupScan) -> None:
 
 
 def _cmd_abstract(args, model: AfoModel) -> int:
-    scan = _group_scan(model.framework, model.lattice, model.fmap, model.blocked)
-    result = _derive(model.framework, model.fmap, scan)
+    result = derive_abstract_frameworks(model.framework, model.lattice, model.fmap, model.blocked)
     if args.explain:
-        _explain(model, scan)
+        _explain(model, result)
     elif args.json:
         _dump(
             {

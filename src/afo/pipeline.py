@@ -43,7 +43,8 @@ class ReplacementStep:
 @dataclass(frozen=True)
 class AbstractionResult:
     """Derived frameworks, the replacements that built each, and a map that
-    covers their expressions, synthetic ones included."""
+    covers their expressions, synthetic ones included.  Each provenance
+    lists its SCCs' replacements in scan order, attackers first."""
 
     frameworks: tuple[Framework, ...]
     provenance: tuple[tuple[ReplacementStep, ...], ...]
@@ -143,10 +144,11 @@ def maximal_conservative_subsets(
     G_v in one pass over the members' up masks.  Groups are kept per node
     outside M, so each is non-trivial by construction.  Validity,
     compatibility and attack preservation are bit-mask tests on a
-    `_ScanTable`, which `_group_scan` builds once for all its SCCs and which
-    is built here when not passed.  When `scc` is one SCC, each G_v is valid
-    by construction; for any other id set, validity keeps out every group
-    that spans several SCCs or can be grown."""
+    `_ScanTable`, which `derive_abstract_frameworks` builds once for all its
+    SCCs and which is built here when not passed.  When `scc` is one SCC,
+    each G_v is valid by construction; for any other id set, validity keeps
+    out every group that spans several SCCs or can be grown.  Maximality is
+    a mask test too, so best abstractions are built for kept groups only."""
     blocked = frozenset(blocked)
     if table is None:
         table = _ScanTable(framework, lat, fmap)
@@ -154,16 +156,16 @@ def maximal_conservative_subsets(
         raise UnknownArgument(f"no arglet carries id {min(missing)!r}")
     if len(scc) < 2:
         return []
-    found: _Groups = []
+    found: list[tuple[int, list[str]]] = []
     for v, group, is_join in lat.groups_below([(a, table.node[a]) for a in sorted(scc)]):
         if not is_join or len(group) < 2 or v in blocked:
             continue
         g = table.mask(group)
         if table.compatible(g) and table.attack_preserving(v, g) and table.valid(v, g):
-            found.append(best_abstraction_of(lat, fmap, _arguments(framework, group)))
-    maximal = [(c, m) for c, m in found if not any(c.targets < bigger.targets for bigger, _ in found)]
-    maximal.sort(key=lambda pair: (-len(pair[0].targets), tuple(sorted(pair[0].targets))))
-    return _renamed(maximal, set(table.node))
+            found.append((g, group))
+    maximal = [group for g, group in found if not any(g & h == g != h for h, _ in found)]
+    maximal.sort(key=lambda group: (-len(group), sorted(group)))
+    return _renamed([best_abstraction_of(lat, fmap, _arguments(framework, group)) for group in maximal], set(table.node))
 
 
 def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg: Argument) -> Framework:
@@ -195,28 +197,30 @@ def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg:
     return Framework(arglets, frozenset(attacks))
 
 
-_GroupScan = list[tuple[frozenset[str], _Groups]]
+def derive_abstract_frameworks(
+    framework: Framework,
+    lat: FiniteLattice,
+    fmap: SemanticMap,
+    blocked: Iterable[str],
+) -> AbstractionResult:
+    """All abstract-space frameworks reachable by one replacement per SCC.
 
-
-def _group_scan(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str]) -> _GroupScan:
-    """Every SCC, attackers first, with the groups kept in it, renamed
-    against one set shared by the scan so merged ids stay distinct."""
+    SCCs are scanned attackers first, against one `_ScanTable`, and each
+    kept group's id is renamed against one set shared by the scan, so merged
+    ids stay distinct.  Components with no qualifying group leave the
+    accumulated frameworks untouched; components with several qualifying
+    groups fork them.  Once a replacement applies anywhere, the unreplaced
+    original is not kept.
+    """
     blocked = frozenset(blocked)
     table = _ScanTable(framework, lat, fmap)
     taken = set(table.node)
-    return [
-        (scc, _renamed(maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table), taken))
-        for scc in strongly_connected_components(framework)
-    ]
-
-
-def _derive(framework: Framework, fmap: SemanticMap, scan: _GroupScan) -> AbstractionResult:
-    """The frameworks of `derive_abstract_frameworks` from a finished scan."""
     assignments = dict(fmap.items())
     acc: list[tuple[Framework, tuple[ReplacementStep, ...]]] = [(framework, ())]
-    for scc, groups in scan:
+    for scc in strongly_connected_components(framework):
+        groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table)
         replacements: list[ReplacementStep] = []
-        for candidate, xmap in groups:
+        for candidate, xmap in _renamed(groups, taken):
             assignments.update(xmap.items())
             replacements.append(ReplacementStep(scc, candidate.targets, candidate.abstract_arg))
         if replacements:
@@ -228,21 +232,6 @@ def _derive(framework: Framework, fmap: SemanticMap, scan: _GroupScan) -> Abstra
     # every minted id is distinct, so no two choices build the same framework
     frameworks, provenance = zip(*acc)
     return AbstractionResult(frameworks, provenance, SemanticMap(assignments))
-
-
-def derive_abstract_frameworks(
-    framework: Framework,
-    lat: FiniteLattice,
-    fmap: SemanticMap,
-    blocked: Iterable[str],
-) -> AbstractionResult:
-    """All abstract-space frameworks reachable by one replacement per SCC.
-
-    Components with no qualifying group leave the accumulated frameworks
-    untouched; components with several qualifying groups fork them.  Once a
-    replacement applies anywhere, the unreplaced original is not kept.
-    """
-    return _derive(framework, fmap, _group_scan(framework, lat, fmap, blocked))
 
 
 def restrict_extensions(extensions: Iterable[frozenset[str]], ids: Iterable[str]) -> list[frozenset[str]]:

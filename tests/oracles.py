@@ -620,19 +620,15 @@ def _oracle_replace(arglets, attacks, targets, new):
     return arglets, moved
 
 
-def oracle_sharpen(text):
-    """The `sharpen --json` payload of an `.afo` document, chained from the
-    references above: the former parser, the ordered SCCs, the subset scan
-    per SCC, one definition-level replacement per chosen group, brute-force
-    preferred per derived framework, the projections and the label table.
+def oracle_scan(text):
+    """Every SCC of an `.afo` document, attackers first, with the groups the
+    subset scan keeps in it, each as (targets, merged id, expression).
 
     A group merges into one arglet at the join of its members' nodes.  Its
     expression is the smallest symbol mapped to that node, else the node's
     name with '#abs' appended, primed until no symbol of the map has it.
     Its id is the targets joined with '+', primed until no argument of the
-    framework and no merged id handed out before it has it.  One derived
-    framework is built per choice of one group in every SCC that has one,
-    earlier SCCs varying slowest."""
+    framework and no merged id handed out before it has it."""
     nodes, covers, generals, assignments, arglets, attacks, _ = _oracle_parse(text)
     assignments = dict(assignments)
     reach = oracle_up_reach(nodes, covers)
@@ -642,7 +638,7 @@ def oracle_sharpen(text):
     edges = {(s[0], d[0]) for s, d in attacks}
 
     taken = set(ids)
-    per_scc = []
+    scan = []
     for scc in oracle_sccs_ordered(ids, edges):
         steps = []
         for group in oracle_maximal_conservative_groups(nodes, covers, assignments, arglets, attacks, blocked, scc):
@@ -656,9 +652,22 @@ def oracle_sharpen(text):
             while arg_id in taken:
                 arg_id += "'"
             taken.add(arg_id)
-            steps.append((scc, group, arg_id, symbol))
-        if steps:
-            per_scc.append(steps)
+            steps.append((group, arg_id, symbol))
+        scan.append((scc, steps))
+    return scan
+
+
+def oracle_sharpen(text):
+    """The `sharpen --json` payload of an `.afo` document, chained from the
+    references above: the former parser, the ordered SCCs, the subset scan
+    per SCC (`oracle_scan`), one definition-level replacement per chosen
+    group, brute-force preferred per derived framework, the projections and
+    the label table.  One derived framework is built per choice of one
+    group in every SCC that has one, earlier SCCs varying slowest."""
+    _, _, _, _, arglets, attacks, _ = _oracle_parse(text)
+    ids = {a for a, _ in arglets}
+    edges = {(s[0], d[0]) for s, d in attacks}
+    per_scc = [[(scc, *step) for step in steps] for scc, steps in oracle_scan(text) if steps]
 
     def framework_json(als, ats):
         return {"arglets": [list(al) for al in sorted(als)], "attacks": [[list(s), list(d)] for s, d in sorted(ats)]}

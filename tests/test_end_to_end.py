@@ -1,4 +1,5 @@
-"""`afo sharpen --json` against `oracle_sharpen`, whole payload by payload.
+"""`afo sharpen --json` against `oracle_sharpen`, whole payload by payload,
+and `afo abstract --explain` against `oracle_scan`, SCC by SCC.
 
 Each draw is written out as an `.afo` document and run through the CLI;
 the reference reads the same text with the former parser and chains the
@@ -13,7 +14,7 @@ from afo import AfoDocument, serialize_afo
 from afo.cli import main
 
 from generators import conservative_instance, hub_pairs_document, multi_hub_instance, ring_instance
-from oracles import oracle_sharpen
+from oracles import oracle_scan, oracle_sharpen
 
 LABELS = {
     "plus_approved_credulous",
@@ -80,3 +81,73 @@ def test_sharpen_json_matches_the_end_to_end_oracle(capsys, tmp_path):
     # `concretize_extension_sets` reports once: 8 at this seed, the raided ones
     assert alike >= 6
     assert labels == LABELS
+
+
+def _forking_document(rng) -> str:
+    """One or two squares, each an SCC keeping two groups, with pairs so
+    that two or more SCCs keep some, and up to two clashes: 2-cycles on one
+    atom, which keep no group, as their members attack each other through
+    equal images.  Names are shuffled, so the SCC order varies."""
+    names = [f"n{i}" for i in range(16)]
+    rng.shuffle(names)
+    names = iter(names)
+    squares = [tuple(next(names) for _ in range(4)) for _ in range(rng.randint(1, 2))]
+    pairs = [(next(names), next(names)) for _ in range(rng.randint(2 - len(squares), 2))]
+    text = hub_pairs_document(pairs, (), squares)
+    for _ in range(rng.randint(0, 2)):
+        x, y = next(names), next(names)
+        text += f"arglet {x} ep\narglet {y} ep\nattack {x}.ep {y}.ep\nattack {y}.ep {x}.ep\n"
+    return text
+
+
+def _id_set(text: str) -> frozenset:
+    return frozenset(text[1:-1].split(", "))
+
+
+def _explained(out: str) -> list:
+    """(SCC, [(targets, merged id)], printed "no conservative group") per
+    SCC of an `abstract --explain` output, in printed order."""
+    sccs = []
+    for line in out.splitlines():
+        if line.startswith("scc "):
+            sccs.append((_id_set(line[4:-1]), [], False))
+        elif line.startswith("  group "):
+            targets, rest = line[len("  group "):].split(" -> ")
+            sccs[-1][1].append((_id_set(targets), rest.split(" at ")[0]))
+        elif line == "  no conservative group":
+            sccs[-1] = sccs[-1][:2] + (True,)
+    return sccs
+
+
+def test_explain_lists_every_replacement_of_forking_documents(capsys, tmp_path):
+    rng = random.Random(2020)
+    texts = [_forking_document(rng) for _ in range(24)]
+    texts.append(hub_pairs_document([("a+b", "c"), ("a", "b+c")]))
+    multi, none, ids = 0, 0, []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"doc{i}.afo"
+        path.write_text(text, encoding="utf-8")
+        assert main(["abstract", str(path), "--json"]) == 0
+        sigma = json.loads(capsys.readouterr().out)["sigma"]
+        merged = {
+            (frozenset(p["scc"]), frozenset(p["targets"])): p["abstract"]["id"]
+            for f in sigma
+            for p in f["provenance"]
+        }
+        assert main(["abstract", str(path), "--explain"]) == 0
+        printed = _explained(capsys.readouterr().out)
+        scan = [(scc, steps) for scc, steps in oracle_scan(text) if len(scc) >= 2]
+        assert [scc for scc, _, _ in printed] == [scc for scc, _ in scan], text
+        for (scc, groups, no_group), (_, steps) in zip(printed, scan):
+            assert [targets for targets, _ in groups] == [group for group, _, _ in steps], text
+            assert [arg_id for _, arg_id in groups] == [merged[scc, targets] for targets, _ in groups], text
+            assert [arg_id for _, arg_id in groups] == [arg_id for _, arg_id, _ in steps], text
+            assert no_group == (not steps), text
+            multi += len(groups) >= 2
+            none += no_group
+            ids += [arg_id for _, arg_id in groups]
+        assert sum(bool(groups) for _, groups, _ in printed) >= 2, text
+    # 34 squares and 27 clashes at this seed
+    assert multi >= 30
+    assert none >= 20
+    assert ids[-2:] == ["a+b+c", "a+b+c'"]

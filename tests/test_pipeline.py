@@ -31,7 +31,6 @@ from afo import (
 from afo.af import _Index, _index
 from afo.format import build_model, parse_afo
 from afo.pipeline import (
-    _group_scan,
     _ScanTable,
     IMPLIED_CREDULOUS,
     IMPLIED_SKEPTICAL,
@@ -253,6 +252,27 @@ def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
                 maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc), **kwargs)
 
 
+def test_best_abstractions_are_built_for_returned_groups_only(monkeypatch):
+    """Maximality is a mask test ahead of `best_abstraction_of`, so a group
+    inside a larger kept group gets no abstraction built for it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return best_abstraction_of(*args)
+
+    monkeypatch.setattr(afo.pipeline, "best_abstraction_of", counted)
+    rng = random.Random(8080)
+    returned = 0
+    for _ in range(200):
+        fw, lat, fmap, blocked = multi_hub_instance(rng, outsiders=1)
+        for scc in strongly_connected_components(fw):
+            returned += len(maximal_conservative_subsets(fw, lat, fmap, blocked, scc))
+    # 163 groups at this seed; building before the filter made 166 calls
+    assert returned >= 150
+    assert len(calls) == returned
+
+
 def test_index_lives_on_the_framework_outside_its_value(boardroom, marathon):
     """The graph index is all that `sharpen` leaves on a framework, and it
     stays out of the framework's value: `vars`, `repr`, the hash and
@@ -266,7 +286,6 @@ def test_index_lives_on_the_framework_outside_its_value(boardroom, marathon):
         before = (dict(vars(fw)), repr(fw), hash(fw))
         twin = Framework(fw.arglets, fw.attacks)
         sharpen(fw, lat, fmap, blocked)
-        scan = _group_scan(fw, lat, fmap, blocked)
         assert (vars(fw), repr(fw), hash(fw)) == before
         assert fw == twin and twin == fw and hash(twin) == hash(fw)
         assert [f.name for f in dataclasses.fields(fw)] == ["arglets", "attacks"]
@@ -276,7 +295,7 @@ def test_index_lives_on_the_framework_outside_its_value(boardroom, marathon):
             index.scc_homes()
         assert all(getattr(ix, slot) == getattr(fresh, slot) for slot in _Index.__slots__)
         table = _ScanTable(fw, lat, fmap)
-        for scc, _ in scan:
+        for scc in strongly_connected_components(fw):
             groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
             assert maximal_conservative_subsets(fw, lat, fmap, blocked, scc, table=table) == groups
             kept += len(groups)
