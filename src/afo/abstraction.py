@@ -133,7 +133,7 @@ def best_abstraction_of(
     if declared:
         symbol, out_map = declared[0], fmap
     else:
-        symbol = _fresh(node + SYNTHETIC_SUFFIX, fmap.symbols)
+        symbol = _fresh(node + SYNTHETIC_SUFFIX, fmap)
         out_map = fmap.with_assignment(symbol, node)
     arg_id = "+".join(sorted(a.arg_id for a in args))
     candidate = AbstractionCandidate(

@@ -29,12 +29,21 @@ from .lattice import FiniteLattice
 
 @dataclass(init=False)
 class SemanticMap:
-    """Total assignment of expressions to lattice nodes."""
+    """Total assignment of expressions to lattice nodes.
+
+    The expressions per node, which `preimages` reads, are listed on its
+    first call and kept in a slot beside the instance dict, so they are no
+    field: equality, `repr` and `vars()` see only the assignments."""
+
+    __slots__ = ("_by_node", "__dict__", "__weakref__")
 
     _assignments: dict[str, str]
 
     def __init__(self, assignments: Mapping[str, str]):
         self._assignments = dict(assignments)
+
+    def __contains__(self, symbol: object) -> bool:
+        return symbol in self._assignments
 
     @property
     def symbols(self) -> frozenset[str]:
@@ -50,13 +59,19 @@ class SemanticMap:
             raise UnknownExpression(f"expression {symbol!r} has no node assignment") from None
 
     def preimages(self, node: str) -> frozenset[str]:
-        return frozenset(s for s, n in self._assignments.items() if n == node)
+        try:
+            by_node = self._by_node
+        except AttributeError:
+            by_node = self._by_node = {}
+            for s, n in self._assignments.items():
+                by_node.setdefault(n, []).append(s)
+        return frozenset(by_node.get(node, ()))
 
     def with_assignment(self, symbol: str, node: str) -> "SemanticMap":
         """A copy of this map with one extra or replaced assignment."""
-        out = dict(self._assignments)
-        out[symbol] = node
-        return SemanticMap(out)
+        out = SemanticMap(self._assignments)
+        out._assignments[symbol] = node
+        return out
 
 
 def alpha(lat: FiniteLattice, fmap: SemanticMap, exprs: Iterable[str]) -> str:

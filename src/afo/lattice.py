@@ -108,29 +108,47 @@ class FiniteLattice:
             lowers &= self._mask(self._down, n)
         return self._ranked[_highest(lowers)]
 
-    def groups_below(self, pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, list[str], bool]]:
-        """Given (member, node) pairs, yield one triple per node v at or above
-        some member's node: v, the members whose node lies at or below v in
-        the order given, and whether v is their join.
+    def rank_mask(self, nodes: Iterable[str]) -> int:
+        """The mask of the given nodes' ranks, as `groups_below` skips them."""
+        out = 0
+        for n in nodes:
+            up = self._mask(self._up, n)
+            out |= up & -up
+        return out
 
-        One pass over the members: each joins the group of every rank in its
-        node's up mask, and a node is the join of its group when it is the
-        lowest rank in the AND of the members' up masks."""
+    def groups_below(self, pairs: Iterable[tuple[str, str]], skip: int) -> Iterator[tuple[str, list[str], bool]]:
+        """Given (member, node) pairs, yield one triple per node v at or above
+        the nodes of two or more members and outside `skip` (a `rank_mask`),
+        in rank order: v, the members whose node lies at or below v in the
+        order given, and whether v is their join.
+
+        Two passes over the members' up masks.  The first finds the ranks
+        that two or more of them reach; the second adds each member to the
+        group of every such rank in its up mask and ANDs its up mask into
+        that rank's, so no other rank of the lattice is walked.  A node is
+        the join of its group when it is the lowest rank in that AND."""
         members: list[str] = []
-        below = [0] * len(self._ranked)  # rank -> mask over the members
-        common = [-1] * len(self._ranked)  # rank -> AND of the members' up masks
-        for i, (member, node) in enumerate(pairs):
+        ups: list[int] = []
+        once = twice = 0
+        for member, node in pairs:
+            up = self._mask(self._up, node)
             members.append(member)
-            up = mask = self._mask(self._up, node)
+            ups.append(up)
+            twice |= once & up
+            once |= up
+        twice &= ~skip
+        below: dict[int, int] = {}  # rank -> mask over the members
+        common: dict[int, int] = {}  # rank -> AND of the members' up masks
+        for i, up in enumerate(ups):
+            mask = up & twice
             while mask:
                 low = mask & -mask
                 mask ^= low
-                r = low.bit_length() - 1
-                below[r] |= 1 << i
-                common[r] &= up
-        for r, group in enumerate(below):
-            if group:
-                yield self._ranked[r], [members[i] for i in _ranks(group)], _lowest(common[r]) == r
+                below[low] = below.get(low, 0) | 1 << i
+                common[low] = common.get(low, up) & up
+        for r in _ranks(twice):
+            low = 1 << r
+            yield self._ranked[r], [members[i] for i in _ranks(below[low])], common[low] & -common[low] == low
 
     def lower_covers(self, node: str) -> frozenset[str]:
         """Nodes directly below the given one; the bottom element yields itself.

@@ -6,23 +6,28 @@ groups, every accumulated framework is forked once per group, and groups
 are replaced by their best abstraction with boundary attacks redirected.
 The preferred extensions of every derived framework are then projected
 back onto concrete argument ids, and each concrete argument's verdict is
-re-read against those projections: per argument, one count of the
-extensions holding it in each projection gives every label, through one
-table (`_LABELS`).
+re-read against those projections: each projection is counted once, into
+how many of its extensions hold each argument, and every verdict reads
+those counts and one fixed table of the six label sets (`_SHARPENED`).
 
 The group scan reads the framework's graph index (`af._index`, built once
 per framework and kept on it, with its SCC masks) and one `_ScanTable`,
-built per scan and dropped with it: each argument's lattice node, then,
+built per scan and dropped with it, whose parts are built as the scan
+first needs them: each argument's lattice node and M's rank mask, then,
 once some group passes the node filter, the lattice-side bit masks for the
-compatibility, attack-preservation and validity tests.  Per component,
-`FiniteLattice.groups_below` gathers the members below every node in one
-pass over their up masks.
+compatibility, attack-preservation and validity tests, then, once some
+group is kept, each argument's expressions and the ids merged ids must
+avoid.  Per component, `FiniteLattice.groups_below` gathers the members
+below each node outside M that two or more of them reach, walking only
+those nodes.  So a component costs what its members' up masks hold, not
+what the lattice or the framework holds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of
@@ -54,35 +59,31 @@ class AbstractionResult:
 _Groups = list[tuple[AbstractionCandidate, SemanticMap]]
 
 
-def _renamed(groups: _Groups, taken: set[str]) -> _Groups:
-    """The groups with each merged id made fresh against `taken`, which
-    every id handed out joins."""
-    out: _Groups = []
-    for candidate, xmap in groups:
-        arg = candidate.abstract_arg
-        if (arg_id := _fresh(arg.arg_id, taken)) != arg.arg_id:
-            candidate = replace(candidate, abstract_arg=replace(arg, arg_id=arg_id))
-        taken.add(arg_id)
-        out.append((candidate, xmap))
-    return out
-
-
 class _ScanTable:
-    """What one group scan reads of the framework besides its graph index:
-    per argument its node, the join of its expressions' nodes, whose up
-    mask is the AND of theirs.  The first group to pass the node filter
-    builds the rest: per argument the rank bit of its node and the mask of
-    the arguments it attacks through comparable expression images.  Bits
-    and neighbours come from the framework's index (`af._index`), and
-    validity reads the SCC masks kept there."""
+    """What one group scan reads of the framework besides its graph index.
+    Built eagerly: per argument its node, the lowest rank in the AND of its
+    expressions' up masks, and M as one rank mask (`skip`).  Built by the
+    first group to pass the node filter: per argument the rank bit of its
+    node and the mask of the arguments it attacks through comparable
+    expression images.  Built by the first kept group: per argument its
+    expressions, and `taken`, the ids merged ids must avoid, which every id
+    handed out joins.  Bits and neighbours come from the framework's index
+    (`af._index`), and validity reads the SCC masks kept there.  A table
+    serves one `blocked` set."""
 
-    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap):
+    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: frozenset[str]):
         self.framework, self.lat, self.fmap = framework, lat, fmap
-        self.node: dict[str, str] = {}
+        self.skip = lat.rank_mask(blocked & lat.nodes)
+        up, image = lat._up, fmap.image
+        masks: dict[str, int] = {}
         for a, e in framework.arglets:
-            self.node[a] = lat.join((self.node.get(a, lat.bottom), fmap.image(e)))
+            masks[a] = masks.get(a, -1) & lat._mask(up, image(e))
+        ranked = lat._ranked
+        self.node = {a: ranked[(m & -m).bit_length() - 1] for a, m in masks.items()}
         self.rank: list[int] | None = None
         self.conflicts: list[int] = []
+        self.exprs: dict[str, list[str]] | None = None
+        self.taken: set[str] | None = None
 
     def mask(self, ids: Iterable[str]) -> int:
         ix = _index(self.framework)
@@ -112,15 +113,27 @@ class _ScanTable:
         home = _index(self.framework).scc_homes()[(g & -g).bit_length() - 1]
         return not g & ~home and not self.lat._down[v] & _union(self.rank, home & ~g)
 
+    def arguments(self, ids: list[str]) -> list[Argument]:
+        """The arguments of `ids`, in that order.  Every id carries an
+        arglet: it has a node."""
+        if self.exprs is None:
+            self.exprs = {}
+            for a, e in self.framework.arglets:
+                self.exprs.setdefault(a, []).append(e)
+        return [Argument(a, frozenset(self.exprs[a])) for a in ids]
 
-def _arguments(framework: Framework, ids: list[str]) -> list[Argument]:
-    """The arguments of `ids`, in that order, from one pass over the
-    arglets.  Every id carries an arglet: the scan table gave it a node."""
-    exprs: dict[str, set[str]] = {a: set() for a in ids}
-    for a, e in framework.arglets:
-        if a in exprs:
-            exprs[a].add(e)
-    return [Argument(a, frozenset(es)) for a, es in exprs.items()]
+    def renamed(self, groups: _Groups) -> _Groups:
+        """The groups with each merged id made fresh against `taken`."""
+        if self.taken is None:
+            self.taken = set(self.node)
+        out: _Groups = []
+        for candidate, xmap in groups:
+            arg = candidate.abstract_arg
+            if (arg_id := _fresh(arg.arg_id, self.taken)) != arg.arg_id:
+                candidate = replace(candidate, abstract_arg=replace(arg, arg_id=arg_id))
+            self.taken.add(arg_id)
+            out.append((candidate, xmap))
+        return out
 
 
 def maximal_conservative_subsets(
@@ -136,36 +149,39 @@ def maximal_conservative_subsets(
     abstraction is conservative, none contained in another, largest first.
     Each group comes as the candidate and map `best_abstraction_of` built
     for it; `candidate.targets` is the group.  Merged ids are fresh against
-    the framework, so each candidate can go to `abstract_replace` as it is.
+    the framework and against every id the table handed out before, so
+    each candidate can go to `abstract_replace` as it is.
 
     A best abstraction at node v absorbs exactly the members below v, so
     the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
-    and only when v is its join.  `FiniteLattice.groups_below` gathers every
-    G_v in one pass over the members' up masks.  Groups are kept per node
-    outside M, so each is non-trivial by construction.  Validity,
+    and only when v is its join.  `FiniteLattice.groups_below` gathers G_v
+    for the nodes outside M that two or more members reach, and only
+    those, so each group is non-trivial by construction.  Validity,
     compatibility and attack preservation are bit-mask tests on a
     `_ScanTable`, which `derive_abstract_frameworks` builds once for all its
-    SCCs and which is built here when not passed.  When `scc` is one SCC,
-    each G_v is valid by construction; for any other id set, validity keeps
-    out every group that spans several SCCs or can be grown.  Maximality is
-    a mask test too, so best abstractions are built for kept groups only."""
-    blocked = frozenset(blocked)
+    SCCs and which is built here, for `blocked`, when not passed; a passed
+    table stands for the `blocked` it was built with.  When `scc` is one
+    SCC, each G_v is valid by construction; for any other id set, validity
+    keeps out every group that spans several SCCs or can be grown.
+    Maximality is a mask test too, so best abstractions are built for kept
+    groups only."""
     if table is None:
-        table = _ScanTable(framework, lat, fmap)
-    if missing := scc - table.node.keys():
+        table = _ScanTable(framework, lat, fmap, frozenset(blocked))
+    node = table.node
+    if missing := [a for a in scc if a not in node]:
         raise UnknownArgument(f"no arglet carries id {min(missing)!r}")
     if len(scc) < 2:
         return []
     found: list[tuple[int, list[str]]] = []
-    for v, group, is_join in lat.groups_below([(a, table.node[a]) for a in sorted(scc)]):
-        if not is_join or len(group) < 2 or v in blocked:
+    for v, group, is_join in lat.groups_below([(a, node[a]) for a in sorted(scc)], table.skip):
+        if not is_join:
             continue
         g = table.mask(group)
         if table.compatible(g) and table.attack_preserving(v, g) and table.valid(v, g):
             found.append((g, group))
     maximal = [group for g, group in found if not any(g & h == g != h for h, _ in found)]
     maximal.sort(key=lambda group: (-len(group), sorted(group)))
-    return _renamed([best_abstraction_of(lat, fmap, _arguments(framework, group)) for group in maximal], set(table.node))
+    return table.renamed([best_abstraction_of(lat, fmap, table.arguments(group)) for group in maximal])
 
 
 def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg: Argument) -> Framework:
@@ -206,22 +222,24 @@ def derive_abstract_frameworks(
     """All abstract-space frameworks reachable by one replacement per SCC.
 
     SCCs are scanned attackers first, against one `_ScanTable`, and each
-    kept group's id is renamed against one set shared by the scan, so merged
-    ids stay distinct.  Components with no qualifying group leave the
+    kept group's id is renamed once, against the id set of that table, so
+    merged ids stay distinct.  Components with no qualifying group leave the
     accumulated frameworks untouched; components with several qualifying
     groups fork them.  Once a replacement applies anywhere, the unreplaced
-    original is not kept.
+    original is not kept.  The result's map is the input map plus the
+    symbols minted for kept groups, or the input map itself when none was.
     """
     blocked = frozenset(blocked)
-    table = _ScanTable(framework, lat, fmap)
-    taken = set(table.node)
-    assignments = dict(fmap.items())
+    table = _ScanTable(framework, lat, fmap, blocked)
+    minted: dict[str, str] = {}
     acc: list[tuple[Framework, tuple[ReplacementStep, ...]]] = [(framework, ())]
     for scc in strongly_connected_components(framework):
         groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table)
         replacements: list[ReplacementStep] = []
-        for candidate, xmap in _renamed(groups, taken):
-            assignments.update(xmap.items())
+        for candidate, xmap in groups:
+            for symbol in candidate.abstract_arg.expressions:
+                if symbol not in fmap:
+                    minted[symbol] = xmap.image(symbol)
             replacements.append(ReplacementStep(scc, candidate.targets, candidate.abstract_arg))
         if replacements:
             acc = [
@@ -229,9 +247,13 @@ def derive_abstract_frameworks(
                 for built, steps in acc
                 for step in replacements
             ]
+    if minted:
+        assignments = dict(fmap.items())
+        assignments.update(minted)
+        fmap = SemanticMap(assignments)
     # every minted id is distinct, so no two choices build the same framework
     frameworks, provenance = zip(*acc)
-    return AbstractionResult(frameworks, provenance, SemanticMap(assignments))
+    return AbstractionResult(frameworks, provenance, fmap)
 
 
 def restrict_extensions(extensions: Iterable[frozenset[str]], ids: Iterable[str]) -> list[frozenset[str]]:
@@ -286,11 +308,19 @@ class SharpeningReport:
     verdicts: tuple[ArgumentVerdict, ...]
 
 
-# a concretely accepted or rejected argument's labels when it is in some,
-# in every and in no projected extension
-_LABELS = {
-    True: (PLUS_APPROVED_CREDULOUS, PLUS_APPROVED_SKEPTICAL, QUESTIONED),
-    False: (IMPLIED_CREDULOUS, IMPLIED_SKEPTICAL, MINUS_APPROVED),
+# a concretely accepted or rejected argument's labels when it is in every
+# projected extension, in some but not every one, and in none
+_SHARPENED = {
+    True: (
+        frozenset({PLUS_APPROVED_CREDULOUS, PLUS_APPROVED_SKEPTICAL}),
+        frozenset({PLUS_APPROVED_CREDULOUS}),
+        frozenset({QUESTIONED}),
+    ),
+    False: (
+        frozenset({IMPLIED_CREDULOUS, IMPLIED_SKEPTICAL}),
+        frozenset({IMPLIED_CREDULOUS}),
+        frozenset({MINUS_APPROVED}),
+    ),
 }
 
 
@@ -303,26 +333,31 @@ def sharpen(
     """Concrete verdicts re-read through the abstract-space projections.
 
     A derived framework equal to the input (no group merged) takes the
-    concrete extensions instead of a second `preferred` run."""
+    concrete extensions instead of a second `preferred` run.  Each
+    extension list is counted once, into how many of its extensions hold
+    each argument; the verdicts read those counts in id order."""
     concrete = preferred(framework)
     derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
     abstract_preferred = [concrete if f == framework else preferred(f) for f in derivation.frameworks]
     projected = concretize_extension_sets(framework, abstract_preferred)
 
+    accepted = Counter(chain.from_iterable(concrete))
+    counts = [Counter(chain.from_iterable(p)) for p in projected]
+    sizes = [len(p) for p in projected]
+    # an empty projection holds no extension, so nothing is in all of it
+    full = sizes if all(sizes) else None
     verdicts = []
-    for arg in sorted(framework.argument_ids()):
-        accepted = sum(arg in e for e in concrete)
-        status = SKEPTICAL if accepted == len(concrete) else CREDULOUS if accepted else REJECTED
-        counts = [sum(arg in ext for ext in p) for p in projected]
-        total = sum(counts)
-        # an empty projection holds no extension, so nothing is in all of it
-        in_every = all(0 < n == len(p) for n, p in zip(counts, projected))
+    for arg in _index(framework).ids:
+        n = accepted.get(arg, 0)
+        status = SKEPTICAL if n == len(concrete) else CREDULOUS if n else REJECTED
+        held = [c.get(arg, 0) for c in counts]
+        total = sum(held)
         verdicts.append(
             ArgumentVerdict(
                 arg_id=arg,
                 concrete_status=status,
-                sharpened=frozenset(compress(_LABELS[status != REJECTED], (total, in_every, not total))),
-                sets_containing=sum(map(bool, counts)),
+                sharpened=_SHARPENED[status != REJECTED][0 if held == full else 1 if total else 2],
+                sets_containing=len(held) - held.count(0),
                 extensions_containing=total,
             )
         )

@@ -461,3 +461,76 @@ def hub_pairs_document(pairs, loners=(), squares=(), raiders=()) -> str:
         lines += [f"arglet {raider} et"]
         lines += [f"attack {raider}.et {a}.{e}" for a, e in zip(squares[0], ["ep", "er", "eq", "es"])]
     return "\n".join(lines) + "\n"
+
+
+def forking_chain(k: int) -> str:
+    """`.afo` text of k squares of `hub_pairs_document`, square i's z
+    attacking square i+1's w: k SCCs in one chain, each keeping two
+    groups, so `sharpen` derives 2^k frameworks."""
+    squares = [tuple(f"{x}{i}" for x in "wxyz") for i in range(k)]
+    text = hub_pairs_document((), (), squares)
+    return text + "".join(f"attack z{i}.es w{i + 1}.ep\n" for i in range(k - 1))
+
+
+def flower_instance(hubs: int, petals: int = 9):
+    """(framework, lattice, map, M) over `flower_diagram(hubs, petals)`: one
+    expression per petal, per hub one 3-cycle whose members assert the
+    hub's first three petals, and M = {top}.  Each cycle is an SCC that
+    merges at its hub, under a synthetic symbol: no expression sits at a
+    hub."""
+    nodes, covers = flower_diagram(hubs, petals)
+    lattice = validate_lattice(nodes, covers)
+    fmap = SemanticMap({f"e{i}_{j}": f"a{i}_{j}" for i in range(hubs) for j in range(petals)})
+    cycles = [[(f"x{i}_{j}", f"e{i}_{j}") for j in range(3)] for i in range(hubs)]
+    framework = Framework.of(
+        [al for cycle in cycles for al in cycle],
+        [(cycle[j], cycle[(j + 1) % 3]) for cycle in cycles for j in range(3)],
+    )
+    return framework, lattice, fmap, frozenset({"top"})
+
+
+def flower_document(rng: random.Random, hubs: int, nested: int = 2, clashes: int = 2, squares: int = 2) -> str:
+    """`.afo` text over `flower_diagram(hubs, 4)`, one expression e{i}_{j}
+    per petal a{i}_{j}, M = {top}.  Each hub holds one of:
+
+    * a 3-cycle over its first three petals, which merges at the hub;
+    * a nested 4-cycle x1 -> y1 -> x2 -> y2 -> x1, the x at petal 0 and the
+      y at petal 1: it merges at the hub, and with the hub in M each pair
+      merges at its petal instead;
+    * a clash, a 2-cycle at petal 0, which keeps no group;
+    * nothing, as about one hub in five does.
+
+    A square takes two hubs: the cycle w -> x -> y -> z -> w with w and y
+    at the first hub's petals 2 and 3, x and z at the second's, keeping
+    two groups, one per hub, so each square doubles the derived
+    frameworks.  Some 3-cycles attack the next hub's 3-cycle, chaining
+    SCCs without joining them."""
+    nodes, covers = flower_diagram(hubs, 4)
+    lines = [f"node {n}" for n in nodes] + [f"cover {c} {p}" for c, p in covers]
+    lines += [f"map e{i}_{j} a{i}_{j}" for i in range(hubs) for j in range(4)]
+    kinds = ["nested"] * nested + ["clash"] * clashes
+    kinds += ["square", "square2"] * squares
+    kinds += ["empty" if rng.random() < 0.2 else "cycle" for _ in range(hubs - len(kinds))]
+    order = list(range(hubs))
+    rng.shuffle(order)
+    hub_of: dict[str, list[int]] = {}
+    for kind, i in zip(kinds, order):
+        hub_of.setdefault(kind, []).append(i)
+
+    def ring(members):
+        lines.extend(f"arglet {a} {e}" for a, e in members)
+        lines.extend(f"attack {a}.{e} {b}.{f}" for (a, e), (b, f) in zip(members, members[1:] + members[:1]))
+
+    for i in sorted(hub_of.get("cycle", [])):
+        ring([(f"c{i}_{j}", f"e{i}_{j}") for j in range(3)])
+    for i in hub_of.get("nested", []):
+        ring([(f"n{i}_x1", f"e{i}_0"), (f"n{i}_y1", f"e{i}_1"), (f"n{i}_x2", f"e{i}_0"), (f"n{i}_y2", f"e{i}_1")])
+    for i in hub_of.get("clash", []):
+        ring([(f"k{i}_a", f"e{i}_0"), (f"k{i}_b", f"e{i}_0")])
+    for i, j in zip(hub_of.get("square", []), hub_of.get("square2", [])):
+        ring([(f"s{i}_w", f"e{i}_2"), (f"s{i}_x", f"e{j}_2"), (f"s{i}_y", f"e{i}_3"), (f"s{i}_z", f"e{j}_3")])
+    cycles = sorted(hub_of.get("cycle", []))
+    for i, j in zip(cycles, cycles[1:]):
+        if rng.random() < 0.5:
+            lines.append(f"attack c{i}_0.e{i}_0 c{j}_0.e{j}_0")
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import random
 from afo import AfoDocument, serialize_afo
 from afo.cli import main
 
-from generators import conservative_instance, hub_pairs_document, multi_hub_instance, ring_instance
+from generators import conservative_instance, forking_chain, hub_pairs_document, multi_hub_instance, ring_instance
 from oracles import oracle_scan, oracle_sharpen
 
 LABELS = {
@@ -81,6 +81,19 @@ def test_sharpen_json_matches_the_end_to_end_oracle(capsys, tmp_path):
     # `concretize_extension_sets` reports once: 8 at this seed, the raided ones
     assert alike >= 6
     assert labels == LABELS
+
+
+def test_forking_chain_matches_the_end_to_end_oracle(capsys, tmp_path):
+    """k chained squares fork 2^k frameworks whose projections all differ,
+    so each verdict is counted over 2^k projections."""
+    for k in (1, 2, 3):
+        text = forking_chain(k)
+        path = tmp_path / f"chain{k}.afo"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sharpen", str(path), "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got == oracle_sharpen(text), k
+        assert len(got["sigma"]) == len(got["projected"]) == 2**k
 
 
 def _forking_document(rng) -> str:

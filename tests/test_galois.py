@@ -4,6 +4,7 @@ import pytest
 
 from afo import (
     EmptySet,
+    SemanticMap,
     UnknownExpression,
     alpha,
     canonicalize,
@@ -30,6 +31,11 @@ def test_semantic_map_basics(boardroom):
     extended = fmap.with_assignment("fresh", "Liq")
     assert extended.image("fresh") == "Liq"
     assert "fresh" not in fmap.symbols
+    assert "fresh" in extended and "fresh" not in fmap and "focusOnLiq" in fmap
+    # the per-node lists behind `preimages` stay out of the map's value
+    assert extended.preimages("Liq") == fmap.preimages("Liq") | {"fresh"}
+    assert vars(fmap) == {"_assignments": dict(fmap.items())}
+    assert fmap == SemanticMap(dict(fmap.items())) and repr(fmap) == repr(SemanticMap(dict(fmap.items())))
 
 
 def test_alpha_boardroom(boardroom):

@@ -154,10 +154,11 @@ def test_tables_match_oracle_on_random_lattices():
 
 
 def test_groups_below_matches_oracle_on_random_lattices():
-    """Per node, the members at or below it in the order given, and whether
-    it is their join, against the reachability oracle."""
+    """Per node that two or more members reach and that is not skipped,
+    the members at or below it in the order given, and whether it is their
+    join, against the reachability oracle filtered on its own."""
     rng = random.Random(4022)
-    for _ in range(40):
+    for _ in range(60):
         lat = random_lattice(rng)
         nodes = sorted(lat.nodes)
         covers = [(c, p) for p in nodes for c in lat.children(p)]
@@ -166,15 +167,20 @@ def test_groups_below_matches_oracle_on_random_lattices():
         members = [f"m{i}" for i in range(rng.randint(0, 6))]
         rng.shuffle(members)
         node_of = {m: rng.choice(nodes) for m in members}
+        skipped = set(rng.sample(nodes, rng.randint(0, len(nodes) // 2)))
         want = {}
         for v in nodes:
             below = [m for m in members if v in reach[node_of[m]]]
-            if below:
+            if len(below) >= 2 and v not in skipped:
                 join = reduce(lambda x, y: oracle_join(nodes, covers, x, y), (node_of[m] for m in below), bottom)
                 want[v] = (below, join == v)
-        assert {v: (group, is_join) for v, group, is_join in lat.groups_below(node_of.items())} == want
+        got = list(lat.groups_below(node_of.items(), lat.rank_mask(skipped)))
+        assert {v: (group, is_join) for v, group, is_join in got} == want
+        assert len(got) == len(want)
     with pytest.raises(UnknownNode):
-        list(lat.groups_below([("m0", "ghost")]))
+        list(lat.groups_below([("m0", "ghost")], 0))
+    with pytest.raises(UnknownNode):
+        lat.rank_mask(["ghost"])
 
 
 def test_order_laws_on_stock_lattices():

@@ -6,14 +6,23 @@ answer must move when the input moves (Chen et al., "Metamorphic testing:
 a review of challenges and opportunities", ACM CSUR 2018).
 """
 
+import json
 import random
 
 import pytest
 
 from afo import Framework, cf2, is_admissible, preferred
 from afo.cli import main
+from afo.format import build_model, parse_afo
 
-from generators import chained_four_cycles, hub_pairs_document, linked_two_cycles, ring, sparse_framework
+from generators import (
+    chained_four_cycles,
+    flower_document,
+    hub_pairs_document,
+    linked_two_cycles,
+    ring,
+    sparse_framework,
+)
 
 
 def _large():
@@ -123,3 +132,50 @@ def test_permuting_one_directive_kind_keeps_the_sharpen_bytes(capsys, tmp_path):
         for i, line in zip(slots, moved):
             permuted[i] = line
         assert sharpen_bytes("\n".join(permuted) + "\n") == want, kind
+
+
+def _kept_groups(payload) -> set:
+    """(SCC, targets) of every group a `sharpen --json` payload merges."""
+    return {(frozenset(p["scc"]), frozenset(p["targets"])) for f in payload["sigma"] for p in f["provenance"]}
+
+
+def test_growing_m_blocks_only_what_it_covers(capsys, tmp_path):
+    """Adding a `general` node that lies below no kept group's node leaves
+    the `sharpen --json` bytes as they are.  Adding a kept group's node
+    drops every group at or above it and adds no group, except groups
+    inside a dropped one, which the dropped group had kept out as not
+    maximal: all other groups stay."""
+
+    def sharpen_bytes(text):
+        path = tmp_path / "doc.afo"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sharpen", str(path), "--json"]) == 0
+        return capsys.readouterr().out
+
+    rng = random.Random(1212)
+    unblocked = blocked_groups = inner_groups = 0
+    for hubs in (24, 60, 100):
+        text = flower_document(rng, hubs)
+        model = build_model(parse_afo(text)[0])
+        lat, image, arglets = model.lattice, model.fmap.image, model.framework.arglets
+        want = sharpen_bytes(text)
+        kept = _kept_groups(json.loads(want))
+        node = {g: lat.join(image(e) for a, e in arglets if a in g[1]) for g in kept}
+        assert len(kept) >= hubs // 3
+        free = [v for v in sorted(lat.nodes - model.blocked) if not any(lat.leq(v, n) for n in node.values())]
+        for v in rng.sample(free, min(3, len(free))):
+            assert sharpen_bytes(f"{text}general {v}\n") == want, v
+            unblocked += 1
+        for v in rng.sample(sorted(set(node.values())), 6):
+            got = _kept_groups(json.loads(sharpen_bytes(f"{text}general {v}\n")))
+            dropped = {g for g in kept if lat.leq(v, node[g])}
+            assert dropped and not got & dropped, v
+            assert kept - dropped <= got, v
+            for scc, targets in got - kept:
+                assert any(scc == s and targets < t for s, t in dropped), (v, targets)
+            blocked_groups += len(dropped)
+            inner_groups += len(got - kept)
+    # 18 groups dropped and 4 found inside them at this seed
+    assert unblocked == 9
+    assert blocked_groups >= 18
+    assert inner_groups >= 3

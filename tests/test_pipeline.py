@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -42,6 +43,7 @@ from afo.pipeline import (
 
 from generators import (
     conservative_instance,
+    flower_instance,
     hub_pairs_document,
     mapped_framework,
     multi_hub_instance,
@@ -246,10 +248,38 @@ def test_scan_matches_set_code_on_any_id_set():
 
 def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
     fw, lat, fmap = boardroom.framework, boardroom.lattice, boardroom.fmap
-    for kwargs in ({}, {"table": _ScanTable(fw, lat, fmap)}):
+    for kwargs in ({}, {"table": _ScanTable(fw, lat, fmap, boardroom.blocked)}):
         for scc in ({"a1", "ghost"}, {"ghost"}):
             with pytest.raises(UnknownArgument, match="ghost"):
                 maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc), **kwargs)
+
+
+def test_flower_scale_scan_keeps_one_group_per_hub_within_a_limit():
+    """1,000 hubs over 9 petals, one 3-cycle per hub (`flower_instance`):
+    the scan over all 1,000 SCCs with one table keeps each cycle, merged at
+    its hub under a fresh synthetic symbol.  On a shared 2-core Xeon under
+    CPython 3.11 the scan took about 0.1 s; walking every rank of the
+    10,002-node lattice per SCC, and copying every id and the whole map per
+    kept group, took about 1.06 s."""
+    framework, lat, fmap, blocked = flower_instance(1000)
+    sccs = strongly_connected_components(framework)
+    kept = []
+    start = time.perf_counter()
+    table = _ScanTable(framework, lat, fmap, blocked)
+    for scc in sccs:
+        # each group's map is a copy of the whole map, so only its new
+        # assignment is kept
+        for candidate, xmap in maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table):
+            (symbol,) = candidate.abstract_arg.expressions
+            kept.append((scc, candidate, symbol, xmap.image(symbol)))
+    elapsed = time.perf_counter() - start
+    assert len(sccs) == len(kept) == 1000
+    for scc, candidate, symbol, node in kept:
+        hub = "h" + min(scc)[1:].split("_")[0]
+        assert candidate.targets == scc
+        assert candidate.abstract_arg.arg_id == "+".join(sorted(scc))
+        assert symbol == f"{hub}#abs" and node == hub and symbol not in fmap
+    assert elapsed < 1.0
 
 
 def test_best_abstractions_are_built_for_returned_groups_only(monkeypatch):
@@ -294,7 +324,7 @@ def test_index_lives_on_the_framework_outside_its_value(boardroom, marathon):
         for index in (ix, fresh):
             index.scc_homes()
         assert all(getattr(ix, slot) == getattr(fresh, slot) for slot in _Index.__slots__)
-        table = _ScanTable(fw, lat, fmap)
+        table = _ScanTable(fw, lat, fmap, frozenset(blocked))
         for scc in strongly_connected_components(fw):
             groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
             assert maximal_conservative_subsets(fw, lat, fmap, blocked, scc, table=table) == groups
