@@ -521,7 +521,8 @@ def flower_document(rng: random.Random, hubs: int, nested: int = 2, clashes: int
         lines.extend(f"arglet {a} {e}" for a, e in members)
         lines.extend(f"attack {a}.{e} {b}.{f}" for (a, e), (b, f) in zip(members, members[1:] + members[:1]))
 
-    for i in sorted(hub_of.get("cycle", [])):
+    cycles = sorted(hub_of.get("cycle", []))
+    for i in cycles:
         ring([(f"c{i}_{j}", f"e{i}_{j}") for j in range(3)])
     for i in hub_of.get("nested", []):
         ring([(f"n{i}_x1", f"e{i}_0"), (f"n{i}_y1", f"e{i}_1"), (f"n{i}_x2", f"e{i}_0"), (f"n{i}_y2", f"e{i}_1")])
@@ -529,7 +530,6 @@ def flower_document(rng: random.Random, hubs: int, nested: int = 2, clashes: int
         ring([(f"k{i}_a", f"e{i}_0"), (f"k{i}_b", f"e{i}_0")])
     for i, j in zip(hub_of.get("square", []), hub_of.get("square2", [])):
         ring([(f"s{i}_w", f"e{i}_2"), (f"s{i}_x", f"e{j}_2"), (f"s{i}_y", f"e{i}_3"), (f"s{i}_z", f"e{j}_3")])
-    cycles = sorted(hub_of.get("cycle", []))
     for i, j in zip(cycles, cycles[1:]):
         if rng.random() < 0.5:
             lines.append(f"attack c{i}_0.e{i}_0 c{j}_0.e{j}_0")

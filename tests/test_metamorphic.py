@@ -108,20 +108,21 @@ def test_preferred_extensions_are_admissible_and_take_no_more(label, framework):
             assert not is_admissible(framework, e | {a}), a
 
 
+def _sharpen_bytes(text, capsys, tmp_path) -> str:
+    """What `afo sharpen --json` writes for the document."""
+    path = tmp_path / "doc.afo"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sharpen", str(path), "--json"]) == 0
+    return capsys.readouterr().out
+
+
 def test_permuting_one_directive_kind_keeps_the_sharpen_bytes(capsys, tmp_path):
     names = iter(f"n{i:02d}" for i in range(50))
     pairs = [(next(names), next(names)) for _ in range(4)]
     squares = [tuple(next(names) for _ in range(4)) for _ in range(3)]
     lines = hub_pairs_document(pairs, list(names), squares).splitlines()
     rng = random.Random(2002)
-
-    def sharpen_bytes(text):
-        path = tmp_path / "doc.afo"
-        path.write_text(text, encoding="utf-8")
-        assert main(["sharpen", str(path), "--json"]) == 0
-        return capsys.readouterr().out
-
-    want = sharpen_bytes("\n".join(lines) + "\n")
+    want = _sharpen_bytes("\n".join(lines) + "\n", capsys, tmp_path)
     kinds = sorted({line.split()[0] for line in lines})
     assert kinds == ["arglet", "attack", "cover", "map", "node"]
     for kind in kinds:
@@ -131,7 +132,7 @@ def test_permuting_one_directive_kind_keeps_the_sharpen_bytes(capsys, tmp_path):
         permuted = lines[:]
         for i, line in zip(slots, moved):
             permuted[i] = line
-        assert sharpen_bytes("\n".join(permuted) + "\n") == want, kind
+        assert _sharpen_bytes("\n".join(permuted) + "\n", capsys, tmp_path) == want, kind
 
 
 def _kept_groups(payload) -> set:
@@ -145,29 +146,22 @@ def test_growing_m_blocks_only_what_it_covers(capsys, tmp_path):
     drops every group at or above it and adds no group, except groups
     inside a dropped one, which the dropped group had kept out as not
     maximal: all other groups stay."""
-
-    def sharpen_bytes(text):
-        path = tmp_path / "doc.afo"
-        path.write_text(text, encoding="utf-8")
-        assert main(["sharpen", str(path), "--json"]) == 0
-        return capsys.readouterr().out
-
     rng = random.Random(1212)
     unblocked = blocked_groups = inner_groups = 0
     for hubs in (24, 60, 100):
         text = flower_document(rng, hubs)
         model = build_model(parse_afo(text)[0])
         lat, image, arglets = model.lattice, model.fmap.image, model.framework.arglets
-        want = sharpen_bytes(text)
+        want = _sharpen_bytes(text, capsys, tmp_path)
         kept = _kept_groups(json.loads(want))
         node = {g: lat.join(image(e) for a, e in arglets if a in g[1]) for g in kept}
         assert len(kept) >= hubs // 3
         free = [v for v in sorted(lat.nodes - model.blocked) if not any(lat.leq(v, n) for n in node.values())]
         for v in rng.sample(free, min(3, len(free))):
-            assert sharpen_bytes(f"{text}general {v}\n") == want, v
+            assert _sharpen_bytes(f"{text}general {v}\n", capsys, tmp_path) == want, v
             unblocked += 1
         for v in rng.sample(sorted(set(node.values())), 6):
-            got = _kept_groups(json.loads(sharpen_bytes(f"{text}general {v}\n")))
+            got = _kept_groups(json.loads(_sharpen_bytes(f"{text}general {v}\n", capsys, tmp_path)))
             dropped = {g for g in kept if lat.leq(v, node[g])}
             assert dropped and not got & dropped, v
             assert kept - dropped <= got, v
