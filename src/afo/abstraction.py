@@ -142,9 +142,10 @@ def best_abstraction_of(
     return candidate, out_map
 
 
-def _check_targets(framework: Framework, targets: Iterable[str]) -> frozenset[str]:
+def _check_targets(ids: frozenset[str], targets: Iterable[str]) -> frozenset[str]:
+    """The targets as a set, checked to be a non-empty subset of `ids`."""
     wanted = frozenset(targets)
-    missing = wanted - framework.argument_ids()
+    missing = wanted - ids
     if missing:
         raise TargetsNotInFramework(f"not arguments of the framework: {sorted(missing)}")
     if not wanted:
@@ -164,7 +165,7 @@ def _absorbed_outsiders(
 ) -> tuple[str, ...] | None:
     """In id order, the other members of the targets' SCC that the candidate
     absorbs, none unless it absorbs every target, and None across SCCs."""
-    targets = _check_targets(framework, candidate.targets)
+    targets = _check_targets(framework.argument_ids(), candidate.targets)
     ix = _index(framework)
     home = ix.members(ix.scc_homes()[ix.pos[min(targets)]])
     if not targets <= home:
@@ -206,7 +207,7 @@ def is_compatible(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, t
     Equal images count as comparable, so a self-attacking arglet already
     disqualifies its group.
     """
-    return not _internal_conflicts(framework, lat, fmap, _check_targets(framework, targets))
+    return not _internal_conflicts(framework, lat, fmap, _check_targets(framework.argument_ids(), targets))
 
 
 def _external_checks(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, targets: frozenset[str], merged: str) -> tuple[tuple[str, str, bool], ...]:
@@ -223,7 +224,7 @@ def _external_checks(framework: Framework, lat: FiniteLattice, fmap: SemanticMap
 
 def is_attack_preserving(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate) -> bool:
     """Every external attacker or attackee is incomparable with the merge."""
-    targets = _check_targets(framework, candidate.targets)
+    targets = _check_targets(framework.argument_ids(), candidate.targets)
     merged = alpha(lat, fmap, candidate.abstract_arg.expressions)
     return not any(c for _, _, c in _external_checks(framework, lat, fmap, targets, merged))
 
@@ -272,7 +273,7 @@ def conservativity_report(
 ) -> ConservativityReport:
     """Evaluate all four conditions, keeping the evidence for each verdict.
     Each growth witness adds one absorbed SCC member to the targets."""
-    targets = _check_targets(framework, candidate.targets)
+    targets = _check_targets(framework.argument_ids(), candidate.targets)
     merged = alpha(lat, fmap, candidate.abstract_arg.expressions)
     blocked_sorted = tuple(sorted(set(blocked)))
 

@@ -51,6 +51,15 @@ class Framework:
         # refuse the index slot on restore, and a copy builds its own
         return type(self), (self.arglets, self.attacks)
 
+    @classmethod
+    def _trusted(cls, arglets: frozenset[Arglet], attacks: frozenset[tuple[Arglet, Arglet]]) -> "Framework":
+        """A framework built without the endpoint check, for callers whose
+        every attack endpoint is one of `arglets` by construction."""
+        framework = object.__new__(cls)
+        object.__setattr__(framework, "arglets", arglets)
+        object.__setattr__(framework, "attacks", attacks)
+        return framework
+
     @staticmethod
     def of(arglets: Iterable[Arglet], attacks: Iterable[tuple[Arglet, Arglet]]) -> "Framework":
         return Framework(frozenset(arglets), frozenset(attacks))
@@ -129,6 +138,15 @@ def _index(framework: Framework) -> _Index:
         ix = _Index(framework)
         object.__setattr__(framework, "_ix", ix)
         return ix
+
+
+def _drop_index(framework: Framework) -> None:
+    """Forget the framework's graph index, if it has one; the next
+    `_index` call builds it again."""
+    try:
+        object.__delattr__(framework, "_ix")
+    except AttributeError:
+        pass
 
 
 class _Index:

@@ -15,7 +15,7 @@ from .af import Framework, strongly_connected_components
 from .errors import AfoError
 # parse_afo and build_model stay bound here: bench/tracing.py traces them as afo.cli.*
 from .format import AfoModel, build_model, load_afo, parse_afo
-from .pipeline import AbstractionResult, ReplacementStep, SharpeningReport, derive_abstract_frameworks, sharpen
+from .pipeline import AbstractionResult, SharpeningReport, derive_abstract_frameworks, sharpen
 from .semantics import cf2, grounded_labelling, preferred, preferred_bruteforce
 
 
@@ -243,13 +243,9 @@ def _cmd_semantics(args, model: AfoModel) -> int:
 
 def _explain(model: AfoModel, result: AbstractionResult) -> None:
     """Each SCC of two or more arguments with the replacements the
-    derivation made in it, in scan order: the forks run through each SCC's
-    replacements in turn, so first appearance across them is that order."""
+    derivation made in it, in scan order."""
     framework, lat = model.framework, model.lattice
-    made: dict[frozenset[str], dict[ReplacementStep, None]] = {}
-    for steps in result.provenance:
-        for step in steps:
-            made.setdefault(step.scc, {})[step] = None
+    made = {steps[0].scc: steps for steps in result.replacements}
     for scc in strongly_connected_components(framework):
         if len(scc) < 2:
             continue

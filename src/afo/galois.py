@@ -20,8 +20,9 @@ unfolded into a level the vocabulary cannot express.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import EmptySet, UnknownExpression
 from .lattice import FiniteLattice
@@ -37,7 +38,7 @@ class SemanticMap:
 
     __slots__ = ("_by_node", "__dict__", "__weakref__")
 
-    _assignments: dict[str, str]
+    _assignments: Mapping[str, str]
 
     def __init__(self, assignments: Mapping[str, str]):
         self._assignments = dict(assignments)
@@ -68,10 +69,40 @@ class SemanticMap:
         return frozenset(by_node.get(node, ()))
 
     def with_assignment(self, symbol: str, node: str) -> "SemanticMap":
-        """A copy of this map with one extra or replaced assignment."""
-        out = SemanticMap(self._assignments)
-        out._assignments[symbol] = node
+        """This map with one extra or replaced assignment.  The new map reads
+        through to this map's assignments rather than copying them; a map
+        made this way is copied once when extended again, so every read
+        stays one level deep."""
+        base = self._assignments
+        out = SemanticMap.__new__(SemanticMap)
+        out._assignments = _Extended(base if type(base) is dict else dict(base), symbol, node)
         return out
+
+
+class _Extended(Mapping):
+    """The assignments of a `with_assignment` map: a dict it shares with the
+    map it extends, plus one assignment.  Neither is ever written, so the
+    sharing is safe; equality, iteration order and `repr` are those of the
+    dict copy with the assignment made."""
+
+    __slots__ = ("base", "symbol", "node")
+
+    def __init__(self, base: dict[str, str], symbol: str, node: str):
+        self.base, self.symbol, self.node = base, symbol, node
+
+    def __getitem__(self, symbol: str) -> str:
+        return self.node if symbol == self.symbol else self.base[symbol]
+
+    def __iter__(self):
+        yield from self.base
+        if self.symbol not in self.base:
+            yield self.symbol
+
+    def __len__(self) -> int:
+        return len(self.base) + (self.symbol not in self.base)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def alpha(lat: FiniteLattice, fmap: SemanticMap, exprs: Iterable[str]) -> str:

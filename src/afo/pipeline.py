@@ -2,13 +2,16 @@
 
 One pass over the strongly connected components of the concrete framework:
 each component contributes its maximal conservatively-mergeable target
-groups, every accumulated framework is forked once per group, and groups
-are replaced by their best abstraction with boundary attacks redirected.
-The preferred extensions of every derived framework are then projected
-back onto concrete argument ids, and each concrete argument's verdict is
-re-read against those projections: each projection is counted once, into
-how many of its extensions hold each argument, and every verdict reads
-those counts and one fixed table of the six label sets (`_SHARPENED`).
+groups, each as the replacement of the group by its best abstraction.  The
+derived frameworks are the product of those per-component lists, one per
+choice of a replacement in every component that has one, and each is built
+once, in one pass over the concrete arglets and attacks, with boundary
+attacks redirected (`_fork`).  The preferred extensions of every derived
+framework are then projected back onto concrete argument ids, and each
+concrete argument's verdict is re-read against those projections: each
+projection is counted once, into how many of its extensions hold each
+argument, and every verdict reads those counts and one fixed table of the
+six label sets (`_SHARPENED`).
 
 The group scan reads the framework's graph index (`af._index`, built once
 per framework and kept on it, with its SCC masks) and one `_ScanTable`,
@@ -27,11 +30,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of
-from .af import Argument, Framework, _index, _union, strongly_connected_components
+from .af import Arglet, Argument, Framework, _drop_index, _index, _union, strongly_connected_components
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
@@ -48,12 +51,19 @@ class ReplacementStep:
 @dataclass(frozen=True)
 class AbstractionResult:
     """Derived frameworks, the replacements that built each, and a map that
-    covers their expressions, synthetic ones included.  Each provenance
-    lists its SCCs' replacements in scan order, attackers first."""
+    covers their expressions, synthetic ones included.
+
+    `replacements` holds one tuple per SCC that kept a group, in scan order
+    (attackers first), of that SCC's replacements, largest group first.
+    `provenance` is their product, one replacement per such SCC, the last
+    SCC varying fastest, and `frameworks[i]` is the input with the
+    replacements of `provenance[i]` made.  With no kept group the one
+    framework is the input itself, with an empty provenance."""
 
     frameworks: tuple[Framework, ...]
     provenance: tuple[tuple[ReplacementStep, ...], ...]
     fmap: SemanticMap
+    replacements: tuple[tuple[ReplacementStep, ...], ...]
 
 
 _Groups = list[tuple[AbstractionCandidate, SemanticMap]]
@@ -189,28 +199,39 @@ def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg:
 
     Internal attacks disappear; every attack crossing the group boundary is
     redirected to or from the replacement's arglets; duplicates collapse.
+    The checked one-step form of `_fork`.
     """
-    wanted = _check_targets(framework, targets)
+    ids = framework.argument_ids()
+    wanted = _check_targets(ids, targets)
     if not abstract_arg.expressions:
         raise EmptySet(f"replacement {abstract_arg.arg_id!r} carries no expression")
-    if abstract_arg.arg_id in framework.argument_ids():
+    if abstract_arg.arg_id in ids:
         raise IdCollision(f"replacement id {abstract_arg.arg_id!r} already names an argument")
+    return _fork(framework, [(wanted, abstract_arg)])
 
-    new_arglets = frozenset((abstract_arg.arg_id, e) for e in abstract_arg.expressions)
-    arglets = frozenset(al for al in framework.arglets if al[0] not in wanted) | new_arglets
 
-    attacks: set[tuple[tuple[str, str], tuple[str, str]]] = set()
+def _fork(framework: Framework, replacements: Iterable[tuple[frozenset[str], Argument]]) -> Framework:
+    """The framework with each (targets, argument) replacement made, in one
+    pass over its arglets and one over its attacks: the same framework as
+    one `abstract_replace` per replacement, in any order.  The target groups
+    must be disjoint, each argument must carry an expression and have an id
+    no other argument has.  Every endpoint is an arglet of `framework` or
+    of a replacement, so the fork skips the endpoint check."""
+    into: dict[str, tuple[Arglet, ...]] = {}
+    arglets: set[Arglet] = set()
+    for targets, arg in replacements:
+        new = tuple((arg.arg_id, e) for e in arg.expressions)
+        arglets.update(new)
+        into.update(dict.fromkeys(targets, new))
+    arglets.update(al for al in framework.arglets if al[0] not in into)
+    attacks: set[tuple[Arglet, Arglet]] = set()
     for src, dst in framework.attacks:
-        s_in, d_in = src[0] in wanted, dst[0] in wanted
-        if s_in and d_in:
-            continue
-        if s_in:
-            attacks.update((nal, dst) for nal in new_arglets)
-        elif d_in:
-            attacks.update((src, nal) for nal in new_arglets)
-        else:
+        s, d = into.get(src[0]), into.get(dst[0])
+        if s is None and d is None:
             attacks.add((src, dst))
-    return Framework(arglets, frozenset(attacks))
+        elif s is not d:  # one tuple per group: `s is d` is an internal attack
+            attacks.update(product(s or (src,), d or (dst,)))
+    return Framework._trusted(frozenset(arglets), frozenset(attacks))
 
 
 def derive_abstract_frameworks(
@@ -223,37 +244,37 @@ def derive_abstract_frameworks(
 
     SCCs are scanned attackers first, against one `_ScanTable`, and each
     kept group's id is renamed once, against the id set of that table, so
-    merged ids stay distinct.  Components with no qualifying group leave the
-    accumulated frameworks untouched; components with several qualifying
-    groups fork them.  Once a replacement applies anywhere, the unreplaced
-    original is not kept.  The result's map is the input map plus the
-    symbols minted for kept groups, or the input map itself when none was.
+    merged ids stay distinct.  Each SCC that keeps groups contributes its
+    list of replacements; the forks are the product of those lists, each
+    built once, by `_fork`, from its whole choice.  Components with no
+    qualifying group change no fork; with no kept group anywhere the input
+    itself is the one framework.  The result's map is the input map plus
+    the symbols minted for kept groups, built once, or the input map itself
+    when none was minted.
     """
     blocked = frozenset(blocked)
     table = _ScanTable(framework, lat, fmap, blocked)
     minted: dict[str, str] = {}
-    acc: list[tuple[Framework, tuple[ReplacementStep, ...]]] = [(framework, ())]
+    replacements: list[tuple[ReplacementStep, ...]] = []
     for scc in strongly_connected_components(framework):
         groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table)
-        replacements: list[ReplacementStep] = []
         for candidate, xmap in groups:
             for symbol in candidate.abstract_arg.expressions:
                 if symbol not in fmap:
                     minted[symbol] = xmap.image(symbol)
-            replacements.append(ReplacementStep(scc, candidate.targets, candidate.abstract_arg))
-        if replacements:
-            acc = [
-                (abstract_replace(built, step.targets, step.abstract_arg), steps + (step,))
-                for built, steps in acc
-                for step in replacements
-            ]
+        if groups:
+            replacements.append(tuple(ReplacementStep(scc, c.targets, c.abstract_arg) for c, _ in groups))
     if minted:
         assignments = dict(fmap.items())
         assignments.update(minted)
         fmap = SemanticMap(assignments)
+    provenance = tuple(product(*replacements))
     # every minted id is distinct, so no two choices build the same framework
-    frameworks, provenance = zip(*acc)
-    return AbstractionResult(frameworks, provenance, fmap)
+    frameworks = tuple(
+        _fork(framework, [(step.targets, step.abstract_arg) for step in steps]) if steps else framework
+        for steps in provenance
+    )
+    return AbstractionResult(frameworks, provenance, fmap, tuple(replacements))
 
 
 def restrict_extensions(extensions: Iterable[frozenset[str]], ids: Iterable[str]) -> list[frozenset[str]]:
@@ -332,13 +353,21 @@ def sharpen(
 ) -> SharpeningReport:
     """Concrete verdicts re-read through the abstract-space projections.
 
-    A derived framework equal to the input (no group merged) takes the
-    concrete extensions instead of a second `preferred` run.  Each
-    extension list is counted once, into how many of its extensions hold
-    each argument; the verdicts read those counts in id order."""
+    A derived framework that is the input (no group merged) takes the
+    concrete extensions instead of a second `preferred` run.  Every other
+    one drops the graph index its `preferred` run built, so at most one
+    fork's index is alive at a time.  Each extension list is counted once,
+    into how many of its extensions hold each argument; the verdicts read
+    those counts in id order."""
     concrete = preferred(framework)
     derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
-    abstract_preferred = [concrete if f == framework else preferred(f) for f in derivation.frameworks]
+    abstract_preferred = []
+    for f in derivation.frameworks:
+        if f is framework:
+            abstract_preferred.append(concrete)
+        else:
+            abstract_preferred.append(preferred(f))
+            _drop_index(f)
     projected = concretize_extension_sets(framework, abstract_preferred)
 
     accepted = Counter(chain.from_iterable(concrete))

@@ -9,8 +9,10 @@ preferred search and take/drop naive-set search are kept for frameworks
 too large to enumerate, its former naming and sorting of extension masks
 checks the kernel's way out, its former set-based lattice validation pins
 which defect is reported (with a bitset form of the same checks for
-diagrams too large for it), and its former `.afo` parser, one branch per
-directive, pins which error a broken document reports.  `oracle_sharpen`
+diagrams too large for it), its former `.afo` parser, one branch per
+directive, pins which error a broken document reports, and its former
+derivation, one replacement call per SCC, rebuilds each derived framework
+(`oracle_replace_chain`, handed the replacement call).  `oracle_sharpen`
 chains them from an `.afo` text to the whole `sharpen --json` payload.
 Nothing imports from the package.
 """
@@ -618,6 +620,16 @@ def _oracle_replace(arglets, attacks, targets, new):
         if not (s_in and d_in):
             moved.add((new if s_in else s, new if d_in else d))
     return arglets, moved
+
+
+def oracle_replace_chain(framework, steps, replace):
+    """A derived framework as the derivation once built it: one
+    `replace(framework, step.targets, step.abstract_arg)` call per
+    replacement step, in the order given, each on the previous result.
+    The caller passes the package's `abstract_replace` as `replace`."""
+    for step in steps:
+        framework = replace(framework, step.targets, step.abstract_arg)
+    return framework
 
 
 def oracle_scan(text):

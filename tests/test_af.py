@@ -34,8 +34,12 @@ def test_arglets_group_into_arguments():
 
 
 def test_attack_endpoints_validated():
-    with pytest.raises(UnknownArgument):
+    # derived frameworks skip this check (`Framework._trusted`); the public
+    # constructor keeps it
+    with pytest.raises(UnknownArgument, match="attack target"):
         Framework.of([("a1", "e1")], [(("a1", "e1"), ("a2", "e2"))])
+    with pytest.raises(UnknownArgument, match="attack source"):
+        Framework.of([("a1", "e1")], [(("a2", "e2"), ("a1", "e1"))])
 
 
 def test_boardroom_attacks(boardroom):

@@ -38,6 +38,33 @@ def test_semantic_map_basics(boardroom):
     assert fmap == SemanticMap(dict(fmap.items())) and repr(fmap) == repr(SemanticMap(dict(fmap.items())))
 
 
+def test_extended_map_reads_as_its_copy(boardroom):
+    """A `with_assignment` map reads through to the map it extends, and
+    equality, `items()`, `symbols`, `repr`, `image` and `preimages` are
+    those of the dict copy with the assignment made, for a new symbol, a
+    replaced one and a map extended twice."""
+    fmap = boardroom.fmap
+    assignments = dict(fmap.items())
+    once = fmap.with_assignment("fresh", "Liq")
+    cases = [
+        (once, {**assignments, "fresh": "Liq"}),
+        (fmap.with_assignment("focusOnOs", "Mp"), {**assignments, "focusOnOs": "Mp"}),
+        (once.with_assignment("fresher", "Imp"), {**assignments, "fresh": "Liq", "fresher": "Imp"}),
+        (once.with_assignment("fresh", "Os"), {**assignments, "fresh": "Os"}),
+    ]
+    for extended, want in cases:
+        copy = SemanticMap(want)
+        assert extended == copy and copy == extended and extended != fmap
+        assert list(extended.items()) == list(copy.items()) and len(extended.items()) == len(want)
+        assert extended.symbols == copy.symbols and repr(extended) == repr(copy)
+        for symbol, node in want.items():
+            assert symbol in extended and extended.image(symbol) == node
+            assert extended.preimages(node) == copy.preimages(node)
+        with pytest.raises(UnknownExpression):
+            extended.image("nope")
+    assert dict(fmap.items()) == assignments
+
+
 def test_alpha_boardroom(boardroom):
     lat, fmap = boardroom.lattice, boardroom.fmap
     assert alpha(lat, fmap, ["focusOnMp", "focusOnEc"]) == "Imp"

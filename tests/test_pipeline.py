@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -43,7 +44,9 @@ from afo.pipeline import (
 
 from generators import (
     conservative_instance,
+    flower_document,
     flower_instance,
+    forking_chain,
     hub_pairs_document,
     mapped_framework,
     multi_hub_instance,
@@ -51,7 +54,13 @@ from generators import (
     random_map,
     ring_instance,
 )
-from oracles import oracle_maximal_conservative_groups, oracle_sccs, oracle_sigma, oracle_verdict
+from oracles import (
+    oracle_maximal_conservative_groups,
+    oracle_replace_chain,
+    oracle_sccs,
+    oracle_sigma,
+    oracle_verdict,
+)
 from witnesses import WITNESS_LATTICE, WITNESS_MAP
 
 fs = frozenset
@@ -254,21 +263,28 @@ def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
                 maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc), **kwargs)
 
 
-def test_flower_scale_scan_keeps_one_group_per_hub_within_a_limit():
+@pytest.fixture(scope="module")
+def flower_1000():
+    """`flower_instance(1000)`, built once for the module: validating its
+    10,002-node lattice takes about 2 s."""
+    return flower_instance(1000)
+
+
+def test_flower_scale_scan_keeps_one_group_per_hub_within_a_limit(flower_1000):
     """1,000 hubs over 9 petals, one 3-cycle per hub (`flower_instance`):
     the scan over all 1,000 SCCs with one table keeps each cycle, merged at
     its hub under a fresh synthetic symbol.  On a shared 2-core Xeon under
     CPython 3.11 the scan took about 0.1 s; walking every rank of the
     10,002-node lattice per SCC, and copying every id and the whole map per
     kept group, took about 1.06 s."""
-    framework, lat, fmap, blocked = flower_instance(1000)
+    framework, lat, fmap, blocked = flower_1000
     sccs = strongly_connected_components(framework)
     kept = []
     start = time.perf_counter()
     table = _ScanTable(framework, lat, fmap, blocked)
     for scc in sccs:
-        # each group's map is a copy of the whole map, so only its new
-        # assignment is kept
+        # each group's map is the whole map plus its new symbol; only that
+        # symbol's node is kept
         for candidate, xmap in maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table):
             (symbol,) = candidate.abstract_arg.expressions
             kept.append((scc, candidate, symbol, xmap.image(symbol)))
@@ -280,6 +296,74 @@ def test_flower_scale_scan_keeps_one_group_per_hub_within_a_limit():
         assert candidate.abstract_arg.arg_id == "+".join(sorted(scc))
         assert symbol == f"{hub}#abs" and node == hub and symbol not in fmap
     assert elapsed < 1.0
+
+
+def test_flower_scale_sharpen_keeps_every_group_within_a_limit(flower_1000):
+    """`sharpen` on the 1,000-hub flower, from a framework with no index
+    yet: one fork, built once from all 1,000 replacements.  On a shared
+    2-core Xeon under CPython 3.11 it took about 0.08 s; building the fork
+    by one `abstract_replace` call per SCC, each a full copy, took about
+    1.2 s."""
+    framework, lat, fmap, blocked = flower_1000
+    framework = Framework(framework.arglets, framework.attacks)
+    start = time.perf_counter()
+    report = sharpen(framework, lat, fmap, blocked)
+    elapsed = time.perf_counter() - start
+    derivation = report.derivation
+    assert [len(steps) for steps in derivation.replacements] == [1] * 1000
+    assert derivation.provenance == (tuple(steps[0] for steps in derivation.replacements),)
+    (fork,) = derivation.frameworks
+    assert len(fork.argument_ids()) == 1000 and not fork.attacks
+    assert all(derivation.fmap.image(f"h{i}#abs") == f"h{i}" for i in range(1000))
+    assert elapsed < 0.5
+
+
+def _fork_inputs(rng):
+    """Forking chains, flower documents and multi-hub flowers."""
+    texts = [forking_chain(k) for k in range(1, 6)]
+    texts += [flower_document(rng, hubs) for hubs in (12, 24, 40) for _ in range(2)]
+    for text in texts:
+        model = build_model(parse_afo(text)[0])
+        yield model.framework, model.lattice, model.fmap, model.blocked
+    for _ in range(300):
+        yield multi_hub_instance(rng, outsiders=rng.randint(0, 2))
+
+
+def test_forks_match_the_chain_of_abstract_replace_calls():
+    """Each fork, built in one pass, equals one public `abstract_replace`
+    call per step of its provenance, in order and in reverse, and passes
+    the public constructor's endpoint check; the provenance is the product
+    of the per-SCC replacement lists."""
+    rng = random.Random(2202)
+    forks = forked = 0
+    for fw, lat, fmap, blocked in _fork_inputs(rng):
+        result = derive_abstract_frameworks(fw, lat, fmap, blocked)
+        assert tuple(product(*result.replacements)) == result.provenance
+        for steps in result.replacements:
+            assert steps and len({step.scc for step in steps}) == 1
+        assert len({steps[0].scc for steps in result.replacements}) == len(result.replacements)
+        for built, steps in zip(result.frameworks, result.provenance):
+            assert built == oracle_replace_chain(fw, steps, abstract_replace)
+            assert built == oracle_replace_chain(fw, reversed(steps), abstract_replace)
+            assert Framework(built.arglets, built.attacks) == built
+        forks += len(result.frameworks)
+        forked += len(result.frameworks) > 1
+    # 449 forks, 69 inputs with two or more, at this seed
+    assert forks >= 400 and forked >= 60
+
+
+def test_sharpen_drops_each_fork_index_after_its_preferred():
+    """Only the input keeps the index `preferred` built; each fork's is
+    dropped after its own run, and rebuilding it gives the same answer."""
+    model = build_model(parse_afo(forking_chain(3))[0])
+    fw = model.framework
+    report = sharpen(fw, model.lattice, model.fmap, model.blocked)
+    forks = report.derivation.frameworks
+    assert len(forks) == 8 and fw not in forks
+    assert hasattr(fw, "_ix")
+    assert not any(hasattr(f, "_ix") for f in forks)
+    for f, extensions in zip(forks, report.abstract_preferred):
+        assert tuple(preferred(f)) == extensions
 
 
 def test_best_abstractions_are_built_for_returned_groups_only(monkeypatch):
@@ -448,8 +532,9 @@ def test_derive_without_abstractable_groups_returns_original():
         [(("a", "ep"), ("b", "eq"))],
     )
     result = derive_abstract_frameworks(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
-    assert result.frameworks == (fw,)
-    assert result.provenance == ((),)
+    (derived,) = result.frameworks
+    assert derived is fw
+    assert result.provenance == ((),) and result.replacements == ()
 
 
 def test_derived_framework_feeds_back_into_sharpen():
@@ -586,9 +671,11 @@ def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
 
     monkeypatch.setattr(afo.pipeline, "preferred", counting_preferred)
     report = sharpen(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
-    assert report.derivation.frameworks == (fw,)
-    assert calls == [fw]
+    (derived,) = report.derivation.frameworks
+    assert derived is fw and len(calls) == 1 and calls[0] is fw
     assert report.abstract_preferred == (report.concrete,)
+    # the input is no fork: it keeps its index
+    assert hasattr(fw, "_ix")
 
 
 def test_derivation_computes_sccs_once(monkeypatch):
@@ -683,7 +770,7 @@ def test_derivation_invariants_on_random_frameworks():
         forked += len(result.frameworks) > 1
         for built, steps in zip(result.frameworks, result.provenance):
             if not steps:
-                assert built == fw
+                assert built is fw
             ids = built.argument_ids()
             assert len(ids) <= len(original_ids)
             for step in steps:
