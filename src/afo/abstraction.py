@@ -15,14 +15,19 @@ member: every member expression lies below exactly one expression of a_x,
 and every expression of a_x lies above some member expression.  So a group
 can grow inside its component exactly when all of it and another member
 are absorbed.
+
+Each condition is decided in one place, on bit masks: the structural ones
+on lattice ranks (`_conditions`), the others on a `_ScanTable`, the table
+the group scan in `pipeline` reads and the predicates and the report build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
-from .af import Argument, Framework, _index
+from .af import Arglet, Argument, Framework, _bits, _index, _union
 from .errors import EmptySet, TargetsNotInFramework
 from .galois import SemanticMap, alpha
 from .lattice import FiniteLattice
@@ -36,17 +41,34 @@ class AbstractionCandidate:
     abstract_arg: Argument
 
 
-def _union_exprs(args: Sequence[Argument]) -> frozenset[str]:
+def _conditions(downs: Sequence[int], spans: Sequence[int]) -> tuple[bool, bool, bool, bool]:
+    """Covering, disjoint, sound and complete, from the down mask of each
+    expression of a_x and the rank mask of each target's nodes.  With `once`
+    the ranks below some expression and `twice` those below two, the union
+    of the targets is sound when it lies in `once`, disjoint when it misses
+    `twice`."""
+    once = twice = union = 0
+    for down in downs:
+        twice |= once & down
+        once |= down
+    for span in spans:
+        union |= span
+    return (
+        all(all(down & span for span in spans) for down in downs if down & union),
+        not union & twice,
+        not union & ~once,
+        all(down & union for down in downs),
+    )
+
+
+def _downs(lat: FiniteLattice, fmap: SemanticMap, exprs: Iterable[str]) -> list[int]:
+    return [lat._mask(lat._down, fmap.image(e)) for e in exprs]
+
+
+def _structure(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> tuple[bool, bool, bool, bool]:
     if not args:
         raise EmptySet("abstraction conditions need at least one target argument")
-    out: set[str] = set()
-    for a in args:
-        out |= a.expressions
-    return frozenset(out)
-
-
-def _abstracts(lat: FiniteLattice, fmap: SemanticMap, abstractor: str, expr: str) -> bool:
-    return lat.leq(fmap.image(expr), fmap.image(abstractor))
+    return _conditions(_downs(lat, fmap, a_x.expressions), [lat.rank_mask(map(fmap.image, a.expressions)) for a in args])
 
 
 def is_abstraction_covering(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> bool:
@@ -55,48 +77,26 @@ def is_abstraction_covering(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument
     An expression of a_x that abstracts anything at all in the union must
     abstract at least one expression of each single target.
     """
-    union = _union_exprs(args)
-    for ex in a_x.expressions:
-        if not any(_abstracts(lat, fmap, ex, e) for e in union):
-            continue
-        if not all(any(_abstracts(lat, fmap, ex, e) for e in a.expressions) for a in args):
-            return False
-    return True
+    return _structure(lat, fmap, a_x, args)[0]
 
 
 def is_abstraction_disjoint(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> bool:
     """No target expression is claimed by two different abstractors."""
-    union = _union_exprs(args)
-    for e in union:
-        owners = sum(1 for ex in a_x.expressions if _abstracts(lat, fmap, ex, e))
-        if owners > 1:
-            return False
-    return True
+    return _structure(lat, fmap, a_x, args)[1]
 
 
 def is_abstraction_sound(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> bool:
     """Every target expression is below some abstractor."""
-    union = _union_exprs(args)
-    return all(
-        any(_abstracts(lat, fmap, ex, e) for ex in a_x.expressions) for e in union
-    )
+    return _structure(lat, fmap, a_x, args)[2]
 
 
 def is_abstraction_complete(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> bool:
     """Every abstractor earns its place: it abstracts something in the union."""
-    union = _union_exprs(args)
-    return all(
-        any(_abstracts(lat, fmap, ex, e) for e in union) for ex in a_x.expressions
-    )
+    return _structure(lat, fmap, a_x, args)[3]
 
 
 def is_argument_abstraction(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> bool:
-    return (
-        is_abstraction_covering(lat, fmap, a_x, args)
-        and is_abstraction_disjoint(lat, fmap, a_x, args)
-        and is_abstraction_sound(lat, fmap, a_x, args)
-        and is_abstraction_complete(lat, fmap, a_x, args)
-    )
+    return all(_structure(lat, fmap, a_x, args))
 
 
 SYNTHETIC_SUFFIX = "#abs"
@@ -127,8 +127,9 @@ def best_abstraction_of(
     * sound: every target expression lies below the abstractor;
     * complete: the abstractor abstracts some expression, as every target has one.
     """
-    union = _union_exprs(args)
-    node = alpha(lat, fmap, union)
+    if not args:
+        raise EmptySet("abstraction conditions need at least one target argument")
+    node = alpha(lat, fmap, chain.from_iterable(a.expressions for a in args))
     declared = sorted(fmap.preimages(node))
     if declared:
         symbol, out_map = declared[0], fmap
@@ -153,27 +154,124 @@ def _check_targets(ids: frozenset[str], targets: Iterable[str]) -> frozenset[str
     return wanted
 
 
-def _absorbs(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, arg_id: str) -> bool:
-    """Whether a_x absorbs the argument (see the module docstring): for one
-    target, covering holds trivially and the other three conditions say
-    exactly that."""
-    return is_argument_abstraction(lat, fmap, a_x, [Argument(arg_id, framework.argument_expressions(arg_id))])
+def _clashing(lat: FiniteLattice, fmap: SemanticMap, attacks: Iterable[tuple[Arglet, Arglet]]) -> Iterator[tuple[Arglet, Arglet]]:
+    """The attacks that join arglets with comparable images.  Equal images
+    count as comparable, so a self-attacking arglet clashes."""
+    image = fmap.image
+    return ((s, d) for s, d in attacks if lat.comparable(image(s[1]), image(d[1])))
 
 
-def _absorbed_outsiders(
-    framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate
-) -> tuple[str, ...] | None:
-    """In id order, the other members of the targets' SCC that the candidate
-    absorbs, none unless it absorbs every target, and None across SCCs."""
-    targets = _check_targets(framework.argument_ids(), candidate.targets)
-    ix = _index(framework)
-    home = ix.members(ix.scc_homes()[ix.pos[min(targets)]])
-    if not targets <= home:
-        return None
-    a_x = candidate.abstract_arg
-    if not all(_absorbs(framework, lat, fmap, a_x, t) for t in targets):
-        return ()
-    return tuple(o for o in sorted(home - targets) if _absorbs(framework, lat, fmap, a_x, o))
+_Groups = list[tuple[AbstractionCandidate, SemanticMap]]
+
+
+class _ScanTable:
+    """The conservativity tests, on masks over the framework's index
+    (`af._index`, whose SCC masks validity reads) and over lattice ranks:
+    one per group scan, per `abstract --explain`, and per call of a
+    predicate or the report.
+    Built eagerly: per argument its node, the lowest rank in the AND of its
+    expressions' up masks, and M as one rank mask (`skip`).  Built by the
+    first `mask` call, which the scan makes once a group passes the node
+    filter: per argument the rank bit of its node and the mask of the
+    arguments it attacks through clashing arglets.  Built by the first
+    abstract argument of several expressions: per argument the rank mask
+    of its expressions' nodes.  Built by the first kept group: per argument
+    its expressions, and `taken`, the ids merged ids must avoid, which
+    every id handed out joins.  A table serves one `blocked` set."""
+
+    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: frozenset[str] = frozenset()):
+        self.framework, self.lat, self.fmap = framework, lat, fmap
+        self.skip = lat.rank_mask(blocked & lat.nodes)
+        up, image = lat._up, fmap.image
+        masks: dict[str, int] = {}
+        for a, e in framework.arglets:
+            masks[a] = masks.get(a, -1) & lat._mask(up, image(e))
+        ranked = lat._ranked
+        self.node = {a: ranked[(m & -m).bit_length() - 1] for a, m in masks.items()}
+        self.rank: list[int] | None = None
+        self.conflicts: list[int] = []
+        self.spans: list[int] | None = None
+        self.exprs: dict[str, list[str]] | None = None
+        self.taken: set[str] | None = None
+
+    def mask(self, ids: Iterable[str]) -> int:
+        """The mask of `ids`; the first call builds what the tests read."""
+        ix = _index(self.framework)
+        if self.rank is None:
+            up = self.lat._up
+            self.rank = [up[self.node[a]] & -up[self.node[a]] for a in ix.ids]
+            self.conflicts = [0] * len(ix.ids)
+            for (s, _), (d, _) in _clashing(self.lat, self.fmap, self.framework.attacks):
+                self.conflicts[ix.pos[s]] |= 1 << ix.pos[d]
+        return sum(1 << ix.pos[a] for a in ids)
+
+    def compatible(self, g: int) -> bool:
+        """No member attacks a member through clashing expressions."""
+        return not _union(self.conflicts, g) & g
+
+    def outside(self, g: int) -> int:
+        return _union(_index(self.framework).neighbours, g) & ~g
+
+    def comparable(self, v: str, within: int) -> bool:
+        """Whether some argument of `within` sits at a node comparable with v."""
+        return bool((self.lat._up[v] | self.lat._down[v]) & _union(self.rank, within))
+
+    def attack_preserving(self, v: str, g: int) -> bool:
+        """No argument outside the group that attacks it or that it attacks
+        sits at a node comparable with v."""
+        return not self.comparable(v, self.outside(g))
+
+    def absorbed(self, downs: Sequence[int], within: int) -> int:
+        """The members of `within` that an abstract argument absorbs, given
+        the down masks of its expressions: `_conditions` on each member
+        alone.  With one expression, whose down mask holds a member's nodes
+        exactly when it holds their join, that is the test of the rank bit,
+        made first on the union of the rank bits."""
+        if len(downs) == 1:
+            rank, down = self.rank, downs[0]
+            if not down & _union(rank, within):
+                return 0
+            return sum(1 << i for i in _bits(within) if rank[i] & down)
+        if self.spans is None:
+            pos, self.spans = _index(self.framework).pos, [0] * len(self.rank)
+            for a, e in self.framework.arglets:
+                self.spans[pos[a]] |= self.lat.rank_mask([self.fmap.image(e)])
+        return sum(1 << i for i in _bits(within) if all(_conditions(downs, (self.spans[i],))[1:]))
+
+    def growth(self, downs: Sequence[int], g: int) -> int | None:
+        """The other members of the group's SCC that the abstract argument
+        absorbs, given the down masks of its expressions: each grows the
+        group.  None across SCCs, and 0 unless it absorbs the whole group."""
+        home = _index(self.framework).scc_homes()[(g & -g).bit_length() - 1]
+        if g & ~home:
+            return None
+        outsiders = self.absorbed(downs, home & ~g)
+        return outsiders if outsiders and self.absorbed(downs, g) == g else 0
+
+    def valid(self, downs: Sequence[int], g: int) -> bool:
+        return self.growth(downs, g) == 0
+
+    def arguments(self, ids: list[str]) -> list[Argument]:
+        """The arguments of `ids`, in that order.  Every id carries an
+        arglet: it has a node."""
+        if self.exprs is None:
+            self.exprs = {}
+            for a, e in self.framework.arglets:
+                self.exprs.setdefault(a, []).append(e)
+        return [Argument(a, frozenset(self.exprs[a])) for a in ids]
+
+    def renamed(self, groups: _Groups) -> _Groups:
+        """The groups with each merged id made fresh against `taken`."""
+        if self.taken is None:
+            self.taken = set(self.node)
+        out: _Groups = []
+        for candidate, xmap in groups:
+            arg = candidate.abstract_arg
+            if (arg_id := _fresh(arg.arg_id, self.taken)) != arg.arg_id:
+                candidate = replace(candidate, abstract_arg=replace(arg, arg_id=arg_id))
+            self.taken.add(arg_id)
+            out.append((candidate, xmap))
+        return out
 
 
 def is_valid(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate) -> bool:
@@ -184,21 +282,12 @@ def is_valid(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candid
     SCC itself counts as a growth candidate.  Such a subset exists exactly
     when the argument absorbs every target and some other SCC member.
     """
-    return _absorbed_outsiders(framework, lat, fmap, candidate) == ()
+    return conservativity_report(framework, lat, fmap, (), candidate).valid
 
 
 def is_non_trivial(lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str], candidate: AbstractionCandidate) -> bool:
     """The merged node stays outside the too-general upper set."""
     return alpha(lat, fmap, candidate.abstract_arg.expressions) not in set(blocked)
-
-
-def _internal_conflicts(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, targets: frozenset[str]) -> tuple[tuple[str, str, str, str], ...]:
-    """Attacks inside the targets between comparable expressions, in order."""
-    return tuple(
-        (src, e1, dst, e2)
-        for (src, e1), (dst, e2) in sorted(framework.attacks)
-        if src in targets and dst in targets and lat.comparable(fmap.image(e1), fmap.image(e2))
-    )
 
 
 def is_compatible(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, targets: Iterable[str]) -> bool:
@@ -207,41 +296,19 @@ def is_compatible(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, t
     Equal images count as comparable, so a self-attacking arglet already
     disqualifies its group.
     """
-    return not _internal_conflicts(framework, lat, fmap, _check_targets(framework.argument_ids(), targets))
-
-
-def _external_checks(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, targets: frozenset[str], merged: str) -> tuple[tuple[str, str, bool], ...]:
-    """External attackers and attackees in id order, each with its node and
-    whether that node is comparable with the merged node."""
-    neighbors = {dst for (src, _), (dst, _) in framework.attacks if src in targets and dst not in targets}
-    neighbors |= {src for (src, _), (dst, _) in framework.attacks if dst in targets and src not in targets}
-    return tuple(
-        (ext, ext_node, lat.comparable(merged, ext_node))
-        for ext in sorted(neighbors)
-        for ext_node in [alpha(lat, fmap, framework.argument_expressions(ext))]
-    )
+    table = _ScanTable(framework, lat, fmap)
+    return table.compatible(table.mask(_check_targets(framework.argument_ids(), targets)))
 
 
 def is_attack_preserving(framework: Framework, lat: FiniteLattice, fmap: SemanticMap, candidate: AbstractionCandidate) -> bool:
     """Every external attacker or attackee is incomparable with the merge."""
-    targets = _check_targets(framework.argument_ids(), candidate.targets)
-    merged = alpha(lat, fmap, candidate.abstract_arg.expressions)
-    return not any(c for _, _, c in _external_checks(framework, lat, fmap, targets, merged))
+    return conservativity_report(framework, lat, fmap, (), candidate).attack_preserving
 
 
 def is_conservative(
-    framework: Framework,
-    lat: FiniteLattice,
-    fmap: SemanticMap,
-    blocked: Iterable[str],
-    candidate: AbstractionCandidate,
+    framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str], candidate: AbstractionCandidate
 ) -> bool:
-    return (
-        is_valid(framework, lat, fmap, candidate)
-        and is_non_trivial(lat, fmap, blocked, candidate)
-        and is_compatible(framework, lat, fmap, candidate.targets)
-        and is_attack_preserving(framework, lat, fmap, candidate)
-    )
+    return conservativity_report(framework, lat, fmap, blocked, candidate).conservative
 
 
 @dataclass(frozen=True)
@@ -265,32 +332,41 @@ class ConservativityReport:
 
 
 def conservativity_report(
-    framework: Framework,
-    lat: FiniteLattice,
-    fmap: SemanticMap,
-    blocked: Iterable[str],
-    candidate: AbstractionCandidate,
+    framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: Iterable[str], candidate: AbstractionCandidate
 ) -> ConservativityReport:
-    """Evaluate all four conditions, keeping the evidence for each verdict.
-    Each growth witness adds one absorbed SCC member to the targets."""
-    targets = _check_targets(framework.argument_ids(), candidate.targets)
-    merged = alpha(lat, fmap, candidate.abstract_arg.expressions)
+    """Evaluate all four conditions, keeping the evidence for each verdict
+    in id order: each growth witness adds one absorbed SCC member to the
+    targets, each internal conflict is an attack between clashing arglets
+    of the targets, and each external check is a neighbour outside them,
+    its node and whether that is comparable with the merged node."""
+    return _report(_ScanTable(framework, lat, fmap), blocked, candidate)
+
+
+def _report(table: _ScanTable, blocked: Iterable[str], candidate: AbstractionCandidate) -> ConservativityReport:
+    """`conservativity_report` on a table `abstract --explain` shares."""
+    framework, lat, fmap = table.framework, table.lat, table.fmap
+    g = table.mask(_check_targets(framework.argument_ids(), candidate.targets))
+    ix = _index(framework)
+    ids, pos = ix.ids, ix.pos
+    exprs = candidate.abstract_arg.expressions
+    merged = alpha(lat, fmap, exprs)
     blocked_sorted = tuple(sorted(set(blocked)))
-
-    outsiders = _absorbed_outsiders(framework, lat, fmap, candidate)
-    growth = tuple(tuple(sorted(targets | {o})) for o in outsiders or ())
-    conflicts = _internal_conflicts(framework, lat, fmap, targets)
-    externals = _external_checks(framework, lat, fmap, targets, merged)
-
+    growth = table.growth(_downs(lat, fmap, exprs), g)
+    compatible = table.compatible(g)
+    targets = [ids[i] for i in _bits(g)]
     return ConservativityReport(
         candidate=candidate,
         merged_node=merged,
-        valid=outsiders == (),
-        growth_witnesses=growth,
+        valid=growth == 0,
+        growth_witnesses=tuple(tuple(sorted([*targets, ids[i]])) for i in _bits(growth or 0)),
         non_trivial=is_non_trivial(lat, fmap, blocked_sorted, candidate),
         blocked_nodes=blocked_sorted,
-        compatible=not conflicts,
-        internal_conflicts=conflicts,
-        attack_preserving=not any(c for _, _, c in externals),
-        external_checks=externals,
+        compatible=compatible,
+        internal_conflicts=() if compatible else tuple(sorted(
+            (s, e1, d, e2) for (s, e1), (d, e2) in _clashing(lat, fmap, framework.attacks) if g >> pos[s] & g >> pos[d] & 1
+        )),
+        attack_preserving=table.attack_preserving(merged, g),
+        external_checks=tuple(
+            (ids[i], table.node[ids[i]], table.comparable(merged, 1 << i)) for i in _bits(table.outside(g))
+        ),
     )

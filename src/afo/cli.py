@@ -10,7 +10,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .abstraction import AbstractionCandidate, conservativity_report
+from .abstraction import AbstractionCandidate, _report, _ScanTable
 from .af import Framework, strongly_connected_components
 from .errors import AfoError
 # parse_afo and build_model stay bound here: bench/tracing.py traces them as afo.cli.*
@@ -244,7 +244,8 @@ def _cmd_semantics(args, model: AfoModel) -> int:
 def _explain(model: AfoModel, result: AbstractionResult) -> None:
     """Each SCC of two or more arguments with the replacements the
     derivation made in it, in scan order."""
-    framework, lat = model.framework, model.lattice
+    framework = model.framework
+    table = _ScanTable(framework, model.lattice, result.fmap)
     made = {steps[0].scc: steps for steps in result.replacements}
     for scc in strongly_connected_components(framework):
         if len(scc) < 2:
@@ -255,7 +256,7 @@ def _explain(model: AfoModel, result: AbstractionResult) -> None:
             continue
         for step in made[scc]:
             candidate = AbstractionCandidate(step.targets, step.abstract_arg)
-            report = conservativity_report(framework, lat, result.fmap, model.blocked, candidate)
+            report = _report(table, model.blocked, candidate)
             expr = sorted(candidate.abstract_arg.expressions)[0]
             print(f"  group {_fmt_set(candidate.targets)} -> {candidate.abstract_arg.arg_id} at {report.merged_node} (via {expr})")
             growth = "; ".join(_fmt_set(g) for g in report.growth_witnesses)

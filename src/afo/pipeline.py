@@ -14,8 +14,9 @@ argument, and every verdict reads those counts and one fixed table of the
 six label sets (`_SHARPENED`).
 
 The group scan reads the framework's graph index (`af._index`, built once
-per framework and kept on it, with its SCC masks) and one `_ScanTable`,
-built per scan and dropped with it, whose parts are built as the scan
+per framework and kept on it, with its SCC masks) and one
+`abstraction._ScanTable`, whose tests the public predicates call too,
+built per scan and dropped with it; its parts are built as the scan
 first needs them: each argument's lattice node and M's rank mask, then,
 once some group passes the node filter, the lattice-side bit masks for the
 compatibility, attack-preservation and validity tests, then, once some
@@ -29,12 +30,12 @@ what the lattice or the framework holds.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, product
 from typing import Iterable, Sequence
 
-from .abstraction import AbstractionCandidate, _check_targets, _fresh, best_abstraction_of
-from .af import Arglet, Argument, Framework, _drop_index, _index, _union, strongly_connected_components
+from .abstraction import _check_targets, _Groups, _ScanTable, best_abstraction_of
+from .af import Arglet, Argument, Framework, _drop_index, _index, strongly_connected_components
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
@@ -64,86 +65,6 @@ class AbstractionResult:
     provenance: tuple[tuple[ReplacementStep, ...], ...]
     fmap: SemanticMap
     replacements: tuple[tuple[ReplacementStep, ...], ...]
-
-
-_Groups = list[tuple[AbstractionCandidate, SemanticMap]]
-
-
-class _ScanTable:
-    """What one group scan reads of the framework besides its graph index.
-    Built eagerly: per argument its node, the lowest rank in the AND of its
-    expressions' up masks, and M as one rank mask (`skip`).  Built by the
-    first group to pass the node filter: per argument the rank bit of its
-    node and the mask of the arguments it attacks through comparable
-    expression images.  Built by the first kept group: per argument its
-    expressions, and `taken`, the ids merged ids must avoid, which every id
-    handed out joins.  Bits and neighbours come from the framework's index
-    (`af._index`), and validity reads the SCC masks kept there.  A table
-    serves one `blocked` set."""
-
-    def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: frozenset[str]):
-        self.framework, self.lat, self.fmap = framework, lat, fmap
-        self.skip = lat.rank_mask(blocked & lat.nodes)
-        up, image = lat._up, fmap.image
-        masks: dict[str, int] = {}
-        for a, e in framework.arglets:
-            masks[a] = masks.get(a, -1) & lat._mask(up, image(e))
-        ranked = lat._ranked
-        self.node = {a: ranked[(m & -m).bit_length() - 1] for a, m in masks.items()}
-        self.rank: list[int] | None = None
-        self.conflicts: list[int] = []
-        self.exprs: dict[str, list[str]] | None = None
-        self.taken: set[str] | None = None
-
-    def mask(self, ids: Iterable[str]) -> int:
-        ix = _index(self.framework)
-        if self.rank is None:
-            up, image = self.lat._up, self.fmap.image
-            self.rank = [up[self.node[a]] & -up[self.node[a]] for a in ix.ids]
-            self.conflicts = [0] * len(ix.ids)
-            for (s, e1), (d, e2) in self.framework.attacks:
-                if self.lat.comparable(image(e1), image(e2)):
-                    self.conflicts[ix.pos[s]] |= 1 << ix.pos[d]
-        return sum(1 << ix.pos[a] for a in ids)
-
-    def compatible(self, g: int) -> bool:
-        """No member attacks a member through comparable images."""
-        return not _union(self.conflicts, g) & g
-
-    def attack_preserving(self, v: str, g: int) -> bool:
-        """No argument outside the group that attacks it or that it attacks
-        sits at a node comparable with v."""
-        outside = _union(_index(self.framework).neighbours, g) & ~g
-        return not (self.lat._up[v] | self.lat._down[v]) & _union(self.rank, outside)
-
-    def valid(self, v: str, g: int) -> bool:
-        """The group lies inside one SCC, and no other member of that SCC
-        sits at or below v: a best abstraction at v absorbs exactly those,
-        so none can grow the group."""
-        home = _index(self.framework).scc_homes()[(g & -g).bit_length() - 1]
-        return not g & ~home and not self.lat._down[v] & _union(self.rank, home & ~g)
-
-    def arguments(self, ids: list[str]) -> list[Argument]:
-        """The arguments of `ids`, in that order.  Every id carries an
-        arglet: it has a node."""
-        if self.exprs is None:
-            self.exprs = {}
-            for a, e in self.framework.arglets:
-                self.exprs.setdefault(a, []).append(e)
-        return [Argument(a, frozenset(self.exprs[a])) for a in ids]
-
-    def renamed(self, groups: _Groups) -> _Groups:
-        """The groups with each merged id made fresh against `taken`."""
-        if self.taken is None:
-            self.taken = set(self.node)
-        out: _Groups = []
-        for candidate, xmap in groups:
-            arg = candidate.abstract_arg
-            if (arg_id := _fresh(arg.arg_id, self.taken)) != arg.arg_id:
-                candidate = replace(candidate, abstract_arg=replace(arg, arg_id=arg_id))
-            self.taken.add(arg_id)
-            out.append((candidate, xmap))
-        return out
 
 
 def maximal_conservative_subsets(
@@ -187,7 +108,7 @@ def maximal_conservative_subsets(
         if not is_join:
             continue
         g = table.mask(group)
-        if table.compatible(g) and table.attack_preserving(v, g) and table.valid(v, g):
+        if table.compatible(g) and table.attack_preserving(v, g) and table.valid([lat._down[v]], g):
             found.append((g, group))
     maximal = [group for g, group in found if not any(g & h == g != h for h, _ in found)]
     maximal.sort(key=lambda group: (-len(group), sorted(group)))

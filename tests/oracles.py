@@ -3,8 +3,10 @@
 Everything here is written from the bare definitions, favouring
 obviousness over speed: breadth-first search for the order, bitmask
 enumeration of all subsets for the semantics, subset enumeration for
-validity and the group scan, set comprehensions for the projections, the
-README's label table for the verdicts.  The package's former depth-first
+validity and the group scan, set comprehensions for the four structural
+conditions and every field of a conservativity report
+(`oracle_conservativity`) and for the projections, the README's label
+table for the verdicts.  The package's former depth-first
 preferred search and take/drop naive-set search are kept for frameworks
 too large to enumerate, its former naming and sorting of extension masks
 checks the kernel's way out, its former set-based lattice validation pins
@@ -505,8 +507,8 @@ def _oracle_join_all(reach, members):
     return next(u for u in uppers if uppers <= reach[u])
 
 
-def oracle_is_argument_abstraction(reach, abstractor, targets):
-    """Covering, disjoint, sound and complete, read literally.
+def oracle_abstraction_conditions(reach, abstractor, targets):
+    """Covering, disjoint, sound and complete, read literally, by name.
 
     `abstractor` lists the node of each abstractor expression (repeats
     allowed); `targets` holds one node set per target argument.
@@ -516,15 +518,21 @@ def oracle_is_argument_abstraction(reach, abstractor, targets):
         return x in reach[n]
 
     union = set().union(*targets)
-    covering = all(
-        all(any(abstracts(x, n) for n in t) for t in targets)
-        for x in abstractor
-        if any(abstracts(x, n) for n in union)
-    )
-    disjoint = all(sum(1 for x in abstractor if abstracts(x, n)) <= 1 for n in union)
-    sound = all(any(abstracts(x, n) for x in abstractor) for n in union)
-    complete = all(any(abstracts(x, n) for n in union) for x in abstractor)
-    return covering and disjoint and sound and complete
+    return {
+        "covering": all(
+            all(any(abstracts(x, n) for n in t) for t in targets)
+            for x in abstractor
+            if any(abstracts(x, n) for n in union)
+        ),
+        "disjoint": all(sum(1 for x in abstractor if abstracts(x, n)) <= 1 for n in union),
+        "sound": all(any(abstracts(x, n) for x in abstractor) for n in union),
+        "complete": all(any(abstracts(x, n) for n in union) for x in abstractor),
+    }
+
+
+def oracle_is_argument_abstraction(reach, abstractor, targets):
+    """All four conditions of `oracle_abstraction_conditions`."""
+    return all(oracle_abstraction_conditions(reach, abstractor, targets).values())
 
 
 def oracle_growth(reach, arg_nodes, abstractor, targets, home):
@@ -539,6 +547,53 @@ def oracle_growth(reach, arg_nodes, abstractor, targets, home):
             reach, abstractor, [arg_nodes[a] for a in set(targets) | set(extra)]
         )
     ]
+
+
+def oracle_conservativity(reach, assignments, arglets, attacks, blocked, targets, abstractor):
+    """Every field of a conservativity report but the candidate, read off
+    the definitions, for the target ids and an abstract argument whose
+    expressions sit at the nodes `abstractor` (one or more, repeats
+    allowed).  The merged node is their join.  The growth witnesses are the
+    growths of the targets by one member of their SCC (`oracle_growth`),
+    none across SCCs.  The internal conflicts are the attacks inside the
+    targets between comparable images, sorted.  The external checks are the
+    arguments outside the targets that attack them or that they attack, by
+    id, each with its node and whether that is comparable with the merged
+    node."""
+    targets = set(targets)
+    arg_nodes = {}
+    for a, e in arglets:
+        arg_nodes.setdefault(a, set()).add(assignments[e])
+
+    def comparable(x, y):
+        return y in reach[x] or x in reach[y]
+
+    merged = _oracle_join_all(reach, set(abstractor))
+    sccs = oracle_sccs(set(arg_nodes), {(s[0], d[0]) for s, d in attacks})
+    home = next((c for c in sccs if targets <= c), None)
+    growth = [] if home is None else oracle_growth(reach, arg_nodes, abstractor, targets, home)
+    conflicts = sorted(
+        (s, se, d, de)
+        for (s, se), (d, de) in attacks
+        if s in targets and d in targets and comparable(assignments[se], assignments[de])
+    )
+    neighbours = {d for (s, _), (d, _) in attacks if s in targets} | {s for (s, _), (d, _) in attacks if d in targets}
+    externals = [
+        (n, node, comparable(merged, node))
+        for n in sorted(neighbours - targets)
+        for node in [_oracle_join_all(reach, arg_nodes[n])]
+    ]
+    return {
+        "merged_node": merged,
+        "valid": home is not None and not growth,
+        "growth_witnesses": tuple(g for g in growth if len(g) == len(targets) + 1),
+        "non_trivial": merged not in set(blocked),
+        "blocked_nodes": tuple(sorted(set(blocked))),
+        "compatible": not conflicts,
+        "internal_conflicts": tuple(conflicts),
+        "attack_preserving": not any(c for _, _, c in externals),
+        "external_checks": tuple(externals),
+    }
 
 
 def oracle_maximal_conservative_groups(nodes, covers, assignments, arglets, attacks, blocked, scc):

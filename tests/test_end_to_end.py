@@ -4,7 +4,9 @@ and `afo abstract --explain` against `oracle_scan`, SCC by SCC.
 Each draw is written out as an `.afo` document and run through the CLI;
 the reference reads the same text with the former parser and chains the
 subset-enumerating references, so nothing on its side comes from the
-package.
+package.  On a mismatch of `sharpen --json`, the assertion message holds
+the document shrunk by delta debugging (`shrink`) to one that still
+mismatches.
 """
 
 import json
@@ -15,6 +17,7 @@ from afo.cli import main
 
 from generators import conservative_instance, forking_chain, hub_pairs_document, multi_hub_instance, ring_instance
 from oracles import oracle_scan, oracle_sharpen
+from shrink import shrink
 
 LABELS = {
     "plus_approved_credulous",
@@ -30,6 +33,22 @@ def afo_text(framework, lattice, fmap, blocked) -> str:
     """The `.afo` document of a generated instance, M given by its members."""
     fields = (lattice.nodes, lattice.covers, blocked, fmap.items(), framework.arglets, framework.attacks)
     return serialize_afo(AfoDocument(*(tuple(sorted(field)) for field in fields)))
+
+
+def sharpen_mismatches(text, capsys, tmp_path) -> bool:
+    """Whether the package accepts the document and its `sharpen --json`
+    payload differs from `oracle_sharpen`'s.  A document the package
+    rejects does not count; one it accepts, the oracle reads."""
+    path = tmp_path / "shrunk.afo"
+    path.write_text(text, encoding="utf-8")
+    code = main(["sharpen", str(path), "--json"])
+    out = capsys.readouterr().out
+    return code == 0 and json.loads(out) != oracle_sharpen(text)
+
+
+def minimal_mismatch(text, capsys, tmp_path) -> str:
+    """The assertion message of a `sharpen --json` mismatch."""
+    return "minimal mismatching document:\n" + shrink(text, lambda t: sharpen_mismatches(t, capsys, tmp_path))
 
 
 def _hub_document(rng) -> str:
@@ -71,7 +90,7 @@ def test_sharpen_json_matches_the_end_to_end_oracle(capsys, tmp_path):
         path.write_text(text, encoding="utf-8")
         assert main(["sharpen", str(path), "--json"]) == 0
         got = json.loads(capsys.readouterr().out)
-        assert got == oracle_sharpen(text), text
+        assert got == oracle_sharpen(text), minimal_mismatch(text, capsys, tmp_path)
         forking += len(got["sigma"]) >= 2
         alike += len(got["projected"]) < len(got["sigma"])
         labels.update(label for verdict in got["classification"].values() for label in verdict["sharpened"])
@@ -92,7 +111,7 @@ def test_forking_chain_matches_the_end_to_end_oracle(capsys, tmp_path):
         path.write_text(text, encoding="utf-8")
         assert main(["sharpen", str(path), "--json"]) == 0
         got = json.loads(capsys.readouterr().out)
-        assert got == oracle_sharpen(text), k
+        assert got == oracle_sharpen(text), minimal_mismatch(text, capsys, tmp_path)
         assert len(got["sigma"]) == len(got["projected"]) == 2**k
 
 

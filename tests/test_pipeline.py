@@ -30,10 +30,10 @@ from afo import (
     strongly_connected_components,
     validate_lattice,
 )
+from afo.abstraction import _ScanTable
 from afo.af import _Index, _index
 from afo.format import build_model, parse_afo
 from afo.pipeline import (
-    _ScanTable,
     IMPLIED_CREDULOUS,
     IMPLIED_SKEPTICAL,
     MINUS_APPROVED,
