@@ -35,7 +35,7 @@ from itertools import chain, product
 from typing import Iterable, Sequence
 
 from .abstraction import _check_targets, _Groups, _ScanTable, best_abstraction_of
-from .af import Arglet, Argument, Framework, _drop_index, _index, strongly_connected_components
+from .af import Arglet, Argument, Framework, _contract, _drop_index, _index, strongly_connected_components
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
@@ -276,17 +276,19 @@ def sharpen(
 
     A derived framework that is the input (no group merged) takes the
     concrete extensions instead of a second `preferred` run.  Every other
-    one drops the graph index its `preferred` run built, so at most one
-    fork's index is alive at a time.  Each extension list is counted once,
-    into how many of its extensions hold each argument; the verdicts read
-    those counts in id order."""
+    one takes its SCC masks from the input's, renamed (`af._contract`), as
+    each merged group lies inside one SCC, and drops the graph index its
+    `preferred` run built, so at most one fork's index is alive at a time.
+    Each extension list is counted once, into how many of its extensions
+    hold each argument; the verdicts read those counts in id order."""
     concrete = preferred(framework)
     derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
     abstract_preferred = []
-    for f in derivation.frameworks:
+    for f, steps in zip(derivation.frameworks, derivation.provenance):
         if f is framework:
             abstract_preferred.append(concrete)
         else:
+            _contract(framework, f, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
             abstract_preferred.append(preferred(f))
             _drop_index(f)
     projected = concretize_extension_sets(framework, abstract_preferred)

@@ -4,15 +4,21 @@ Everything here works on the Dung projection of a framework: arguments and
 the attacks between them, expressions ignored.  Extension sets come back
 sorted by size then lexicographically so equal inputs always print equally.
 The kernel's searches answer in bit masks over the sorted ids; `_extensions`
-drops duplicate masks and orders them as ints, then names each survivor
-once, through `_Index.members`.  Naming only the survivors, each through a
-set copy, cut the `extensions` benchmark's instance_peak_kb from 42.5 to
-38.2 KB (seed 3, Python 3.11.7); see `_Index.members`.
+drops duplicate masks and orders them by the digits of their complements,
+then names each survivor once from the same digits, through
+`_Index.members`.  Naming only the survivors, each through a set copy, cut
+the `extensions` benchmark's instance_peak_kb from 42.5 to 38.2 KB (seed 3,
+Python 3.11.7); see `_Index.members`.
+
+`preferred` and `cf2` are both SCC-recursive (`_scc_recursive`): each SCC,
+attackers first, chooses under every partial answer upstream, and the two
+differ only in the search each SCC gets, labelling search for `preferred`,
+naive sets for `cf2`.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterable
+from typing import Callable, Generator, Iterable
 
 from .af import Framework, _bits, _Index, _index, _reach, _sccs, _union, attack_relation
 from .errors import UnknownArgument
@@ -67,17 +73,23 @@ def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
 # preferred, grounded_labelling, maximal_conflict_free_sets and cf2 work on
 # the framework's graph index (`af._index`), built once per framework and
 # kept on it, so a second call on the same framework, or a call after the
-# group scan, builds none; cf2 takes its top-level SCCs from it too.
+# group scan, builds none; cf2 and preferred take their SCCs from it too.
 
 
 def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
     """The distinct masks in the order of `_sorted_extensions`, each named
     once.  Bit i is the i-th smallest id, so of two masks of one size the
     one holding their lowest differing bit comes first: it holds a 0 where
-    the other holds a 1 in its complement's digits, read lowest first."""
+    the other holds a 1 in its complement's digits, read lowest first.  A
+    flag bit above every id gives all complements one length, so their
+    digits also name the masks (`_Index.members`).  Each name takes its
+    key's place in the list, so the keys are freed as the names are made."""
     everything = ix.everything
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), bin(everything ^ m)[:1:-1]))
-    return [ix.members(m) for m in ordered]
+    flag = everything + 1
+    ordered = sorted({(m.bit_count(), bin(flag | everything ^ m)[:1:-1]) for m in masks})
+    for i, (_, complement) in enumerate(ordered):
+        ordered[i] = ix.members(complement)
+    return ordered
 
 
 def _components(ix: _Index, within: int) -> list[int]:
@@ -117,92 +129,174 @@ def _grounded(ix: _Index) -> tuple[int, int]:
     return accepted, defeated
 
 
-def _preferred_in(ix: _Index, comp: int) -> list[int]:
-    """Maximal admissible subsets of one component of the part the grounded
-    labelling leaves undecided, by labelling search (Nofal, Atkinson and
-    Dunne 2014).
+def _preferred_in(ix: _Index, live: int, barred: int = 0) -> list[int]:
+    """Maximal admissible subsets of `live` that hold no argument of
+    `barred`, with everything outside `live` out, by labelling search
+    (Nofal, Atkinson and Dunne 2014).  `live` is a component of the part
+    the grounded labelling leaves undecided, or one SCC of such a component
+    with what upstream defeats taken out (`_preferred_scc`).
 
     A state holds the masks in, out (attacked by in, and everything outside
-    the component), must-out (attacks in, not yet out) and blank (still
-    open); the rest is undecided and never goes in.  Each step branches on
-    the lowest blank argument: in first, then undecided.  Each new state is
-    settled when it is made, by three rules:
+    `live`), must-out (attacks in, not yet out) and blank (still open); the
+    rest is undecided and never goes in: self-attackers, `barred`, and what
+    the search or the fourth rule leaves out.  Each step branches on the
+    lowest blank argument: in first, then undecided.  Each state is settled
+    before it branches, by four rules:
 
     - a blank argument whose attackers are all out or must-out joins every
       maximal extension of the state, so it goes in;
     - a must-out argument with exactly one blank attacker can be attacked
       back only by that attacker, so it goes in;
     - a state where some must-out argument has no blank attacker has no
-      extension, so it is dropped.
+      extension, so it is dropped;
+    - an argument that is not out and has no blank attacker can never be
+      attacked by in, so no blank argument it attacks can be defended
+      against it: those become undecided.
 
     Forced attackers go in one at a time: two of them may attack each
     other, and taking the first then leaves the second's must-out argument
     with no blank attacker, so the state dies instead of yielding a set
-    with a conflict.  A blank argument can become takeable only when an
-    attacker goes out or must-out, and a must-out argument can lose a blank
-    attacker only when one of its attackers leaves blank, so after each
-    take only the targets of what just went out or must-out are looked at
-    again, not every blank argument.
+    with a conflict.  Each rule reads only what the last change can have
+    touched: a blank argument can become takeable only when an attacker
+    goes out or must-out, and an argument can lose a blank attacker only
+    when one of its attackers leaves blank, so after each change only the
+    targets of what left blank are looked at again.  On an odd cycle the
+    fourth rule settles in one cascade what the branching would take one
+    level per argument.
 
     The rules drop no maximal extension of a state: each argument they take
-    lies in all of them, and a dropped state has none.  Because the in
-    branch is searched first, a preferred set is found before the search
-    can reach any of its subsets, and those are then cut as lying inside
-    it: every set found is maximal.
+    lies in all of them, each argument they leave out lies in none, and a
+    dropped state has none.  Because the in branch is searched first, a
+    preferred set is found before the search can reach any of its subsets,
+    and those are then cut as lying inside it: every set found is maximal.
     """
     attackers, targets = ix.attackers, ix.targets
     found: list[int] = []
-    stack = [(0, ix.everything & ~comp, 0, comp & ~ix.loops)]
+    blank = live & ~(ix.loops | barred)
+    near = _union(targets, blank)
+    # (in, out, must-out, blank, to take, and the arguments the second,
+    # fourth and first rules look at again), each state settled when it is
+    # popped; the first state's are what has no blank attacker, and what
+    # has no attacker in `live` at all
+    stack = [(0, ix.everything & ~live, 0, blank, 0, 0, live & ~near, blank & ~(near | _union(targets, live & ~blank)))]
     while stack:
-        in_, out, must, blank = stack.pop()
-        if any(in_ | blank | f == f for f in found):
-            continue  # nothing below is larger than a set already found
-        if not blank:
-            found.append(in_)  # settled, so nothing is left must-out
-            continue
-        low = blank & -blank
-        # the undecided branch, then the in branch, so the in branch is popped first
-        for in_, out, must, blank, take, watch in (
-            (in_, out, must, blank ^ low, 0, targets[low.bit_length() - 1] & must),
-            (in_, out, must, blank, low, 0),
-        ):
-            ready = 0  # blank arguments an attacker of which went out or must-out
-            while True:
-                if take:
-                    i = take.bit_length() - 1
-                    in_ |= take
-                    hit = targets[i] & ~out
-                    out |= hit
-                    grow = attackers[i] & ~(out | must)
-                    must = must & ~hit | grow
-                    blank &= ~(take | hit | grow)
-                    near = _union(targets, hit | grow)
-                    ready |= near & blank
-                    watch |= grow | near & must
-                    take = 0
-                # the second and third rules, on must-out arguments new or short of a blank attacker
-                while watch:
-                    y = watch & -watch
-                    watch ^= y
-                    if y & must:
-                        take = attackers[y.bit_length() - 1] & blank
-                        if not take & (take - 1):
-                            break  # one blank attacker is left, or none
+        in_, out, must, blank, take, watch, quiet, ready = stack.pop()
+        while True:
+            if take:
+                i = take.bit_length() - 1
+                in_ |= take
+                hit = targets[i] & ~out
+                out |= hit
+                grow = attackers[i] & ~(out | must)
+                must = must & ~hit | grow
+                blank &= ~(take | hit | grow)
+                near = _union(targets, hit | grow)
+                ready |= near & blank
+                watch |= grow | near & must
+                quiet |= near
+                take = 0
+            elif watch:  # the second and third rules
+                y = watch & -watch
+                watch ^= y
+                if y & must:
+                    take = attackers[y.bit_length() - 1] & blank
+                    if not take:
+                        break  # dead: nothing is left to attack back an attacker of in
+                    if take & (take - 1):
+                        take = 0  # two blank attackers or more: nothing is forced
+            elif quiet:  # the fourth rule
+                y = quiet & -quiet
+                quiet ^= y
+                i = y.bit_length() - 1
+                drop = targets[i] & blank
+                if drop and not y & out and not attackers[i] & blank:
+                    blank ^= drop
+                    near = _union(targets, drop)
+                    watch |= near & must
+                    quiet |= near
+            elif ready:  # the first rule
+                y = ready & -ready
+                ready ^= y
+                if y & blank and not attackers[y.bit_length() - 1] & ~(out | must):
+                    take = y
+            else:
+                for f in found:
+                    if in_ | blank | f == f:
+                        break  # nothing below is larger than a set already found
                 else:
-                    take = 0
-                    while ready:  # the first rule
-                        y = ready & -ready
-                        ready ^= y
-                        if y & blank and not attackers[y.bit_length() - 1] & ~(out | must):
-                            take = y
-                            break
+                    if not blank:
+                        found.append(in_)  # settled, so nothing is left must-out
                     else:
-                        stack.append((in_, out, must, blank))
-                        break
-                    continue
-                if not take:
-                    break  # dead: nothing is left to attack back an attacker of in
+                        low = blank & -blank
+                        near = targets[low.bit_length() - 1]
+                        # the undecided branch, then the in branch, so the in branch is popped first
+                        stack.append((in_, out, must, blank ^ low, 0, near & must, near, 0))
+                        stack.append((in_, out, must, blank, low, 0, 0, 0))
+                break
     return found
+
+
+_Choices = list[tuple[int, int]]  # (extension, the mask it attacks)
+# a base search's answer for one SCC: its choices, or a mask whose choices it needs
+_Base = Callable[[int, int, int], "_Choices | int"]
+
+
+def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> Generator[int, _Choices, _Choices]:
+    """The SCC-recursive schema (Baroni, Giacomin and Guida, "SCC-recursiveness:
+    a general schema for argumentation semantics", AIJ 2005) on the
+    sub-framework induced by `within`, whose SCCs are `sccs`, attackers
+    first.  Each partial answer (in, the mask in attacks) on the SCCs
+    before one grows by each choice `base(scc, live, doubt)` makes for that
+    SCC, where `live` is what of the SCC the partial answer leaves not out
+    and `doubt` the upstream arguments, neither in nor out, that attack it.
+    An SCC that nothing upstream attacks is asked once, whole, for all
+    partial answers.  Asked for less than the whole SCC, a base may answer
+    with a mask instead, of survivors whose answers it needs: the frame
+    yields that mask and is sent the choices back.  The frame returns the
+    partial answers on all of `sccs`."""
+    partials: _Choices = [(0, 0)]
+    for scc in sccs:
+        feeders = _union(ix.attackers, scc) & within & ~scc
+        if not feeders:
+            choices = base(scc, scc, 0)
+            partials = [(part | c, hit | h) for part, hit in partials for c, h in choices]
+            continue
+        grown: _Choices = []
+        for part, hit in partials:
+            choices = base(scc, scc & ~hit, feeders & ~(part | hit))
+            if isinstance(choices, int):
+                choices = yield choices
+            grown.extend((part | c, hit | h) for c, h in choices)
+        partials = grown
+    return partials
+
+
+def _preferred_scc(ix: _Index, comp: int, sccs: list[int]) -> list[int]:
+    """Preferred extensions of a component of the grounded-undecided part
+    that meets the SCCs `sccs`, attackers first, by the SCC-recursive
+    schema (Cerutti, Giacomin, Vallati and Zanella, "An SCC recursive
+    meta-algorithm for computing preferred labellings in abstract
+    argumentation", KR 2014).  Under a partial answer upstream, what its in
+    arguments attack is out, and what an upstream argument neither in nor
+    out attacks can never be defended against it, so it is barred from
+    going in; the SCC's answers are the labelling search's on the rest,
+    with the barred arguments left undecided.  Answers are kept for the
+    call on (live, barred): many partial answers leave an SCC alike."""
+    targets = ix.targets
+    solved: dict[tuple[int, int], _Choices] = {}
+
+    def base(scc: int, live: int, doubt: int) -> _Choices:
+        key = live, _union(targets, doubt) & live if doubt else 0
+        choices = solved.get(key)
+        if choices is None:
+            choices = solved[key] = [(m, _union(targets, m)) for m in _preferred_in(ix, *key)]
+        return choices
+
+    try:
+        next(_scc_recursive(ix, comp, sccs, base))
+    except StopIteration as done:  # the base asks for nothing, so the frame returns at once
+        return [m for m, _ in done.value]
+    raise AssertionError("the preferred base asked for survivors")
 
 
 def preferred(framework: Framework) -> list[frozenset[str]]:
@@ -210,14 +304,29 @@ def preferred(framework: Framework) -> list[frozenset[str]]:
 
     Every preferred extension holds the grounded extension and nothing it
     attacks, and the undecided rest splits into weakly connected
-    components whose choices are independent.  Each component is searched
-    on its own and the extensions are the grounded extension plus one
-    choice per component.
+    components whose choices are independent.  A component inside one SCC
+    is searched whole (`_preferred_in`); one that meets several SCCs goes
+    SCC by SCC, attackers first (`_preferred_scc`), on the SCC masks the
+    framework's index keeps.  The extensions are the grounded extension
+    plus one choice per component.
     """
     ix = _index(framework)
     accepted, defeated = _grounded(ix)
-    undecided = ix.everything & ~(accepted | defeated)
-    per_component = [_preferred_in(ix, comp) for comp in _components(ix, undecided)]
+    per_component = []
+    comps = _components(ix, ix.everything & ~(accepted | defeated))
+    rank: dict[int, int] = {}  # each SCC's place, attackers first, once needed
+    for comp in comps:
+        if len(comps) == 1:
+            sccs = [scc & comp for scc in ix.scc_masks() if scc & comp]
+        else:  # not a walk of every SCC per component: the SCCs its arguments lie in
+            homes, rest, sccs = ix.scc_homes(), comp, []
+            while rest:
+                sccs.append(homes[(rest & -rest).bit_length() - 1])
+                rest &= ~sccs[-1]
+            if len(sccs) > 1:
+                rank = rank or {scc: r for r, scc in enumerate(ix.scc_masks())}
+                sccs = [scc & comp for scc in sorted(sccs, key=rank.__getitem__)]
+        per_component.append(_preferred_in(ix, comp) if len(sccs) == 1 else _preferred_scc(ix, comp, sccs))
     return _extensions(ix, _product(per_component, accepted))
 
 
@@ -286,32 +395,23 @@ def maximal_conflict_free_sets(framework: Framework) -> list[frozenset[str]]:
     return _extensions(ix, _naive_in(ix, ix.everything))
 
 
-_Choices = list[tuple[int, int]]  # (extension, the mask it attacks)
-
-
 def _cf2_frame(ix: _Index, within: int) -> Generator[int, _Choices, _Choices]:
     """cf2 of the sub-framework induced by `within`.  Yields each set of
     survivors whose cf2 extensions it needs and is sent them back."""
     sccs = ix.scc_masks() if within == ix.everything else _sccs(ix, within)
     if len(sccs) == 1:
         return [(m, _union(ix.targets, m)) for m in _naive_in(ix, within)]
-    partials: _Choices = [(0, 0)]
-    for scc in sccs:
-        whole: _Choices | None = None
-        grown: _Choices = []
-        for part, hit in partials:
-            survivors = scc & ~hit
-            if survivors == scc:
-                if whole is None:
-                    whole = [(m, _union(ix.targets, m)) for m in _naive_in(ix, scc)]
-                choices = whole
-            elif survivors:
-                choices = yield survivors
-            else:
-                choices = [(0, 0)]
-            grown.extend((part | c, hit | h) for c, h in choices)
-        partials = grown
-    return partials
+    whole: dict[int, _Choices] = {}
+
+    def base(scc: int, live: int, doubt: int) -> _Choices | int:
+        if live != scc:
+            return live or [(0, 0)]
+        choices = whole.get(scc)
+        if choices is None:
+            choices = whole[scc] = [(m, _union(ix.targets, m)) for m in _naive_in(ix, scc)]
+        return choices
+
+    return (yield from _scc_recursive(ix, within, sccs, base))
 
 
 def cf2(framework: Framework) -> list[frozenset[str]]:

@@ -15,10 +15,12 @@ import pytest
 from afo import Framework, cf2, is_admissible, preferred
 from afo.cli import main
 from afo.format import build_model, parse_afo
+from afo.pipeline import sharpen
 
 from generators import (
     chained_four_cycles,
     flower_document,
+    forking_chain,
     hub_pairs_document,
     linked_two_cycles,
     ring,
@@ -47,12 +49,6 @@ def _large():
 LARGE = _large()
 CASES = [(label, fw, sem) for label, fw, with_cf2 in LARGE for sem in ((preferred, cf2) if with_cf2 else (preferred,))]
 IDS = [f"{label}, {sem.__name__}" for label, _, sem in CASES]
-# With shuffled ids, `preferred` on a chain of SCCs takes time exponential
-# in the chain's length: 0.04 s on 13 chained 4-cycles, 4-8 s on 20 of them
-# and on 25 linked 2-cycles (2 cores, Python 3.11).  So renaming reaches the
-# longer chains through cf2 only.
-LONG_CHAINS = {"chained 4-cycles k=40", "linked 2-cycles n=50", "linked 2-cycles n=126"}
-RENAMED = [(label, fw, sem) for label, fw, sem in CASES if not (sem is preferred and label in LONG_CHAINS)]
 
 
 def _renamed(framework, name):
@@ -66,9 +62,7 @@ def _union(first, second):
     return Framework(first.arglets | second.arglets, first.attacks | second.attacks)
 
 
-@pytest.mark.parametrize(
-    "label, framework, semantics", RENAMED, ids=[f"{label}, {sem.__name__}" for label, _, sem in RENAMED]
-)
+@pytest.mark.parametrize("label, framework, semantics", CASES, ids=IDS)
 def test_renaming_ids_renames_the_extensions(label, framework, semantics):
     ids = sorted(framework.argument_ids())
     shuffled = ids[:]
@@ -238,3 +232,14 @@ def test_renaming_nodes_and_expressions_in_order_renames_the_output(capsys, tmp_
             renamed += want.count("#abs")
     # 1,030 synthetic expressions named across the four outputs at this seed
     assert renamed >= 500
+
+
+def test_the_forking_chain_forks_and_projects_two_to_the_k_ways():
+    """k chained squares keep two groups each, so `sharpen` derives 2^k
+    frameworks, one per choice of groups, and no two of them project to
+    the same extensions on the concrete ids."""
+    for k in range(1, 8):
+        model = build_model(parse_afo(forking_chain(k))[0])
+        report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
+        assert len(report.derivation.frameworks) == 2**k
+        assert len(set(report.projected)) == len(report.projected) == 2**k

@@ -31,7 +31,7 @@ from afo import (
     validate_lattice,
 )
 from afo.abstraction import _ScanTable
-from afo.af import _Index, _index
+from afo.af import _contract, _Index, _index
 from afo.format import build_model, parse_afo
 from afo.pipeline import (
     IMPLIED_CREDULOUS,
@@ -350,6 +350,43 @@ def test_forks_match_the_chain_of_abstract_replace_calls():
         forked += len(result.frameworks) > 1
     # 449 forks, 69 inputs with two or more, at this seed
     assert forks >= 400 and forked >= 60
+
+
+def test_forking_chain_sharpens_within_a_limit():
+    """The forking chain at k=8: 256 forks, each a chain of eight SCCs
+    with up to 256 preferred extensions, read SCC by SCC.  Measured on
+    Python 3.11.7, 2 cores: 0.15 s; with each fork's components searched
+    whole, 1.5 s."""
+    model = build_model(parse_afo(forking_chain(8))[0])
+    start = time.perf_counter()
+    report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
+    elapsed = time.perf_counter() - start
+    assert len(report.derivation.frameworks) == len(set(report.projected)) == 256
+    assert max(map(len, report.abstract_preferred)) == 256
+    assert elapsed < 0.75
+
+
+def test_forks_take_the_sccs_of_their_input():
+    """`af._contract` renames the input's SCC masks for a fork: as sets
+    they are the fork's own SCCs, and no SCC attacks one listed before it."""
+    rng = random.Random(2404)
+    checked = 0
+    for fw, lat, fmap, blocked in _fork_inputs(rng):
+        result = derive_abstract_frameworks(fw, lat, fmap, blocked)
+        for built, steps in zip(result.frameworks, result.provenance):
+            if built is fw:
+                continue
+            _contract(fw, built, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
+            ix = built._ix
+            names = [frozenset(ix.ids[i] for i in range(len(ix.ids)) if m >> i & 1) for m in ix.sccs]
+            fresh = Framework(built.arglets, built.attacks)
+            assert set(names) == set(strongly_connected_components(fresh))
+            for i, m in enumerate(ix.sccs):
+                later = sum(ix.sccs[i + 1 :])
+                assert not any(ix.attackers[j] & later for j in range(len(ix.ids)) if m >> j & 1)
+            assert preferred(built) == preferred(fresh)
+            checked += 1
+    assert checked >= 300
 
 
 def test_sharpen_drops_each_fork_index_after_its_preferred():

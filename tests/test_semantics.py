@@ -24,6 +24,7 @@ from afo import (
     strongly_connected_components,
 )
 
+import afo.semantics
 from afo.af import _Index
 from afo.semantics import _extensions
 
@@ -536,3 +537,141 @@ def test_preferred_scales_on_rings_and_chained_cycles():
     for fw, expected in (ring(1000), ring(1001), chained_four_cycles(14)):
         assert preferred(fw) == _by_size_then_ids(expected)
     assert time.perf_counter() - start < 5.0
+
+
+def _chain_of_blocks(rng, max_args=12):
+    """A random framework of up to `max_args` arguments built as a chain of
+    small blocks, each one SCC: a self-attacker, an odd 3-cycle, a 2-cycle,
+    a 4-cycle or a lone argument, plus random attacks from earlier blocks
+    to later ones only, so the blocks are its SCCs.  Ids are shuffled, so
+    id order does not follow the chain."""
+    shapes = {"loop": [(0, 0)], "odd": [(0, 1), (1, 2), (2, 0)], "pair": [(0, 1), (1, 0)], "square": [(0, 1), (1, 2), (2, 3), (3, 0)], "lone": []}
+    sizes = {"loop": 1, "odd": 3, "pair": 2, "square": 4, "lone": 1}
+    blocks, n = [], 0
+    while True:
+        shape = rng.choice(sorted(shapes))
+        if n + sizes[shape] > max_args:
+            break
+        blocks.append((shape, list(range(n, n + sizes[shape]))))
+        n += sizes[shape]
+    edges = {(members[s], members[d]) for shape, members in blocks for s, d in shapes[shape]}
+    for i, (_, upper) in enumerate(blocks):
+        for _, lower in blocks[i + 1 :]:
+            for a in upper:
+                for b in lower:
+                    if rng.random() < 0.15:
+                        edges.add((a, b))
+    names = [f"n{i:02d}" for i in range(n)]
+    rng.shuffle(names)
+    return [names[i] for i in range(n)], [(names[s], names[d]) for s, d in edges], len(blocks)
+
+
+def test_preferred_matches_both_oracles_on_chains_of_sccs(monkeypatch):
+    """The SCC-by-SCC search against `oracle_preferred` and
+    `preferred_bruteforce` on chains of small SCCs with self-attackers and
+    odd cycles upstream: what an upstream argument that is neither in nor
+    out attacks is barred from going in, and many draws bar something."""
+    searches = []
+    search = afo.semantics._preferred_in
+
+    def counted(ix, live, barred=0):
+        searches.append(barred)
+        return search(ix, live, barred)
+
+    monkeypatch.setattr(afo.semantics, "_preferred_in", counted)
+    rng = random.Random(2005)
+    chains = 0
+    for i in range(200):
+        names, edges, blocks = _chain_of_blocks(rng)
+        fw = _dung(names, edges)
+        expected = oracle_preferred(names, edges)
+        assert preferred(fw) == expected, (names, edges)
+        if i % 8 == 0:  # the set-code reference takes some 13 ms a draw
+            assert preferred_bruteforce(fw) == expected
+        chains += blocks >= 3
+    # every draw has three blocks or more; 1,080 base searches, 301 of them
+    # with something barred, at this seed
+    assert chains >= 180
+    assert sum(bool(b) for b in searches) >= 250
+
+
+def _renamings(fw):
+    """The framework with its ids renamed in shuffled and in reversed
+    order, so that id order no longer follows the chain."""
+    ids = sorted(fw.argument_ids())
+    shuffled = random.Random(len(ids)).sample(ids, len(ids))
+    for order in (shuffled, ids[::-1]):
+        name = {a: f"v{i:04d}" for i, a in enumerate(order)}
+        yield name, Framework.of(
+            [(name[a], e) for a, e in fw.arglets],
+            [((name[s], se), (name[d], de)) for (s, se), (d, de) in fw.attacks],
+        )
+
+
+def test_renamed_chains_match_the_dfs_oracle():
+    """Chained 4-cycles and linked 2-cycles whose ids run against the
+    chain, against `oracle_preferred_dfs` where it reaches, and against
+    the closed forms k + 1 and n/2 + 1 beyond it."""
+    small = [chained_four_cycles(k) for k in range(1, 5)] + [linked_two_cycles(n) for n in range(2, 17, 2)]
+    for fw, expected in small:
+        for name, renamed in _renamings(fw):
+            ids, edges = renamed.dung_projection()
+            got = preferred(renamed)
+            assert got == oracle_preferred_dfs(ids, edges)
+            assert set(got) == {frozenset(name[a] for a in e) for e in expected}
+    for k, n in ((12, 60), (30, 200)):
+        for fw, count in ((chained_four_cycles(k)[0], k + 1), (linked_two_cycles(n)[0], n // 2 + 1)):
+            for _, renamed in _renamings(fw):
+                assert len(preferred(renamed)) == count
+
+
+def test_preferred_scales_on_renamed_chains_of_sccs():
+    """Reversed chained 4-cycles at k=18 and linked 2-cycles at n=500, SCC
+    by SCC.  Measured on Python 3.11.7, 2 cores: 0.5 ms and 26 ms.  The
+    search over each whole component took 32.6 s on the first and 0.41 to
+    0.87 s on the second."""
+    fw, expected = chained_four_cycles(18)
+    ((name, reversed_fw),) = [r for r in _renamings(fw)][1:]
+    start = time.perf_counter()
+    got = preferred(reversed_fw)
+    assert time.perf_counter() - start < 0.25
+    assert set(got) == {frozenset(name[a] for a in e) for e in expected}
+    fw, expected = linked_two_cycles(500)
+    start = time.perf_counter()
+    got = preferred(fw)
+    assert time.perf_counter() - start < 0.25
+    assert got == _by_size_then_ids(expected)
+
+
+def test_the_fourth_rule_leaves_out_what_nothing_can_defend():
+    """An argument that is not out and that no blank argument attacks can
+    never be attacked, so nothing it attacks can be defended against it.
+    On an odd cycle, once the search leaves one argument undecided, the
+    rule leaves the rest undecided in one cascade."""
+    for n in (3, 11, 101):
+        fw, expected = ring(n)
+        assert preferred(fw) == expected
+    # the self-attacker s is never out, so x, which it attacks, never goes
+    # in; y, which x attacks, defends itself
+    names, edges = list("sxy"), [("s", "s"), ("s", "x"), ("x", "y"), ("y", "x")]
+    assert preferred(_dung(names, edges)) == oracle_preferred(names, edges) == [frozenset("y")]
+    # one SCC: t attacks itself and u, and only v attacks t, so u can go in
+    # with v alone
+    names, edges = list("tuvw"), [("t", "t"), ("t", "u"), ("u", "v"), ("v", "t"), ("v", "w"), ("w", "v")]
+    assert len(strongly_connected_components(_dung(names, edges))) == 1
+    assert preferred(_dung(names, edges)) == oracle_preferred(names, edges)
+
+
+def test_many_components_find_their_sccs_in_linear_time():
+    """3,000 disjoint odd 3-cycles, then the same with every other cycle
+    attacking the next: 3,000 components of one SCC each, then 1,500 of
+    two.  Measured on Python 3.11.7, 2 cores: 0.08 s each.  Walking the
+    whole SCC list for every component took 0.87 and 0.48 s."""
+    arglets = [(f"c{i:04d}{x}", "e") for i in range(3000) for x in "abc"]
+    cycles = [((f"c{i:04d}{s}", "e"), (f"c{i:04d}{d}", "e")) for i in range(3000) for s, d in ("ab", "bc", "ca")]
+    links = [((f"c{i:04d}a", "e"), (f"c{i + 1:04d}a", "e")) for i in range(0, 3000, 2)]
+    for attacks in (cycles, cycles + links):
+        fw = Framework.of(arglets, attacks)
+        start = time.perf_counter()
+        assert preferred(fw) == [frozenset()]
+        assert time.perf_counter() - start < 0.4
