@@ -113,7 +113,10 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
     lexicographically, so the result is deterministic.
     """
     ix = _index(framework)
-    return [ix.sparse_members(comp) for comp in ix.scc_masks()]
+    ids = ix.ids
+    # bit by bit, not through `_Index.members`: a cost that follows each
+    # SCC's size, not the width of the framework its mask spans
+    return [frozenset({ids[i] for i in _bits(comp)}) for comp in ix.scc_masks()]
 
 
 # ------------------------------------------------------------ graph index
@@ -126,7 +129,7 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
 # recursion limit.
 
 
-_FLIPPED_BYTES = bytes.maketrans(b"01", b"\1\0")  # a complement's ASCII digits to selector bytes
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to selector bytes
 
 
 def _index(framework: Framework) -> _Index:
@@ -152,9 +155,10 @@ def _drop_index(framework: Framework) -> None:
 def _contract(parent: Framework, child: Framework, merged: dict[str, str]) -> None:
     """Hand `child` the SCC masks of `parent`, renamed, so that its index
     runs no Tarjan.  `child` must be `parent` with groups merged, each
-    inside one SCC of `parent`, and `merged` must map each member of a
-    group to the group's id.  Merging arguments of one SCC keeps it strongly
-    connected and joins no two SCCs, as a path of `child` lifts to a walk of
+    inside one SCC of `parent` (as `pipeline.derive_abstract_frameworks`
+    builds its forks), and `merged` must map each member of a group to the
+    group's id.  Merging arguments of one SCC keeps it strongly connected
+    and joins no two SCCs, as a path of `child` lifts to a walk of
     `parent`: so these are the SCCs of `child`, still attackers first,
     though ties may fall otherwise than `_sccs` would break them."""
     source, ix = _index(parent), _index(child)
@@ -203,24 +207,15 @@ class _Index:
                     homes[i] = comp
         return self.homes
 
-    def members(self, complement: str) -> frozenset[str]:
-        """The ids of a mask, given the binary digits of its complement,
-        lowest first (`bin(...)[:1:-1]`), as `semantics._extensions` sorts
-        by them: every extension the package hands out is named here.  The
-        digits, flipped, select the ids in one pass of C, so one `bin` per
-        mask serves both the order and the name."""
+    def members(self, mask: int) -> frozenset[str]:
+        """The ids of the bits of `mask`: every argument mask the package
+        hands out is named here.  The mask's binary digits, lowest first,
+        select the ids in one pass of C."""
         # copied from a set, a frozenset gets a table sized to fit; filled
         # from an iterator it keeps the slack of every resize on the way:
         # without the copy, the `extensions` benchmark (seed 3, Python
         # 3.11.7) read an instance_peak_kb of 50.3 KB; with it, 38.2
-        return frozenset({*compress(self.ids, complement.encode().translate(_FLIPPED_BYTES))})
-
-    def sparse_members(self, mask: int) -> frozenset[str]:
-        """The ids of the bits of `mask`, at a cost that follows the number
-        of bits rather than the framework's width: for the SCCs, whose
-        masks are sparse in a wide framework."""
-        ids = self.ids
-        return frozenset({ids[i] for i in _bits(mask)})
+        return frozenset({*compress(self.ids, bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES))})
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -252,63 +247,47 @@ def _reach(adj: list[int], seeds: int, within: int) -> int:
 
 def _sccs(ix: _Index, within: int) -> list[int]:
     """Strongly connected components of the graph induced on `within`,
-    attackers first: iterative Tarjan, flipped at the end.  Each frame of
-    the walk keeps the mask of its successors not yet looked at, and the
-    walk descends into the lowest one not yet seen; the seen ones below it
-    are folded into the frame's low link first, each once, so successors
-    are taken in id order, as a walk over them one by one would."""
+    attackers first: iterative Tarjan, flipped at the end."""
     targets = ix.targets
-    index = [0] * len(targets)
+    index = [-1] * len(targets)
     low = [0] * len(targets)
-    counter = 1
+    counter = 0
     stack: list[int] = []
     on_stack = 0
-    unseen = within
     components: list[int] = []
-    while unseen:
-        root = unseen & -unseen
-        unseen ^= root
-        r = root.bit_length() - 1
-        index[r] = low[r] = counter
+    for root in _bits(within):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
         counter += 1
-        stack.append(r)
-        on_stack |= root
-        nodes, rests = [r], [targets[r] & within]
-        while nodes:
-            node, rest = nodes[-1], rests[-1]
-            fresh = rest & unseen
-            below = fresh & -fresh
-            # the successors seen already, up to the one to descend into
-            seen = rest & (below - 1 if below else rest) & on_stack
-            while seen:
-                bit = seen & -seen
-                seen ^= bit
-                i = index[bit.bit_length() - 1]
-                if i < low[node]:
-                    low[node] = i
-            if below:
-                rests[-1] = rest & -(below << 1)
-                unseen ^= below
-                nxt = below.bit_length() - 1
-                index[nxt] = low[nxt] = counter
-                counter += 1
-                stack.append(nxt)
-                on_stack |= below
-                nodes.append(nxt)
-                rests.append(targets[nxt] & within)
-                continue
-            nodes.pop()
-            rests.pop()
-            if nodes and low[node] < low[nodes[-1]]:
-                low[nodes[-1]] = low[node]
-            if low[node] == index[node]:
-                comp = 0
-                while True:
-                    member = stack.pop()
-                    comp |= 1 << member
-                    if member == node:
-                        break
-                on_stack &= ~comp
-                components.append(comp)
+        stack.append(root)
+        on_stack |= 1 << root
+        work = [(root, _bits(targets[root] & within))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack |= 1 << nxt
+                    work.append((nxt, _bits(targets[nxt] & within)))
+                    break
+                if on_stack >> nxt & 1:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = 0
+                    while True:
+                        member = stack.pop()
+                        comp |= 1 << member
+                        if member == node:
+                            break
+                    on_stack &= ~comp
+                    components.append(comp)
     components.reverse()
     return components

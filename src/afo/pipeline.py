@@ -178,6 +178,8 @@ def derive_abstract_frameworks(
     minted: dict[str, str] = {}
     replacements: list[tuple[ReplacementStep, ...]] = []
     for scc in strongly_connected_components(framework):
+        # every group lies inside `scc`: `sharpen` relies on it when it
+        # hands each fork the input's SCC masks (`af._contract`)
         groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table)
         for candidate, xmap in groups:
             for symbol in candidate.abstract_arg.expressions:
@@ -277,8 +279,11 @@ def sharpen(
     A derived framework that is the input (no group merged) takes the
     concrete extensions instead of a second `preferred` run.  Every other
     one takes its SCC masks from the input's, renamed (`af._contract`), as
-    each merged group lies inside one SCC, and drops the graph index its
-    `preferred` run built, so at most one fork's index is alive at a time.
+    each merged group lies inside its step's SCC, and drops the graph index
+    its `preferred` run built, so at most one fork's index is alive at a
+    time.  Without the renaming every fork's `preferred` runs its own
+    Tarjan: on the `docs` benchmark (seed 3, 10 pairs of 20 s runs) that
+    read 692.7 instances/s against 706.1 with it.
     Each extension list is counted once, into how many of its extensions
     hold each argument; the verdicts read those counts in id order."""
     concrete = preferred(framework)

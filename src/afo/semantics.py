@@ -4,11 +4,10 @@ Everything here works on the Dung projection of a framework: arguments and
 the attacks between them, expressions ignored.  Extension sets come back
 sorted by size then lexicographically so equal inputs always print equally.
 The kernel's searches answer in bit masks over the sorted ids; `_extensions`
-drops duplicate masks and orders them by the digits of their complements,
-then names each survivor once from the same digits, through
-`_Index.members`.  Naming only the survivors, each through a set copy, cut
-the `extensions` benchmark's instance_peak_kb from 42.5 to 38.2 KB (seed 3,
-Python 3.11.7); see `_Index.members`.
+drops duplicate masks and orders them as ints, then names each survivor
+once, through `_Index.members`.  Naming only the survivors, each through a
+set copy, cut the `extensions` benchmark's instance_peak_kb from 42.5 to
+38.2 KB (seed 3, Python 3.11.7); see `_Index.members`.
 
 `preferred` and `cf2` are both SCC-recursive (`_scc_recursive`): each SCC,
 attackers first, chooses under every partial answer upstream, and the two
@@ -80,16 +79,10 @@ def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
     """The distinct masks in the order of `_sorted_extensions`, each named
     once.  Bit i is the i-th smallest id, so of two masks of one size the
     one holding their lowest differing bit comes first: it holds a 0 where
-    the other holds a 1 in its complement's digits, read lowest first.  A
-    flag bit above every id gives all complements one length, so their
-    digits also name the masks (`_Index.members`).  Each name takes its
-    key's place in the list, so the keys are freed as the names are made."""
+    the other holds a 1 in its complement's digits, read lowest first."""
     everything = ix.everything
-    flag = everything + 1
-    ordered = sorted({(m.bit_count(), bin(flag | everything ^ m)[:1:-1]) for m in masks})
-    for i, (_, complement) in enumerate(ordered):
-        ordered[i] = ix.members(complement)
-    return ordered
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), bin(everything ^ m)[:1:-1]))
+    return [ix.members(m) for m in ordered]
 
 
 def _components(ix: _Index, within: int) -> list[int]:
@@ -239,9 +232,34 @@ def _preferred_in(ix: _Index, live: int, barred: int = 0) -> list[int]:
 _Choices = list[tuple[int, int]]  # (extension, the mask it attacks)
 # a base search's answer for one SCC: its choices, or a mask whose choices it needs
 _Base = Callable[[int, int, int], "_Choices | int"]
+# a frame yields each mask whose choices it needs, is sent them back, and returns its own
+_Frame = Generator[int, _Choices, _Choices]
 
 
-def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> Generator[int, _Choices, _Choices]:
+def _run(top: _Frame, frame: Callable[[int], _Frame] | None = None) -> _Choices:
+    """What `top` returns, on an explicit stack of frames: each mask a
+    frame yields is answered by `frame(mask)`, run the same way, and each
+    mask is solved once.  A frame whose base never answers with a mask
+    needs no `frame`."""
+    solved: dict[int, _Choices] = {}
+    frames = [(0, top)]
+    reply: _Choices | None = None
+    while True:
+        within, current = frames[-1]
+        try:
+            wanted = current.send(reply)
+        except StopIteration as done:
+            frames.pop()
+            reply = solved[within] = done.value
+            if not frames:
+                return reply
+            continue
+        reply = solved.get(wanted)
+        if reply is None:
+            frames.append((wanted, frame(wanted)))
+
+
+def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> _Frame:
     """The SCC-recursive schema (Baroni, Giacomin and Guida, "SCC-recursiveness:
     a general schema for argumentation semantics", AIJ 2005) on the
     sub-framework induced by `within`, whose SCCs are `sccs`, attackers
@@ -252,8 +270,8 @@ def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> Gen
     An SCC that nothing upstream attacks is asked once, whole, for all
     partial answers.  Asked for less than the whole SCC, a base may answer
     with a mask instead, of survivors whose answers it needs: the frame
-    yields that mask and is sent the choices back.  The frame returns the
-    partial answers on all of `sccs`."""
+    yields that mask and is sent the choices back (`_run`).  The frame
+    returns the partial answers on all of `sccs`."""
     partials: _Choices = [(0, 0)]
     for scc in sccs:
         feeders = _union(ix.attackers, scc) & within & ~scc
@@ -292,11 +310,7 @@ def _preferred_scc(ix: _Index, comp: int, sccs: list[int]) -> list[int]:
             choices = solved[key] = [(m, _union(targets, m)) for m in _preferred_in(ix, *key)]
         return choices
 
-    try:
-        next(_scc_recursive(ix, comp, sccs, base))
-    except StopIteration as done:  # the base asks for nothing, so the frame returns at once
-        return [m for m, _ in done.value]
-    raise AssertionError("the preferred base asked for survivors")
+    return [m for m, _ in _run(_scc_recursive(ix, comp, sccs, base))]
 
 
 def preferred(framework: Framework) -> list[frozenset[str]]:
@@ -395,7 +409,7 @@ def maximal_conflict_free_sets(framework: Framework) -> list[frozenset[str]]:
     return _extensions(ix, _naive_in(ix, ix.everything))
 
 
-def _cf2_frame(ix: _Index, within: int) -> Generator[int, _Choices, _Choices]:
+def _cf2_frame(ix: _Index, within: int) -> _Frame:
     """cf2 of the sub-framework induced by `within`.  Yields each set of
     survivors whose cf2 extensions it needs and is sent them back."""
     sccs = ix.scc_masks() if within == ix.everything else _sccs(ix, within)
@@ -424,22 +438,8 @@ def cf2(framework: Framework) -> list[frozenset[str]]:
     is solved once.
     """
     ix = _index(framework)
-    solved: dict[int, _Choices] = {}
-    frames = [(ix.everything, _cf2_frame(ix, ix.everything))]
-    reply: _Choices | None = None
-    while True:
-        within, frame = frames[-1]
-        try:
-            wanted = frame.send(reply)
-        except StopIteration as done:
-            frames.pop()
-            reply = solved[within] = done.value
-            if not frames:
-                return _extensions(ix, (m for m, _ in reply))
-            continue
-        reply = solved.get(wanted)
-        if reply is None:
-            frames.append((wanted, _cf2_frame(ix, wanted)))
+    choices = _run(_cf2_frame(ix, ix.everything), lambda survivors: _cf2_frame(ix, survivors))
+    return _extensions(ix, (m for m, _ in choices))
 
 
 def preferred_bruteforce(framework: Framework) -> list[frozenset[str]]:
