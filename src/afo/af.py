@@ -10,7 +10,6 @@ another as soon as any of their arglets do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import UnknownArgument
@@ -114,8 +113,8 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
     """
     ix = _index(framework)
     ids = ix.ids
-    # bit by bit, not through `_Index.members`: a cost that follows each
-    # SCC's size, not the width of the framework its mask spans
+    # bit by bit, not from the mask's digits as extensions are named: a
+    # cost that follows each SCC's size, not the width of its framework
     return [frozenset({ids[i] for i in _bits(comp)}) for comp in ix.scc_masks()]
 
 
@@ -124,12 +123,10 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
 # Every graph question of the package (SCCs, paths, the semantics, the
 # group scan and validity) is answered on one index per framework, built on
 # first use by `_index` and kept on the framework, with its SCC masks once
-# asked for: argument i is bit i of a Python int, in id order.  Each walk
-# keeps its own stack, so no depth of input can hit the interpreter's
-# recursion limit.
-
-
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to selector bytes
+# asked for: argument i is bit i of a Python int, in id order.  The index
+# names no mask: extensions are named by `semantics._extensions`, SCCs by
+# `strongly_connected_components`.  Each walk keeps its own stack, so no
+# depth of input can hit the interpreter's recursion limit.
 
 
 def _index(framework: Framework) -> _Index:
@@ -206,16 +203,6 @@ class _Index:
                 for i in _bits(comp):
                     homes[i] = comp
         return self.homes
-
-    def members(self, mask: int) -> frozenset[str]:
-        """The ids of the bits of `mask`: every argument mask the package
-        hands out is named here.  The mask's binary digits, lowest first,
-        select the ids in one pass of C."""
-        # copied from a set, a frozenset gets a table sized to fit; filled
-        # from an iterator it keeps the slack of every resize on the way:
-        # without the copy, the `extensions` benchmark (seed 3, Python
-        # 3.11.7) read an instance_peak_kb of 50.3 KB; with it, 38.2
-        return frozenset({*compress(self.ids, bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES))})
 
 
 def _bits(mask: int) -> Iterator[int]:

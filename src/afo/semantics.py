@@ -4,19 +4,21 @@ Everything here works on the Dung projection of a framework: arguments and
 the attacks between them, expressions ignored.  Extension sets come back
 sorted by size then lexicographically so equal inputs always print equally.
 The kernel's searches answer in bit masks over the sorted ids; `_extensions`
-drops duplicate masks and orders them as ints, then names each survivor
-once, through `_Index.members`.  Naming only the survivors, each through a
-set copy, cut the `extensions` benchmark's instance_peak_kb from 42.5 to
-38.2 KB (seed 3, Python 3.11.7); see `_Index.members`.
+drops duplicate masks, orders them on one digit string each and names each
+survivor from that same string.
 
 `preferred` and `cf2` are both SCC-recursive (`_scc_recursive`): each SCC,
 attackers first, chooses under every partial answer upstream, and the two
 differ only in the search each SCC gets, labelling search for `preferred`,
-naive sets for `cf2`.
+naive sets for `cf2`.  Answers travel as bare extension masks; what a
+partial answer attacks is worked out only where an SCC has feeders, and
+only on what can reach them.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
 from typing import Callable, Generator, Iterable
 
 from .af import Framework, _bits, _Index, _index, _reach, _sccs, _union, attack_relation
@@ -75,14 +77,25 @@ def _maximal(sets: list[frozenset[str]]) -> list[frozenset[str]]:
 # group scan, builds none; cf2 and preferred take their SCCs from it too.
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # ASCII digits to selector bytes
+
+
 def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
     """The distinct masks in the order of `_sorted_extensions`, each named
     once.  Bit i is the i-th smallest id, so of two masks of one size the
-    one holding their lowest differing bit comes first: it holds a 0 where
-    the other holds a 1 in its complement's digits, read lowest first."""
-    everything = ix.everything
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), bin(everything ^ m)[:1:-1]))
-    return [ix.members(m) for m in ordered]
+    one holding their lowest differing bit comes first: it holds a 1 where
+    the other holds a 0 in its digits, read lowest bit first.  Each mask's
+    digits are made once and serve as its sort key and as the selectors of
+    its ids; keys sort last first, so each is dropped as it is named."""
+    keys = sorted((-m.bit_count(), bin(m)[:1:-1]) for m in set(masks))
+    ids, named = ix.ids, []
+    while keys:
+        # copied from a set, a frozenset gets a table sized to fit; filled
+        # from an iterator it keeps the slack of every resize on the way:
+        # without the copy, the `extensions` benchmark (seed 3, Python
+        # 3.11.7) read an instance_peak_kb of 50.3 KB; with it, 38.2
+        named.append(frozenset({*compress(ids, keys.pop()[1].encode().translate(_DIGITS))}))
+    return named
 
 
 def _components(ix: _Index, within: int) -> list[int]:
@@ -95,12 +108,9 @@ def _components(ix: _Index, within: int) -> list[int]:
     return out
 
 
-def _product(per_component: list[list[int]], base: int) -> list[int]:
-    """Every union of one answer per component, on top of `base`."""
-    combined = [base]
-    for answers in per_component:
-        combined = [c | a for c in combined for a in answers]
-    return combined
+def _product(left: list[int], right: list[int]) -> list[int]:
+    """Every union of one mask of `left` with one of `right`."""
+    return [a | b for a in left for b in right]
 
 
 def _grounded(ix: _Index) -> tuple[int, int]:
@@ -229,10 +239,12 @@ def _preferred_in(ix: _Index, live: int, barred: int = 0) -> list[int]:
     return found
 
 
-_Choices = list[tuple[int, int]]  # (extension, the mask it attacks)
-# a base search's answer for one SCC: its choices, or a mask whose choices it needs
+_Choices = list[int]  # the in masks of a search's answers, and nothing else
+# a base search's answer for one SCC, asked with (scc, live, doubt): its
+# choices, or a mask of survivors whose choices it needs
 _Base = Callable[[int, int, int], "_Choices | int"]
-# a frame yields each mask whose choices it needs, is sent them back, and returns its own
+# a frame yields each mask of survivors whose choices it needs, is sent
+# them back, and returns its partial answers
 _Frame = Generator[int, _Choices, _Choices]
 
 
@@ -263,28 +275,32 @@ def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> _Fr
     """The SCC-recursive schema (Baroni, Giacomin and Guida, "SCC-recursiveness:
     a general schema for argumentation semantics", AIJ 2005) on the
     sub-framework induced by `within`, whose SCCs are `sccs`, attackers
-    first.  Each partial answer (in, the mask in attacks) on the SCCs
-    before one grows by each choice `base(scc, live, doubt)` makes for that
-    SCC, where `live` is what of the SCC the partial answer leaves not out
-    and `doubt` the upstream arguments, neither in nor out, that attack it.
-    An SCC that nothing upstream attacks is asked once, whole, for all
-    partial answers.  Asked for less than the whole SCC, a base may answer
-    with a mask instead, of survivors whose answers it needs: the frame
-    yields that mask and is sent the choices back (`_run`).  The frame
-    returns the partial answers on all of `sccs`."""
-    partials: _Choices = [(0, 0)]
+    first.  Each partial answer, the in mask on the SCCs before one, grows
+    by each choice `base(scc, live, doubt)` makes for that SCC, where
+    `live` is what of the SCC the partial answer leaves not out and `doubt`
+    the upstream arguments, neither in nor out, that attack it.  An SCC
+    that nothing upstream attacks is asked once, whole, for all partial
+    answers.  For one that has feeders, what a partial answer attacks is
+    found from its in arguments that attack a feeder or a member, as
+    nothing else bears on `live` or `doubt`.  Asked for less than the whole
+    SCC, a base may answer with a mask instead, of survivors whose answers
+    it needs: the frame yields that mask and is sent the choices back
+    (`_run`).  The frame returns the partial answers on all of `sccs`."""
+    attackers, targets = ix.attackers, ix.targets
+    partials: _Choices = [0]
     for scc in sccs:
-        feeders = _union(ix.attackers, scc) & within & ~scc
+        feeders = _union(attackers, scc) & within & ~scc
         if not feeders:
-            choices = base(scc, scc, 0)
-            partials = [(part | c, hit | h) for part, hit in partials for c, h in choices]
+            partials = _product(partials, base(scc, scc, 0))
             continue
+        near = _union(attackers, feeders | scc)
         grown: _Choices = []
-        for part, hit in partials:
+        for part in partials:
+            hit = _union(targets, part & near)
             choices = base(scc, scc & ~hit, feeders & ~(part | hit))
             if isinstance(choices, int):
                 choices = yield choices
-            grown.extend((part | c, hit | h) for c, h in choices)
+            grown += [part | c for c in choices]
         partials = grown
     return partials
 
@@ -307,10 +323,10 @@ def _preferred_scc(ix: _Index, comp: int, sccs: list[int]) -> list[int]:
         key = live, _union(targets, doubt) & live if doubt else 0
         choices = solved.get(key)
         if choices is None:
-            choices = solved[key] = [(m, _union(targets, m)) for m in _preferred_in(ix, *key)]
+            choices = solved[key] = _preferred_in(ix, *key)
         return choices
 
-    return [m for m, _ in _run(_scc_recursive(ix, comp, sccs, base))]
+    return _run(_scc_recursive(ix, comp, sccs, base))
 
 
 def preferred(framework: Framework) -> list[frozenset[str]]:
@@ -341,7 +357,7 @@ def preferred(framework: Framework) -> list[frozenset[str]]:
                 rank = rank or {scc: r for r, scc in enumerate(ix.scc_masks())}
                 sccs = [scc & comp for scc in sorted(sccs, key=rank.__getitem__)]
         per_component.append(_preferred_in(ix, comp) if len(sccs) == 1 else _preferred_scc(ix, comp, sccs))
-    return _extensions(ix, _product(per_component, accepted))
+    return _extensions(ix, reduce(_product, per_component, [accepted]))
 
 
 def grounded_labelling(framework: Framework) -> dict[str, str]:
@@ -414,15 +430,15 @@ def _cf2_frame(ix: _Index, within: int) -> _Frame:
     survivors whose cf2 extensions it needs and is sent them back."""
     sccs = ix.scc_masks() if within == ix.everything else _sccs(ix, within)
     if len(sccs) == 1:
-        return [(m, _union(ix.targets, m)) for m in _naive_in(ix, within)]
+        return _naive_in(ix, within)
     whole: dict[int, _Choices] = {}
 
     def base(scc: int, live: int, doubt: int) -> _Choices | int:
         if live != scc:
-            return live or [(0, 0)]
+            return live or [0]
         choices = whole.get(scc)
         if choices is None:
-            choices = whole[scc] = [(m, _union(ix.targets, m)) for m in _naive_in(ix, scc)]
+            choices = whole[scc] = _naive_in(ix, scc)
         return choices
 
     return (yield from _scc_recursive(ix, within, sccs, base))
@@ -438,8 +454,7 @@ def cf2(framework: Framework) -> list[frozenset[str]]:
     is solved once.
     """
     ix = _index(framework)
-    choices = _run(_cf2_frame(ix, ix.everything), lambda survivors: _cf2_frame(ix, survivors))
-    return _extensions(ix, (m for m, _ in choices))
+    return _extensions(ix, _run(_cf2_frame(ix, ix.everything), lambda survivors: _cf2_frame(ix, survivors)))
 
 
 def preferred_bruteforce(framework: Framework) -> list[frozenset[str]]:

@@ -539,11 +539,12 @@ def test_preferred_scales_on_rings_and_chained_cycles():
     assert time.perf_counter() - start < 5.0
 
 
-def _chain_of_blocks(rng, max_args=12):
+def _chain_of_blocks(rng, max_args=12, link_prob=0.15):
     """A random framework of up to `max_args` arguments built as a chain of
     small blocks, each one SCC: a self-attacker, an odd 3-cycle, a 2-cycle,
     a 4-cycle or a lone argument, plus random attacks from earlier blocks
-    to later ones only, so the blocks are its SCCs.  Ids are shuffled, so
+    to later ones only, each with probability `link_prob`, so the blocks
+    are its SCCs.  Ids are shuffled, so
     id order does not follow the chain."""
     shapes = {"loop": [(0, 0)], "odd": [(0, 1), (1, 2), (2, 0)], "pair": [(0, 1), (1, 0)], "square": [(0, 1), (1, 2), (2, 3), (3, 0)], "lone": []}
     sizes = {"loop": 1, "odd": 3, "pair": 2, "square": 4, "lone": 1}
@@ -559,7 +560,7 @@ def _chain_of_blocks(rng, max_args=12):
         for _, lower in blocks[i + 1 :]:
             for a in upper:
                 for b in lower:
-                    if rng.random() < 0.15:
+                    if rng.random() < link_prob:
                         edges.add((a, b))
     names = [f"n{i:02d}" for i in range(n)]
     rng.shuffle(names)
@@ -675,3 +676,67 @@ def test_many_components_find_their_sccs_in_linear_time():
         start = time.perf_counter()
         assert preferred(fw) == [frozenset()]
         assert time.perf_counter() - start < 0.4
+
+
+def test_a_feeder_put_out_two_sccs_upstream_bars_nothing():
+    """a1 of the 2-cycle A attacks b1 of the 3-cycle B, and b1 alone
+    attacks the 2-cycle C.  Under a1, b1 is out, put out by an argument
+    two SCCs above C that attacks nothing in C and is no feeder of C, so c1
+    may go in; read as undecided, b1 would bar it."""
+    names = ["a1", "a2", "b1", "b2", "b3", "c1", "c2"]
+    edges = [("a1", "a2"), ("a2", "a1"), ("b1", "b2"), ("b2", "b3"), ("b3", "b1"), ("c1", "c2"), ("c2", "c1")]
+    edges += [("a1", "b1"), ("b1", "c1")]
+    fw = _dung(names, edges)
+    assert [c for c in strongly_connected_components(fw) if len(c) > 1] == [{"a1", "a2"}, {"b1", "b2", "b3"}, {"c1", "c2"}]
+    fs = frozenset
+    assert preferred(fw) == oracle_preferred(names, edges) == [fs({"a2", "c2"}), fs({"a1", "b2", "c1"}), fs({"a1", "b2", "c2"})]
+    assert cf2(fw) == oracle_cf2(names, edges)
+
+
+def test_a_feeder_left_in_doubt_bars_what_it_attacks():
+    """The odd cycle A leaves its feeder a1 neither in nor out, so c1, which
+    a1 attacks, can never be defended.  x is in under one partial answer
+    and attacks c2 of C, so what that answer attacks is not empty, yet a1
+    stays in doubt."""
+    names = ["a1", "a2", "a3", "c1", "c2", "x", "y"]
+    edges = [("a1", "a2"), ("a2", "a3"), ("a3", "a1"), ("c1", "c2"), ("c2", "c1"), ("x", "y"), ("y", "x")]
+    edges += [("a1", "c1"), ("x", "c2")]
+    fw = _dung(names, edges)
+    fs = frozenset
+    assert preferred(fw) == oracle_preferred(names, edges) == [fs({"x"}), fs({"c2", "y"})]
+    assert cf2(fw) == oracle_cf2(names, edges)
+
+
+def test_a_cf2_survivor_frame_leaves_out_an_attacker():
+    """u puts s1 out, and the survivors s2, s3, s4 of the SCC split into
+    the 2-cycle {s2, s3} and {s4}: s1 attacks s2 from outside the frame."""
+    names = ["s1", "s2", "s3", "s4", "u"]
+    edges = [("u", "s1"), ("s1", "s2"), ("s2", "s3"), ("s3", "s2"), ("s3", "s4"), ("s4", "s1")]
+    fw = _dung(names, edges)
+    fs = frozenset
+    assert cf2(fw) == oracle_cf2(names, edges) == [fs({"s3", "u"}), fs({"s2", "s4", "u"})]
+    assert preferred(fw) == oracle_preferred(names, edges)
+
+
+def test_the_scc_driver_matches_the_oracles_with_fan_in_and_fan_out():
+    """`preferred` and `cf2` against `oracle_preferred` and `oracle_cf2` on
+    chains of small SCCs with dense links between them, so SCCs have
+    several feeders and feed several SCCs; then unions of 2-cycles with
+    one-way links against the closed form 2^(m - 2L) * 3^L, for both."""
+    rng = random.Random(2014)
+    fan_in = fan_out = 0
+    for _ in range(300):
+        names, edges, _ = _chain_of_blocks(rng, max_args=8, link_prob=0.35)
+        fw = _dung(names, edges)
+        assert preferred(fw) == oracle_preferred(names, edges), (names, edges)
+        assert cf2(fw) == oracle_cf2(names, edges), (names, edges)
+        sccs = strongly_connected_components(fw)
+        home = {a: i for i, scc in enumerate(sccs) for a in scc}
+        links = {(home[s], home[d]) for s, d in edges if home[s] != home[d]}
+        fan_in += any(sum(d == i for _, d in links) > 1 for i in range(len(sccs)))
+        fan_out += any(sum(s == i for s, _ in links) > 1 for i in range(len(sccs)))
+    assert fan_in >= 150 and fan_out >= 150
+    for m in range(2, 9):
+        for links in range(m // 2 + 1):
+            fw, count = two_cycle_union(rng, m, links)
+            assert len(preferred(fw)) == len(cf2(fw)) == count == 2 ** (m - 2 * links) * 3**links
