@@ -434,12 +434,15 @@ def test_preferred_matches_dfs_oracle_on_larger_frameworks():
 
 
 def test_two_cycle_family_count():
+    # each one-way link a -> c joins two 2-cycles into a chain of two SCCs,
+    # where c's 2-cycle has a feeder: 3 choices for the pair under either
+    # semantics, so 2^(m - 2L) * 3^L extensions
     rng = random.Random(2024)
     for m in range(1, 11):
         for links in range(m // 2 + 1):
             fw, count = two_cycle_union(rng, m, links)
             exts = preferred(fw)
-            assert len(exts) == count
+            assert len(exts) == len(cf2(fw)) == count
             for ext in exts:
                 assert is_admissible(fw, ext)
 
@@ -721,8 +724,9 @@ def test_a_cf2_survivor_frame_leaves_out_an_attacker():
 def test_the_scc_driver_matches_the_oracles_with_fan_in_and_fan_out():
     """`preferred` and `cf2` against `oracle_preferred` and `oracle_cf2` on
     chains of small SCCs with dense links between them, so SCCs have
-    several feeders and feed several SCCs; then unions of 2-cycles with
-    one-way links against the closed form 2^(m - 2L) * 3^L, for both."""
+    several feeders and feed several SCCs.  Unions of 2-cycles with
+    one-way links are checked against their closed form in
+    `test_two_cycle_family_count`."""
     rng = random.Random(2014)
     fan_in = fan_out = 0
     for _ in range(300):
@@ -735,8 +739,5 @@ def test_the_scc_driver_matches_the_oracles_with_fan_in_and_fan_out():
         links = {(home[s], home[d]) for s, d in edges if home[s] != home[d]}
         fan_in += any(sum(d == i for _, d in links) > 1 for i in range(len(sccs)))
         fan_out += any(sum(s == i for s, _ in links) > 1 for i in range(len(sccs)))
+    # 188 draws with fan-in and 181 with fan-out at this seed
     assert fan_in >= 150 and fan_out >= 150
-    for m in range(2, 9):
-        for links in range(m // 2 + 1):
-            fw, count = two_cycle_union(rng, m, links)
-            assert len(preferred(fw)) == len(cf2(fw)) == count == 2 ** (m - 2 * links) * 3**links
