@@ -8,7 +8,11 @@ greatest lower bound.  Both are decided on the masks below: the covers in
 one pass over each child's parents, which collects every redundant cover
 and reports the first in sorted order, and the joins once per pair of
 classes of nodes that share a strict up mask, since two incomparable
-nodes' strict up masks meet in all their common upper bounds.  A finite
+nodes' strict up masks meet in all their common upper bounds.  Only the
+nodes with no upper cover or with two or more are paired: a node with one
+upper cover has a join with every node exactly when that cover has, so in
+a flower lattice only the bottom and the top are, and in an ontology the
+concepts with several parents.  A finite
 poset with a bottom in which every pair has a join is a lattice (Davey and
 Priestley, *Introduction to Lattices and Order*, CUP 2002), so the meets
 need no test of their own.  Only a diagram that fails that test is checked
@@ -185,23 +189,30 @@ class FiniteLattice:
         return closure == given
 
 
-def _joins_unique(ups: list[int], downs: list[int]) -> bool:
+def _joins_unique(ups: list[int], downs: list[int], ranks: list[int]) -> bool:
     """True when every pair of ranks has a least upper bound, given the up
-    and down masks by rank.  A comparable pair always has one.  For
+    and down masks by rank and the ranks that do not have exactly one upper
+    cover.  A comparable pair always has one.  A rank x with one upper
+    cover p has the common upper bounds of p with every y incomparable with
+    x, as each upper bound of x but x lies above p, so it has a join with
+    every rank exactly when p has: only `ranks` need pairing.  For
     incomparable x and y the common upper bounds are exactly strict(x) &
-    strict(y), the up masks without their own bits, so the ranks fall into
-    classes by strict mask and each pair of classes is tested once, and
-    only when some member of one is incomparable with some member of the
-    other.  Two members of one class are incomparable, so a class of two
-    or more meets itself."""
-    everything = (1 << len(ups)) - 1
-    strict: list[int] = []
+    strict(y), the up masks without their own bits, so those ranks fall
+    into classes by strict mask and each pair of classes is tested once,
+    and only when some member of one is incomparable with some member of
+    the other.  Two members of one class are incomparable, so a class of
+    two or more meets itself."""
+    walked = 0
+    for r in ranks:
+        walked |= 1 << r
+    strict: dict[int, int] = {}  # rank -> its strict up mask
     members: dict[int, int] = {}  # strict mask -> the ranks that have it
     hits: dict[int, int] = {}  # strict mask -> the ranks incomparable with one of them
-    for r, (u, d) in enumerate(zip(ups, downs)):
-        strict.append(s := u & ~(1 << r))
+    for r in ranks:
+        u = ups[r]
+        strict[r] = s = u & ~(1 << r)
         members[s] = members.get(s, 0) | 1 << r
-        hits[s] = hits.get(s, 0) | everything & ~(u | d)
+        hits[s] = hits.get(s, 0) | walked & ~(u | downs[r])
     done = 0  # ranks of the classes already walked
     for s, own in members.items():
         hit = hits[s] & ~done
@@ -226,8 +237,8 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     Redundant covers are all collected in one pass over each child's
     parents, and the least in sorted order is reported.  Missing bounds are
     found by a bottom test and one join test per pair of classes of nodes
-    sharing a strict up mask, where some pair of members is incomparable;
-    only when that fails does the loop over sorted node pairs run, so the
+    sharing a strict up mask, where some pair of members is incomparable,
+    among the nodes whose number of upper covers is not one; only when that fails does the loop over sorted node pairs run, so the
     error names the same first pair as a pair-by-pair check.
     """
     node_set = frozenset(nodes)
@@ -288,7 +299,8 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     # so the bottom and the joins decide the meets too.  The ordered loop
     # runs only when one fails, to report the first pair in sorted order.
     ups = [up[n] for n in ranked]
-    if not (ups[0] == (1 << len(ranked)) - 1 and _joins_unique(ups, [down[n] for n in ranked])):
+    branching = [r for r, n in enumerate(ranked) if len(parents[n]) != 1]
+    if not (ups[0] == (1 << len(ranked)) - 1 and _joins_unique(ups, [down[n] for n in ranked], branching)):
         # The lowest common upper bound is the least one exactly when every
         # common upper bound lies above it; dually for the highest lower bound.
         for a, b in combinations(sorted(node_set), 2):

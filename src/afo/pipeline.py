@@ -8,10 +8,15 @@ choice of a replacement in every component that has one, and each is built
 once, in one pass over the concrete arglets and attacks, with boundary
 attacks redirected (`_fork`).  The preferred extensions of every derived
 framework are then projected back onto concrete argument ids, and each
-concrete argument's verdict is re-read against those projections: each
-projection is counted once, into how many of its extensions hold each
-argument, and every verdict reads those counts and one fixed table of the
-six label sets (`_SHARPENED`).
+concrete argument's verdict is re-read against those projections.  All of
+it runs on bit masks: `preferred`'s search answers in masks
+(`semantics._preferred_masks`), each framework's masks are named once, a
+fork's masks map onto the input's ids through per-byte tables built once
+per fork (`_byte_tables`), each distinct projected mask is named once per
+call, and every verdict reads ANDs, ORs and bit-sliced counts of masks
+(`_tally`) and one fixed table of the six label sets (`_SHARPENED`).
+`restrict_extensions` and `concretize_extension_sets` are the same
+projection on named extensions.
 
 The group scan reads the framework's graph index (`af._index`, built once
 per framework and kept on it, with its SCC masks) and one
@@ -29,17 +34,28 @@ what the lattice or the framework holds.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, product
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .abstraction import _check_targets, _Groups, _ScanTable, best_abstraction_of
-from .af import Arglet, Argument, Framework, _contract, _drop_index, _index, strongly_connected_components
+from .af import (
+    Arglet,
+    Argument,
+    Framework,
+    _bits,
+    _contract,
+    _drop_index,
+    _index,
+    _Index,
+    strongly_connected_components,
+)
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
-from .semantics import CREDULOUS, SKEPTICAL, _sorted_extensions, preferred
+from .semantics import CREDULOUS, SKEPTICAL, _extensions, _key, _names, _preferred_masks, _sorted_extensions
 
 
 @dataclass(frozen=True)
@@ -212,7 +228,8 @@ def concretize_extension_sets(
 ) -> list[list[frozenset[str]]]:
     """Project each framework's extensions onto the concrete argument ids.
 
-    Projections that come out identical are reported once.
+    Projections that come out identical are reported once.  `sharpen`
+    makes the same projections on masks.
     """
     ids = original.argument_ids()
     unique = dict.fromkeys(tuple(restrict_extensions(extensions, ids)) for extensions in per_framework)
@@ -268,6 +285,41 @@ _SHARPENED = {
 }
 
 
+def _byte_tables(source: _Index, fork: _Index) -> list[list[int]]:
+    """Per byte of a fork's masks, the mask over `source`'s ids that each of
+    its 256 values maps to: an id of both frameworks maps to its bit in
+    `source`, and a merged id, which `source` does not have, to nothing."""
+    pos = source.pos
+    bits = [1 << pos[a] if a in pos else 0 for a in fork.ids]
+    tables = []
+    for low in range(0, len(bits), 8):
+        table = [0]
+        for bit in bits[low : low + 8]:
+            table += [t | bit for t in table]
+        tables.append(table)
+    return tables
+
+
+def _tally(masks: Iterable[int], width: int) -> list[int]:
+    """Per bit below `width`, how many of the masks hold it.  A bit-sliced
+    counter: slice j holds bit j of every count, each mask is added with
+    its carries, and the slices are read once at the end."""
+    slices: list[int] = []
+    for carry in masks:
+        j = 0
+        while carry:
+            if j == len(slices):
+                slices.append(carry)
+                break
+            slices[j], carry = slices[j] ^ carry, slices[j] & carry
+            j += 1
+    counts = [0] * width
+    for j, part in enumerate(slices):
+        for i in _bits(part):
+            counts[i] += 1 << j
+    return counts
+
+
 def sharpen(
     framework: Framework,
     lat: FiniteLattice,
@@ -276,46 +328,73 @@ def sharpen(
 ) -> SharpeningReport:
     """Concrete verdicts re-read through the abstract-space projections.
 
-    A derived framework that is the input (no group merged) takes the
-    concrete extensions instead of a second `preferred` run.  Every other
-    one takes its SCC masks from the input's, renamed (`af._contract`), as
-    each merged group lies inside its step's SCC, and drops the graph index
-    its `preferred` run built, so at most one fork's index is alive at a
-    time.  Without the renaming every fork's `preferred` runs its own
-    Tarjan: on the `docs` benchmark (seed 3, 10 pairs of 20 s runs) that
-    read 692.7 instances/s against 706.1 with it.
-    Each extension list is counted once, into how many of its extensions
-    hold each argument; the verdicts read those counts in id order."""
-    concrete = preferred(framework)
-    derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
-    abstract_preferred = []
-    for f, steps in zip(derivation.frameworks, derivation.provenance):
-        if f is framework:
-            abstract_preferred.append(concrete)
-        else:
-            _contract(framework, f, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
-            abstract_preferred.append(preferred(f))
-            _drop_index(f)
-    projected = concretize_extension_sets(framework, abstract_preferred)
+    `preferred`'s search runs once on the input and once on every fork
+    (`_preferred_masks`), and each framework's masks are named once, by
+    `_extensions`, for `concrete` and `abstract_preferred`.  With no group
+    merged, the one derived framework is the input: it takes the concrete
+    extensions, and projects onto itself as its own masks without 0, under
+    the names `concrete` holds.  Every fork takes its SCC masks from the
+    input's, renamed (`af._contract`), as each merged group lies inside its
+    step's SCC, and drops the graph index its search built, so at most one
+    fork's index is alive at a time.  Without the renaming every fork runs
+    its own Tarjan: on the `docs` benchmark (seed 3, 10 pairs of 20 s runs)
+    that read 692.7 instances/s against 706.1 with it.  A fork maps its
+    masks onto the input's ids a byte at a time, through tables built once
+    from its ids (`_byte_tables`); the projected masks drop 0, are
+    deduplicated and ordered as `_extensions` orders them, identical
+    projections are kept once, and each distinct projected mask is named
+    once and shared by every projection that holds it.
 
-    accepted = Counter(chain.from_iterable(concrete))
-    counts = [Counter(chain.from_iterable(p)) for p in projected]
-    sizes = [len(p) for p in projected]
-    # an empty projection holds no extension, so nothing is in all of it
-    full = sizes if all(sizes) else None
+    The verdicts read masks: the concrete status from the AND and the OR
+    of the concrete masks, the sharpened labels from the AND and the OR of
+    every projected mask (an empty projection holds no extension, so then
+    nothing is in all of them), and the counts from bit-sliced tallies of
+    the projected masks and of each projection's OR (`_tally`)."""
+    ix = _index(framework)
+    masks = _preferred_masks(framework)
+    concrete = _extensions(ix, masks)
+    derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
+    if not derivation.replacements:
+        abstract_preferred = [concrete]
+        layers = [[m for m in masks if m]]
+        projected = [tuple(e for e in concrete if e)]
+    else:
+        abstract_preferred = []
+        unique: dict[tuple[int, ...], None] = {}
+        getitem = list.__getitem__
+        for f, steps in zip(derivation.frameworks, derivation.provenance):
+            _contract(framework, f, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
+            found = _preferred_masks(f)
+            fx = _index(f)
+            abstract_preferred.append(_extensions(fx, found))
+            tables = _byte_tables(ix, fx)
+            _drop_index(f)
+            width = len(tables)
+            down = {sum(map(getitem, tables, m.to_bytes(width, "little"))) for m in found}
+            down.discard(0)
+            unique[tuple(sorted(down, key=_key, reverse=True))] = None
+        layers = list(unique)
+        names = _names(ix, chain.from_iterable(layers))
+        projected = [tuple(map(names.__getitem__, layer)) for layer in layers]
+
+    skeptical = reduce(and_, masks)
+    credulous = reduce(or_, masks)
+    every = reduce(and_, chain.from_iterable(layers)) if all(layers) else 0
+    some = reduce(or_, chain.from_iterable(layers), 0)
+    width = len(ix.ids)
+    held = _tally(chain.from_iterable(layers), width)
+    sets = _tally((reduce(or_, layer, 0) for layer in layers), width)
     verdicts = []
-    for arg in _index(framework).ids:
-        n = accepted.get(arg, 0)
-        status = SKEPTICAL if n == len(concrete) else CREDULOUS if n else REJECTED
-        held = [c.get(arg, 0) for c in counts]
-        total = sum(held)
+    for i, arg in enumerate(ix.ids):
+        bit = 1 << i
+        status = SKEPTICAL if skeptical & bit else CREDULOUS if credulous & bit else REJECTED
         verdicts.append(
             ArgumentVerdict(
                 arg_id=arg,
                 concrete_status=status,
-                sharpened=_SHARPENED[status != REJECTED][0 if held == full else 1 if total else 2],
-                sets_containing=len(held) - held.count(0),
-                extensions_containing=total,
+                sharpened=_SHARPENED[status != REJECTED][0 if every & bit else 1 if some & bit else 2],
+                sets_containing=sets[i],
+                extensions_containing=held[i],
             )
         )
 
@@ -323,7 +402,7 @@ def sharpen(
         framework=framework,
         concrete=tuple(concrete),
         derivation=derivation,
-        abstract_preferred=tuple(tuple(p) for p in abstract_preferred),
-        projected=tuple(tuple(p) for p in projected),
+        abstract_preferred=tuple(map(tuple, abstract_preferred)),
+        projected=tuple(projected),
         verdicts=tuple(verdicts),
     )

@@ -5,14 +5,17 @@ the attacks between them, expressions ignored.  Extension sets come back
 sorted by size then lexicographically so equal inputs always print equally.
 The kernel's searches answer in bit masks over the sorted ids; `_extensions`
 drops duplicate masks, orders them on one digit string each and names each
-survivor from that same string.
+survivor from that same string.  `preferred` is its search,
+`_preferred_masks`, named by `_extensions`; `pipeline.sharpen` calls the
+search alone and names on its own terms.
 
 `preferred` and `cf2` are both SCC-recursive (`_scc_recursive`): each SCC,
 attackers first, chooses under every partial answer upstream, and the two
 differ only in the search each SCC gets, labelling search for `preferred`,
 naive sets for `cf2`.  Answers travel as bare extension masks; what a
 partial answer attacks is worked out only where an SCC has feeders, and
-only on what can reach them.
+only on what can reach them, once per distinct interface: the part of the
+partial answer that attacks a feeder or a member.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
     once.  Bit i is the i-th smallest id, so of two masks of one size the
     one holding their lowest differing bit comes first: it holds a 1 where
     the other holds a 0 in its digits, read lowest bit first.  Each mask's
-    digits are made once and serve as its sort key and as the selectors of
-    its ids; keys sort last first, so each is dropped as it is named."""
+    digits are made once and serve as its sort key (`_key`, built inline)
+    and as the selectors of its ids; keys sort last first, so each is
+    dropped as it is named."""
     keys = sorted((-m.bit_count(), bin(m)[:1:-1]) for m in set(masks))
     ids, named = ix.ids, []
     # copied from a set, a frozenset's table is sized to fit; filled from an
@@ -96,6 +100,18 @@ def _extensions(ix: _Index, masks: Iterable[int]) -> list[frozenset[str]]:
     while keys:
         named.append(frozenset({*compress(ids, keys.pop()[1].encode().translate(_DIGITS))}))
     return named
+
+
+def _key(mask: int) -> tuple[int, str]:
+    """A mask's sort key in `_extensions`, which names masks in descending
+    key order: minus its bit count, then its digits lowest bit first."""
+    return -mask.bit_count(), bin(mask)[:1:-1]
+
+
+def _names(ix: _Index, masks: Iterable[int]) -> dict[int, frozenset[str]]:
+    """Each distinct mask's name, as `_extensions` names it, in no order."""
+    ids = ix.ids
+    return {m: frozenset({*compress(ids, bin(m)[:1:-1].encode().translate(_DIGITS))}) for m in set(masks)}
 
 
 def _components(ix: _Index, within: int) -> list[int]:
@@ -278,9 +294,12 @@ def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> _Fr
     `live` is what of the SCC the partial answer leaves not out and `doubt`
     the upstream arguments, neither in nor out, that attack it.  An SCC
     that nothing upstream attacks is asked once, whole, for all partial
-    answers.  For one that has feeders, what a partial answer attacks is
-    found from its in arguments that attack a feeder or a member, as
-    nothing else bears on `live` or `doubt`.  Asked for less than the whole
+    answers.  For one that has feeders, only the partial answer's in
+    arguments that attack a feeder or a member bear on `live` or `doubt`,
+    and every feeder is one of them: that part of a partial answer, its
+    interface, fixes both, so `base` is asked once per distinct interface
+    and its choices are shared by every partial answer that has it.  Asked
+    for less than the whole
     SCC, a base may answer with a mask instead, of survivors whose answers
     it needs: the frame yields that mask and is sent the choices back
     (`_run`).  The frame returns the partial answers on all of `sccs`."""
@@ -292,12 +311,17 @@ def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> _Fr
             partials = _product(partials, base(scc, scc, 0))
             continue
         near = _union(attackers, feeders | scc)
+        asked: dict[int, _Choices] = {}  # interface -> the SCC's choices under it
         grown: _Choices = []
         for part in partials:
-            hit = _union(targets, part & near)
-            choices = base(scc, scc & ~hit, feeders & ~(part | hit))
-            if isinstance(choices, int):
-                choices = yield choices
+            face = part & near
+            choices = asked.get(face)
+            if choices is None:
+                hit = _union(targets, face)
+                choices = base(scc, scc & ~hit, feeders & ~(face | hit))
+                if isinstance(choices, int):
+                    choices = yield choices
+                asked[face] = choices
             grown += [part | c for c in choices]
         partials = grown
     return partials
@@ -312,23 +336,19 @@ def _preferred_scc(ix: _Index, comp: int, sccs: list[int]) -> list[int]:
     arguments attack is out, and what an upstream argument neither in nor
     out attacks can never be defended against it, so it is barred from
     going in; the SCC's answers are the labelling search's on the rest,
-    with the barred arguments left undecided.  Answers are kept for the
-    call on (live, barred): many partial answers leave an SCC alike."""
+    with the barred arguments left undecided.  The driver asks once per
+    distinct interface, so the search keeps no answers of its own."""
     targets = ix.targets
-    solved: dict[tuple[int, int], _Choices] = {}
 
     def base(scc: int, live: int, doubt: int) -> _Choices:
-        key = live, _union(targets, doubt) & live if doubt else 0
-        choices = solved.get(key)
-        if choices is None:
-            choices = solved[key] = _preferred_in(ix, *key)
-        return choices
+        return _preferred_in(ix, live, _union(targets, doubt) & live if doubt else 0)
 
     return _run(_scc_recursive(ix, comp, sccs, base))
 
 
-def preferred(framework: Framework) -> list[frozenset[str]]:
-    """All maximal admissible sets.
+def _preferred_masks(framework: Framework) -> list[int]:
+    """The preferred extensions as distinct in masks over the framework's
+    sorted ids, in no set order: what `preferred` names.
 
     Every preferred extension holds the grounded extension and nothing it
     attacks, and the undecided rest splits into weakly connected
@@ -336,7 +356,7 @@ def preferred(framework: Framework) -> list[frozenset[str]]:
     is searched whole (`_preferred_in`); one that meets several SCCs goes
     SCC by SCC, attackers first (`_preferred_scc`), on the SCC masks the
     framework's index keeps.  The extensions are the grounded extension
-    plus one choice per component.
+    plus one choice per component, so no two are equal.
     """
     ix = _index(framework)
     accepted, defeated = _grounded(ix)
@@ -355,7 +375,13 @@ def preferred(framework: Framework) -> list[frozenset[str]]:
                 rank = rank or {scc: r for r, scc in enumerate(ix.scc_masks())}
                 sccs = [scc & comp for scc in sorted(sccs, key=rank.__getitem__)]
         per_component.append(_preferred_in(ix, comp) if len(sccs) == 1 else _preferred_scc(ix, comp, sccs))
-    return _extensions(ix, reduce(_product, per_component, [accepted]))
+    return reduce(_product, per_component, [accepted])
+
+
+def preferred(framework: Framework) -> list[frozenset[str]]:
+    """All maximal admissible sets: the masks of `_preferred_masks`, named
+    and ordered by `_extensions`."""
+    return _extensions(_index(framework), _preferred_masks(framework))
 
 
 def grounded_labelling(framework: Framework) -> dict[str, str]:

@@ -41,6 +41,7 @@ from afo.pipeline import (
     PLUS_APPROVED_SKEPTICAL,
     QUESTIONED,
 )
+from afo.semantics import _preferred_masks
 
 from generators import (
     conservative_instance,
@@ -58,6 +59,7 @@ from oracles import (
     oracle_maximal_conservative_groups,
     oracle_replace_chain,
     oracle_sccs,
+    oracle_sharpen,
     oracle_sigma,
     oracle_verdict,
 )
@@ -266,7 +268,7 @@ def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
 @pytest.fixture(scope="module")
 def flower_1000():
     """`flower_instance(1000)`, built once for the module: validating its
-    10,002-node lattice takes about 2 s."""
+    10,002-node lattice takes about 0.05 s (Python 3.11.7, 2 cores)."""
     return flower_instance(1000)
 
 
@@ -694,6 +696,82 @@ def test_verdicts_match_label_table_oracle():
     assert facing_empty >= 250
 
 
+def _rival_document(rng) -> str:
+    """Hub pairs and squares (`hub_pairs_document`) where some pairs' first
+    member x is in a 2-cycle with a rival at t, a node under the top alone.
+    The pair still merges, and its fork's extension {x+y} projects onto the
+    empty set, which is dropped; a pair with no rival and nothing else in
+    the document projects onto no extension at all."""
+    names = iter(f"n{i}" for i in range(14))
+    squares = [tuple(next(names) for _ in range(4)) for _ in range(rng.choice((0, 1, 1, 2)))]
+    pairs = [(next(names), next(names)) for _ in range(rng.randint(1 - len(squares) // 2, 2 - len(squares) // 2))]
+    loners = [next(names) for _ in range(rng.randint(0, 1))]
+    text = hub_pairs_document(pairs, loners, squares)
+    rivals = [(f"r{i}", x) for i, (x, _) in enumerate(pairs) if rng.random() < 0.6]
+    if rivals:
+        text += "node t\ncover bot t\ncover t top\nmap et t\n"
+    for r, x in rivals:
+        text += f"arglet {r} et\nattack {r}.et {x}.ep\nattack {x}.ep {r}.et\n"
+    return text
+
+
+def test_sharpen_projections_and_verdicts_match_the_oracles_across_forks():
+    """`sharpen`'s projections and verdicts on hub documents with pairs,
+    squares and rivals against `oracle_sharpen`, and each projection
+    against `oracle_sigma` of its fork's extensions: empty restrictions are
+    dropped, identical projections kept once, and a projection may hold no
+    extension."""
+    rng = random.Random(2626)
+    forking = dropped = empty = 0
+    for _ in range(80):
+        text = _rival_document(rng)
+        model = build_model(parse_afo(text)[0])
+        report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
+        want = oracle_sharpen(text)
+        assert [[sorted(e) for e in p] for p in report.projected] == want["projected"], text
+        got = {
+            v.arg_id: {
+                "concrete_status": v.concrete_status,
+                "sharpened": sorted(v.sharpened),
+                "sets_containing": v.sets_containing,
+                "extensions_containing": v.extensions_containing,
+            }
+            for v in report.verdicts
+        }
+        assert got == want["classification"], text
+        ids = model.framework.argument_ids()
+        expected = []
+        for extensions in report.abstract_preferred:
+            projection = tuple(sorted(oracle_sigma(extensions, ids), key=lambda e: (len(e), sorted(e))))
+            if projection not in expected:
+                expected.append(projection)
+            dropped += any(not e & ids for e in extensions)
+        assert list(report.projected) == expected
+        forking += len(report.derivation.frameworks) >= 2
+        empty += () in report.projected
+    # at this seed: 57 of 80 draws fork, 89 forks have an extension that
+    # restricts to the empty set, and 4 draws have an empty projection
+    assert forking >= 50 and dropped >= 70 and empty >= 3
+
+
+def test_a_projected_set_held_by_two_projections_is_one_object():
+    """Each distinct projected set is named once per `sharpen` call and
+    shared by every projection that holds it; with no group merged, the one
+    projection is the concrete extensions without the empty set, under
+    the names `concrete` holds."""
+    model = build_model(parse_afo(forking_chain(3))[0])
+    report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
+    held = [e for p in report.projected for e in p]
+    assert len({id(e) for e in held}) == len(set(held)) < len(held)
+    fw = Framework.of(
+        [("a", "ep"), ("b", "er")],
+        [(("a", "ep"), ("b", "er")), (("b", "er"), ("a", "ep"))],
+    )
+    report = sharpen(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
+    ((first, second),) = report.projected
+    assert first is report.concrete[0] and second is report.concrete[1]
+
+
 def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
     # the two-cycle joins at the top, which M rules out
     fw = Framework.of(
@@ -702,11 +780,11 @@ def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
     )
     calls = []
 
-    def counting_preferred(framework):
+    def counting_search(framework):
         calls.append(framework)
-        return preferred(framework)
+        return _preferred_masks(framework)
 
-    monkeypatch.setattr(afo.pipeline, "preferred", counting_preferred)
+    monkeypatch.setattr(afo.pipeline, "_preferred_masks", counting_search)
     report = sharpen(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
     (derived,) = report.derivation.frameworks
     assert derived is fw and len(calls) == 1 and calls[0] is fw
