@@ -8,15 +8,10 @@ choice of a replacement in every component that has one, and each is built
 once, in one pass over the concrete arglets and attacks, with boundary
 attacks redirected (`_fork`).  The preferred extensions of every derived
 framework are then projected back onto concrete argument ids, and each
-concrete argument's verdict is re-read against those projections.  All of
-it runs on bit masks: `preferred`'s search answers in masks
-(`semantics._preferred_masks`), each framework's masks are named once, a
-fork's masks map onto the input's ids through per-byte tables built once
-per fork (`_byte_tables`), each distinct projected mask is named once per
-call, and every verdict reads ANDs, ORs and bit-sliced counts of masks
-(`_tally`) and one fixed table of the six label sets (`_SHARPENED`).
-`restrict_extensions` and `concretize_extension_sets` are the same
-projection on named extensions.
+concrete argument's verdict is re-read against those projections, on bit
+masks (`sharpen`), and one fixed table of the six label sets
+(`_SHARPENED`).  `restrict_extensions` and `concretize_extension_sets`
+make the same projections on named extensions.
 
 The group scan reads the framework's graph index (`af._index`, built once
 per framework and kept on it, with its SCC masks) and one
@@ -41,21 +36,11 @@ from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .abstraction import _check_targets, _Groups, _ScanTable, best_abstraction_of
-from .af import (
-    Arglet,
-    Argument,
-    Framework,
-    _bits,
-    _contract,
-    _drop_index,
-    _index,
-    _Index,
-    strongly_connected_components,
-)
+from .af import Arglet, Argument, Framework, _bits, _contract, _drop_index, _index, strongly_connected_components
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
-from .semantics import CREDULOUS, SKEPTICAL, _extensions, _key, _names, _preferred_masks, _sorted_extensions
+from .semantics import CREDULOUS, SKEPTICAL, _extensions, _key, _preferred_masks, _sorted_extensions
 
 
 @dataclass(frozen=True)
@@ -228,8 +213,7 @@ def concretize_extension_sets(
 ) -> list[list[frozenset[str]]]:
     """Project each framework's extensions onto the concrete argument ids.
 
-    Projections that come out identical are reported once.  `sharpen`
-    makes the same projections on masks.
+    Projections that come out identical are reported once.
     """
     ids = original.argument_ids()
     unique = dict.fromkeys(tuple(restrict_extensions(extensions, ids)) for extensions in per_framework)
@@ -285,21 +269,6 @@ _SHARPENED = {
 }
 
 
-def _byte_tables(source: _Index, fork: _Index) -> list[list[int]]:
-    """Per byte of a fork's masks, the mask over `source`'s ids that each of
-    its 256 values maps to: an id of both frameworks maps to its bit in
-    `source`, and a merged id, which `source` does not have, to nothing."""
-    pos = source.pos
-    bits = [1 << pos[a] if a in pos else 0 for a in fork.ids]
-    tables = []
-    for low in range(0, len(bits), 8):
-        table = [0]
-        for bit in bits[low : low + 8]:
-            table += [t | bit for t in table]
-        tables.append(table)
-    return tables
-
-
 def _tally(masks: Iterable[int], width: int) -> list[int]:
     """Per bit below `width`, how many of the masks hold it.  A bit-sliced
     counter: slice j holds bit j of every count, each mask is added with
@@ -328,28 +297,21 @@ def sharpen(
 ) -> SharpeningReport:
     """Concrete verdicts re-read through the abstract-space projections.
 
-    `preferred`'s search runs once on the input and once on every fork
-    (`_preferred_masks`), and each framework's masks are named once, by
-    `_extensions`, for `concrete` and `abstract_preferred`.  With no group
-    merged, the one derived framework is the input: it takes the concrete
-    extensions, and projects onto itself as its own masks without 0, under
-    the names `concrete` holds.  Every fork takes its SCC masks from the
-    input's, renamed (`af._contract`), as each merged group lies inside its
-    step's SCC, and drops the graph index its search built, so at most one
-    fork's index is alive at a time.  Without the renaming every fork runs
-    its own Tarjan: on the `docs` benchmark (seed 3, 10 pairs of 20 s runs)
-    that read 692.7 instances/s against 706.1 with it.  A fork maps its
-    masks onto the input's ids a byte at a time, through tables built once
-    from its ids (`_byte_tables`); the projected masks drop 0, are
-    deduplicated and ordered as `_extensions` orders them, identical
+    `preferred`'s search (`_preferred_masks`) runs once on the input and
+    once on every fork, and each framework's masks are named once.  With no
+    group merged, the input is the one derived framework and projects onto
+    itself: its masks without 0, under `concrete`'s names.  Each fork takes
+    its SCC masks from the input's (`af._contract`: on `docs`, seed 3, 10
+    pairs of 20 s, 706.1 instances/s against 692.7 with a Tarjan per fork)
+    and drops its index after its search.  Each of its extensions maps onto a
+    mask over the input's ids through one map of ids to bits per call, in
+    which merged ids map to nothing.  Projected masks drop 0 and are
+    deduplicated and ordered as `_extensions` orders them; identical
     projections are kept once, and each distinct projected mask is named
-    once and shared by every projection that holds it.
-
-    The verdicts read masks: the concrete status from the AND and the OR
-    of the concrete masks, the sharpened labels from the AND and the OR of
-    every projected mask (an empty projection holds no extension, so then
-    nothing is in all of them), and the counts from bit-sliced tallies of
-    the projected masks and of each projection's OR (`_tally`)."""
+    once, from an extension that projects onto it, and shared.  The
+    verdicts read the AND and the OR of the concrete masks and of every
+    projected mask (an empty projection puts nothing in all of them), and
+    `_tally`'s counts."""
     ix = _index(framework)
     masks = _preferred_masks(framework)
     concrete = _extensions(ix, masks)
@@ -359,22 +321,24 @@ def sharpen(
         layers = [[m for m in masks if m]]
         projected = [tuple(e for e in concrete if e)]
     else:
+        # each input id's bit; a merged id is no input id and maps to nothing
+        bit_of = {a: 1 << i for i, a in enumerate(ix.ids)}
+        bit_of.update((step.abstract_arg.arg_id, 0) for steps in derivation.replacements for step in steps)
         abstract_preferred = []
         unique: dict[tuple[int, ...], None] = {}
-        getitem = list.__getitem__
+        holder: dict[int, frozenset[str]] = {}  # each projected mask -> an extension that projects onto it
         for f, steps in zip(derivation.frameworks, derivation.provenance):
             _contract(framework, f, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
-            found = _preferred_masks(f)
-            fx = _index(f)
-            abstract_preferred.append(_extensions(fx, found))
-            tables = _byte_tables(ix, fx)
+            named = _extensions(_index(f), _preferred_masks(f))
             _drop_index(f)
-            width = len(tables)
-            down = {sum(map(getitem, tables, m.to_bytes(width, "little"))) for m in found}
-            down.discard(0)
+            abstract_preferred.append(named)
+            down = {sum(map(bit_of.__getitem__, e)): e for e in named}
+            down.pop(0, None)
+            holder.update(down)
             unique[tuple(sorted(down, key=_key, reverse=True))] = None
         layers = list(unique)
-        names = _names(ix, chain.from_iterable(layers))
+        keep = frozenset(ix.ids)
+        names = {m: e & keep for m, e in holder.items()}
         projected = [tuple(map(names.__getitem__, layer)) for layer in layers]
 
     skeptical = reduce(and_, masks)

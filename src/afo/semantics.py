@@ -5,9 +5,8 @@ the attacks between them, expressions ignored.  Extension sets come back
 sorted by size then lexicographically so equal inputs always print equally.
 The kernel's searches answer in bit masks over the sorted ids; `_extensions`
 drops duplicate masks, orders them on one digit string each and names each
-survivor from that same string.  `preferred` is its search,
-`_preferred_masks`, named by `_extensions`; `pipeline.sharpen` calls the
-search alone and names on its own terms.
+survivor from that same string; `preferred` names what its search,
+`_preferred_masks`, answers.
 
 `preferred` and `cf2` are both SCC-recursive (`_scc_recursive`): each SCC,
 attackers first, chooses under every partial answer upstream, and the two
@@ -106,12 +105,6 @@ def _key(mask: int) -> tuple[int, str]:
     """A mask's sort key in `_extensions`, which names masks in descending
     key order: minus its bit count, then its digits lowest bit first."""
     return -mask.bit_count(), bin(mask)[:1:-1]
-
-
-def _names(ix: _Index, masks: Iterable[int]) -> dict[int, frozenset[str]]:
-    """Each distinct mask's name, as `_extensions` names it, in no order."""
-    ids = ix.ids
-    return {m: frozenset({*compress(ids, bin(m)[:1:-1].encode().translate(_DIGITS))}) for m in set(masks)}
 
 
 def _components(ix: _Index, within: int) -> list[int]:
