@@ -238,8 +238,9 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     parents, and the least in sorted order is reported.  Missing bounds are
     found by a bottom test and one join test per pair of classes of nodes
     sharing a strict up mask, where some pair of members is incomparable,
-    among the nodes whose number of upper covers is not one; only when that fails does the loop over sorted node pairs run, so the
-    error names the same first pair as a pair-by-pair check.
+    among the nodes whose number of upper covers is not one; only when
+    that fails does the loop over sorted node pairs run, so the error
+    names the same first pair as a pair-by-pair check.
     """
     node_set = frozenset(nodes)
     if not node_set:

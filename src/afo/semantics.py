@@ -292,10 +292,10 @@ def _scc_recursive(ix: _Index, within: int, sccs: list[int], base: _Base) -> _Fr
     and every feeder is one of them: that part of a partial answer, its
     interface, fixes both, so `base` is asked once per distinct interface
     and its choices are shared by every partial answer that has it.  Asked
-    for less than the whole
-    SCC, a base may answer with a mask instead, of survivors whose answers
-    it needs: the frame yields that mask and is sent the choices back
-    (`_run`).  The frame returns the partial answers on all of `sccs`."""
+    for less than the whole SCC, a base may answer with a mask instead, of
+    survivors whose answers it needs: the frame yields that mask and is
+    sent the choices back (`_run`).  The frame returns the partial answers
+    on all of `sccs`."""
     attackers, targets = ix.attackers, ix.targets
     partials: _Choices = [0]
     for scc in sccs:
