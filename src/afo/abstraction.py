@@ -24,6 +24,7 @@ the group scan in `pipeline` reads and the predicates and the report build.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -155,10 +156,15 @@ def _check_targets(ids: frozenset[str], targets: Iterable[str]) -> frozenset[str
 
 
 def _clashing(lat: FiniteLattice, fmap: SemanticMap, attacks: Iterable[tuple[Arglet, Arglet]]) -> Iterator[tuple[Arglet, Arglet]]:
-    """The attacks that join arglets with comparable images.  Equal images
-    count as comparable, so a self-attacking arglet clashes."""
-    image = fmap.image
-    return ((s, d) for s, d in attacks if lat.comparable(image(s[1]), image(d[1])))
+    """The attacks that join arglets with comparable images, each decided
+    by one AND: the rank bit of the source's node against the up and down
+    masks of the target's.  Equal images count as comparable, so a
+    self-attacking arglet clashes."""
+    up, down, image = lat._up, lat._down, fmap.image
+    for s, d in attacks:
+        source, target = lat._mask(up, image(s[1])), image(d[1])
+        if source & -source & (lat._mask(up, target) | down[target]):
+            yield s, d
 
 
 _Groups = list[tuple[AbstractionCandidate, SemanticMap]]
@@ -167,50 +173,76 @@ _Groups = list[tuple[AbstractionCandidate, SemanticMap]]
 class _ScanTable:
     """The conservativity tests, on masks over the framework's index
     (`af._index`, whose SCC masks validity reads) and over lattice ranks:
-    one per group scan, per `abstract --explain`, and per call of a
-    predicate or the report.
-    Built eagerly: per argument its node, the lowest rank in the AND of its
-    expressions' up masks, and M as one rank mask (`skip`).  Built by the
-    first `mask` call, which the scan makes once a group passes the node
-    filter: per argument the rank bit of its node and the mask of the
-    arguments it attacks through clashing arglets.  Built by the first
-    abstract argument of several expressions: per argument the rank mask
-    of its expressions' nodes.  Built by the first kept group: per argument
-    its expressions, and `taken`, the ids merged ids must avoid, which
-    every id handed out joins.  A table serves one `blocked` set."""
+    one per derivation, per `abstract --explain`, and per call of the
+    public scan, a predicate or the report.
+    Built eagerly: per bit of the index the node of its argument, the
+    lowest rank in the AND of its expressions' up masks, and M as one rank
+    mask (`skip`).  Every other part is built on first use: per bit the
+    rank bit of its node (`rank`) and the mask of the arguments it attacks
+    through clashing arglets (`conflicts`), which the scan first reads
+    once a group passes the node filter; per bit the rank mask of its
+    expressions' nodes (`spans`), for an abstract argument of several
+    expressions; per bit its expressions (`exprs`) and `taken`, the ids
+    merged ids must avoid, which every id handed out joins, once a group
+    is kept.  A table serves one `blocked` set."""
 
     def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: frozenset[str] = frozenset()):
         self.framework, self.lat, self.fmap = framework, lat, fmap
+        self.ix = ix = _index(framework)
         self.skip = lat.rank_mask(blocked & lat.nodes)
-        up, image = lat._up, fmap.image
-        masks: dict[str, int] = {}
+        up, image, pos, ranked = lat._up, fmap.image, ix.pos, lat._ranked
+        nodes: list = [None] * len(ix.ids)
         for a, e in framework.arglets:
-            masks[a] = masks.get(a, -1) & lat._mask(up, image(e))
-        ranked = lat._ranked
-        self.node = {a: ranked[(m & -m).bit_length() - 1] for a, m in masks.items()}
-        self.rank: list[int] | None = None
-        self.conflicts: list[int] = []
-        self.spans: list[int] | None = None
-        self.exprs: dict[str, list[str]] | None = None
-        self.taken: set[str] | None = None
+            i, v = pos[a], image(e)
+            if v not in up:
+                lat._mask(up, v)  # raises UnknownNode
+            if (w := nodes[i]) is not None:  # the join of w and v: the lowest rank above both
+                v = ranked[((m := up[v] & up[w]) & -m).bit_length() - 1]
+            nodes[i] = v
+        self.nodes: list[str] = nodes
+
+    @cached_property
+    def rank(self) -> list[int]:
+        up = self.lat._up
+        return [up[v] & -up[v] for v in self.nodes]
+
+    @cached_property
+    def conflicts(self) -> list[int]:
+        pos = self.ix.pos
+        conflicts = [0] * len(pos)
+        for (s, _), (d, _) in _clashing(self.lat, self.fmap, self.framework.attacks):
+            conflicts[pos[s]] |= 1 << pos[d]
+        return conflicts
+
+    @cached_property
+    def spans(self) -> list[int]:
+        pos, spans = self.ix.pos, [0] * len(self.nodes)
+        for a, e in self.framework.arglets:
+            spans[pos[a]] |= self.lat.rank_mask([self.fmap.image(e)])
+        return spans
+
+    @cached_property
+    def exprs(self) -> list[list[str]]:
+        pos, exprs = self.ix.pos, [[] for _ in self.nodes]
+        for a, e in self.framework.arglets:
+            exprs[pos[a]].append(e)
+        return exprs
+
+    @cached_property
+    def taken(self) -> set[str]:
+        return set(self.ix.ids)
 
     def mask(self, ids: Iterable[str]) -> int:
-        """The mask of `ids`; the first call builds what the tests read."""
-        ix = _index(self.framework)
-        if self.rank is None:
-            up = self.lat._up
-            self.rank = [up[self.node[a]] & -up[self.node[a]] for a in ix.ids]
-            self.conflicts = [0] * len(ix.ids)
-            for (s, _), (d, _) in _clashing(self.lat, self.fmap, self.framework.attacks):
-                self.conflicts[ix.pos[s]] |= 1 << ix.pos[d]
-        return sum(1 << ix.pos[a] for a in ids)
+        """The mask of `ids`, each an argument of the framework."""
+        pos = self.ix.pos
+        return sum(1 << pos[a] for a in ids)
 
     def compatible(self, g: int) -> bool:
         """No member attacks a member through clashing expressions."""
         return not _union(self.conflicts, g) & g
 
     def outside(self, g: int) -> int:
-        return _union(_index(self.framework).neighbours, g) & ~g
+        return _union(self.ix.neighbours, g) & ~g
 
     def comparable(self, v: str, within: int) -> bool:
         """Whether some argument of `within` sits at a node comparable with v."""
@@ -232,17 +264,13 @@ class _ScanTable:
             if not down & _union(rank, within):
                 return 0
             return sum(1 << i for i in _bits(within) if rank[i] & down)
-        if self.spans is None:
-            pos, self.spans = _index(self.framework).pos, [0] * len(self.rank)
-            for a, e in self.framework.arglets:
-                self.spans[pos[a]] |= self.lat.rank_mask([self.fmap.image(e)])
         return sum(1 << i for i in _bits(within) if all(_conditions(downs, (self.spans[i],))[1:]))
 
     def growth(self, downs: Sequence[int], g: int) -> int | None:
         """The other members of the group's SCC that the abstract argument
         absorbs, given the down masks of its expressions: each grows the
         group.  None across SCCs, and 0 unless it absorbs the whole group."""
-        home = _index(self.framework).scc_homes()[(g & -g).bit_length() - 1]
+        home = self.ix.scc_homes()[(g & -g).bit_length() - 1]
         if g & ~home:
             return None
         outsiders = self.absorbed(downs, home & ~g)
@@ -251,19 +279,13 @@ class _ScanTable:
     def valid(self, downs: Sequence[int], g: int) -> bool:
         return self.growth(downs, g) == 0
 
-    def arguments(self, ids: list[str]) -> list[Argument]:
-        """The arguments of `ids`, in that order.  Every id carries an
-        arglet: it has a node."""
-        if self.exprs is None:
-            self.exprs = {}
-            for a, e in self.framework.arglets:
-                self.exprs.setdefault(a, []).append(e)
-        return [Argument(a, frozenset(self.exprs[a])) for a in ids]
+    def arguments(self, g: int) -> list[Argument]:
+        """The arguments of the bits of `g`, in id order."""
+        ids, exprs = self.ix.ids, self.exprs
+        return [Argument(ids[i], frozenset(exprs[i])) for i in _bits(g)]
 
     def renamed(self, groups: _Groups) -> _Groups:
         """The groups with each merged id made fresh against `taken`."""
-        if self.taken is None:
-            self.taken = set(self.node)
         out: _Groups = []
         for candidate, xmap in groups:
             arg = candidate.abstract_arg
@@ -346,8 +368,7 @@ def _report(table: _ScanTable, blocked: Iterable[str], candidate: AbstractionCan
     """`conservativity_report` on a table `abstract --explain` shares."""
     framework, lat, fmap = table.framework, table.lat, table.fmap
     g = table.mask(_check_targets(framework.argument_ids(), candidate.targets))
-    ix = _index(framework)
-    ids, pos = ix.ids, ix.pos
+    ids, pos = table.ix.ids, table.ix.pos
     exprs = candidate.abstract_arg.expressions
     merged = alpha(lat, fmap, exprs)
     blocked_sorted = tuple(sorted(set(blocked)))
@@ -367,6 +388,6 @@ def _report(table: _ScanTable, blocked: Iterable[str], candidate: AbstractionCan
         )),
         attack_preserving=table.attack_preserving(merged, g),
         external_checks=tuple(
-            (ids[i], table.node[ids[i]], table.comparable(merged, 1 << i)) for i in _bits(table.outside(g))
+            (ids[i], table.nodes[i], table.comparable(merged, 1 << i)) for i in _bits(table.outside(g))
         ),
     )

@@ -141,18 +141,18 @@ class FiniteLattice:
             twice |= once & up
             once |= up
         twice &= ~skip
+        if not twice:
+            return
+        # keyed by rank, not by rank bit: a key as wide as the lattice
+        # would cost a hash as long as the lattice
         below: dict[int, int] = {}  # rank -> mask over the members
         common: dict[int, int] = {}  # rank -> AND of the members' up masks
         for i, up in enumerate(ups):
-            mask = up & twice
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                below[low] = below.get(low, 0) | 1 << i
-                common[low] = common.get(low, up) & up
+            for r in _ranks(up & twice):
+                below[r] = below.get(r, 0) | 1 << i
+                common[r] = common.get(r, up) & up
         for r in _ranks(twice):
-            low = 1 << r
-            yield self._ranked[r], [members[i] for i in _ranks(below[low])], common[low] & -common[low] == low
+            yield self._ranked[r], [members[i] for i in _ranks(below[r])], _lowest(common[r]) == r
 
     def lower_covers(self, node: str) -> frozenset[str]:
         """Nodes directly below the given one; the bottom element yields itself.

@@ -13,18 +13,25 @@ masks (`sharpen`), and one fixed table of the six label sets
 (`_SHARPENED`).  `restrict_extensions` and `concretize_extension_sets`
 make the same projections on named extensions.
 
-The group scan reads the framework's graph index (`af._index`, built once
-per framework and kept on it, with its SCC masks) and one
-`abstraction._ScanTable`, whose tests the public predicates call too,
-built per scan and dropped with it; its parts are built as the scan
-first needs them: each argument's lattice node and M's rank mask, then,
-once some group passes the node filter, the lattice-side bit masks for the
-compatibility, attack-preservation and validity tests, then, once some
-group is kept, each argument's expressions and the ids merged ids must
-avoid.  Per component, `FiniteLattice.groups_below` gathers the members
-below each node outside M that two or more of them reach, walking only
-those nodes.  So a component costs what its members' up masks hold, not
-what the lattice or the framework holds.
+The group scan runs on the framework's graph index (`af._index`, built
+once per framework and kept on it, with its SCC masks) from start to end:
+`derive_abstract_frameworks` walks the index's SCC masks and hands each
+one of two or more arguments to one private scan (`_scan`), which works
+on bit indices and masks and returns each kept group as a mask.  Ids
+become strings only for what is kept: an SCC and its groups are named,
+and their best abstractions built, only when the SCC keeps a group.  The
+public `maximal_conservative_subsets` maps its ids onto a mask and runs the
+same scan.  The scan reads one `abstraction._ScanTable`, whose tests the
+public predicates call too, built per derivation and dropped with it;
+its parts are built as the scan first needs them: per bit the lattice
+node of its argument and M's rank mask, then, once some group passes the
+node filter, the lattice-side bit masks for the compatibility,
+attack-preservation and validity tests, then, once some group is kept,
+per bit the argument's expressions and the ids merged ids must avoid.
+Per component, `FiniteLattice.groups_below` gathers the members below
+each node outside M that two or more of them reach, walking only those
+nodes, so a component whose members reach no such node costs one pass
+over their up masks.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .abstraction import _check_targets, _Groups, _ScanTable, best_abstraction_of
-from .af import Arglet, Argument, Framework, _bits, _contract, _drop_index, _index, strongly_connected_components
+from .af import Arglet, Argument, Framework, _bits, _contract, _drop_index, _index
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice
@@ -84,36 +91,52 @@ def maximal_conservative_subsets(
     the framework and against every id the table handed out before, so
     each candidate can go to `abstract_replace` as it is.
 
-    A best abstraction at node v absorbs exactly the members below v, so
-    the one group that can be valid at v is G_v = {a in scc : alpha(a) <= v},
-    and only when v is its join.  `FiniteLattice.groups_below` gathers G_v
-    for the nodes outside M that two or more members reach, and only
-    those, so each group is non-trivial by construction.  Validity,
-    compatibility and attack preservation are bit-mask tests on a
-    `_ScanTable`, which `derive_abstract_frameworks` builds once for all its
-    SCCs and which is built here, for `blocked`, when not passed; a passed
-    table stands for the `blocked` it was built with.  When `scc` is one
-    SCC, each G_v is valid by construction; for any other id set, validity
-    keeps out every group that spans several SCCs or can be grown.
-    Maximality is a mask test too, so best abstractions are built for kept
-    groups only."""
+    The ids are mapped onto the bits of the framework's index, and the scan
+    runs on that mask (`_scan`), as `derive_abstract_frameworks` runs it on
+    each SCC mask.  Tests are made on a `_ScanTable`, which the derivation
+    builds once for all its SCCs and which is built here, for `blocked`,
+    when not passed; a passed table stands for the `blocked` it was built
+    with.  When `scc` is one SCC, each group is valid by construction; for
+    any other id set, validity keeps out every group that spans several
+    SCCs or can be grown."""
     if table is None:
         table = _ScanTable(framework, lat, fmap, frozenset(blocked))
-    node = table.node
-    if missing := [a for a in scc if a not in node]:
+    pos = table.ix.pos
+    if missing := [a for a in scc if a not in pos]:
         raise UnknownArgument(f"no arglet carries id {min(missing)!r}")
-    if len(scc) < 2:
-        return []
-    found: list[tuple[int, list[str]]] = []
-    for v, group, is_join in lat.groups_below([(a, node[a]) for a in sorted(scc)], table.skip):
+    return _named(table, _scan(table, table.mask(scc)))
+
+
+def _scan(table: _ScanTable, within: int) -> list[int]:
+    """The maximal conservative groups of the arguments of `within`, as
+    masks over the table's index, largest first and then by their ids.
+
+    A best abstraction at node v absorbs exactly the members below v, so
+    the one group that can be valid at v is G_v = {a in within : alpha(a)
+    <= v}, and only when v is its join.  `FiniteLattice.groups_below`
+    gathers G_v, as bit indices, for the nodes outside M that two or more
+    members reach, and only those, so each group is non-trivial by
+    construction and a mask with no such node costs one pass over its
+    members' up masks.  Validity, compatibility and attack preservation
+    are bit-mask tests on the table.  Maximality is a mask test too."""
+    lat, nodes = table.lat, table.nodes
+    found: list[int] = []
+    for v, group, is_join in lat.groups_below(((i, nodes[i]) for i in _bits(within)), table.skip):
         if not is_join:
             continue
-        g = table.mask(group)
+        g = sum(1 << i for i in group)
         if table.compatible(g) and table.attack_preserving(v, g) and table.valid([lat._down[v]], g):
-            found.append((g, group))
-    maximal = [group for g, group in found if not any(g & h == g != h for h, _ in found)]
-    maximal.sort(key=lambda group: (-len(group), sorted(group)))
-    return table.renamed([best_abstraction_of(lat, fmap, table.arguments(group)) for group in maximal])
+            found.append(g)
+    maximal = [g for g in found if not any(g & h == g != h for h in found)]
+    # bits follow id order, so the bit lists order groups as their sorted ids
+    maximal.sort(key=lambda g: (-g.bit_count(), list(_bits(g))))
+    return maximal
+
+
+def _named(table: _ScanTable, groups: list[int]) -> _Groups:
+    """The best abstraction of each group mask, with its merged id made
+    fresh against the table's `taken`, in the order given."""
+    return table.renamed([best_abstraction_of(table.lat, table.fmap, table.arguments(g)) for g in groups])
 
 
 def abstract_replace(framework: Framework, targets: Iterable[str], abstract_arg: Argument) -> Framework:
@@ -164,30 +187,36 @@ def derive_abstract_frameworks(
 ) -> AbstractionResult:
     """All abstract-space frameworks reachable by one replacement per SCC.
 
-    SCCs are scanned attackers first, against one `_ScanTable`, and each
-    kept group's id is renamed once, against the id set of that table, so
-    merged ids stay distinct.  Each SCC that keeps groups contributes its
-    list of replacements; the forks are the product of those lists, each
-    built once, by `_fork`, from its whole choice.  Components with no
-    qualifying group change no fork; with no kept group anywhere the input
-    itself is the one framework.  The result's map is the input map plus
-    the symbols minted for kept groups, built once, or the input map itself
-    when none was minted.
+    The SCC masks of the framework's index are scanned attackers first,
+    those of two or more arguments each by `_scan`, against one
+    `_ScanTable`.  An SCC and its groups are named only when it keeps a
+    group, and each kept group's id is renamed once, against the id set of
+    that table, so merged ids stay distinct.  Each SCC that keeps groups
+    contributes its list of replacements; the forks are the product of
+    those lists, each built once, by `_fork`, from its whole choice.
+    Components with no qualifying group change no fork; with no kept group
+    anywhere the input itself is the one framework.  The result's map is
+    the input map plus the symbols minted for kept groups, built once, or
+    the input map itself when none was minted.
     """
-    blocked = frozenset(blocked)
-    table = _ScanTable(framework, lat, fmap, blocked)
+    table = _ScanTable(framework, lat, fmap, frozenset(blocked))
+    ids = table.ix.ids
     minted: dict[str, str] = {}
     replacements: list[tuple[ReplacementStep, ...]] = []
-    for scc in strongly_connected_components(framework):
-        # every group lies inside `scc`: `sharpen` relies on it when it
+    for comp in table.ix.scc_masks():
+        # every group lies inside its SCC: `sharpen` relies on it when it
         # hands each fork the input's SCC masks (`af._contract`)
-        groups = maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table)
-        for candidate, xmap in groups:
+        groups = _scan(table, comp) if comp & (comp - 1) else []
+        if not groups:
+            continue
+        scc = frozenset([ids[i] for i in _bits(comp)])
+        steps = []
+        for candidate, xmap in _named(table, groups):
             for symbol in candidate.abstract_arg.expressions:
                 if symbol not in fmap:
                     minted[symbol] = xmap.image(symbol)
-        if groups:
-            replacements.append(tuple(ReplacementStep(scc, c.targets, c.abstract_arg) for c, _ in groups))
+            steps.append(ReplacementStep(scc, candidate.targets, candidate.abstract_arg))
+        replacements.append(tuple(steps))
     if minted:
         assignments = dict(fmap.items())
         assignments.update(minted)

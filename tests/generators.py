@@ -405,6 +405,26 @@ def multi_hub_instance(rng: random.Random, outsiders: int = 0):
     return framework, lattice, fmap, frozenset({"top"})
 
 
+def hub_cycle_instance(rng: random.Random, k: int, chords: int = 0):
+    """Framework, lattice, map and M = {hub, top}: a k-cycle plus `chords`
+    extra attacks over arguments on k distinct atoms of one hub, as the
+    benchmark's `groupscan` pool builds them.  Every two members join at
+    the hub, which is in M, so no SCC has a candidate group."""
+    atoms = [f"x{j}" for j in range(k)]
+    covers = [("bot", a) for a in atoms] + [(a, "hub") for a in atoms] + [("hub", "top")]
+    lattice = validate_lattice(["bot", "hub", "top"] + atoms, covers)
+    fmap = SemanticMap({"ghub": "hub", **{f"e{a}": a for a in atoms}})
+    members = [f"c{j}" for j in range(k)]
+    expr = dict(zip(members, rng.sample([f"e{a}" for a in atoms], k)))
+    ring = members[:]
+    rng.shuffle(ring)
+    edges = {(ring[j], ring[(j + 1) % k]) for j in range(k)}
+    while len(edges) < k + chords:
+        edges.add(tuple(rng.sample(members, 2)))
+    framework = Framework.of([(m, expr[m]) for m in members], [((s, expr[s]), (d, expr[d])) for s, d in edges])
+    return framework, lattice, fmap, lattice.upward_closure(["hub"])
+
+
 def ring_instance(rng: random.Random):
     """Framework, lattice, map and M = {top}: a ring of 2k arguments, k from
     2 to 4, whose members alternate between the atoms of two hubs.  Only

@@ -434,23 +434,19 @@ def test_abstract_json_and_explain_exclude_each_other(capsys, fixtures_dir):
 
 
 def test_abstract_explain_scans_each_scc_once(capsys, monkeypatch, fixtures_dir):
-    import afo.cli
     import afo.pipeline
 
     calls = []
-    scan = afo.pipeline.maximal_conservative_subsets
+    scan = afo.pipeline._scan
 
-    def counting_scan(*args, **kwargs):
-        calls.append(args[-1])
-        return scan(*args, **kwargs)
+    def counting_scan(table, within):
+        calls.append([table.ix.ids[i] for i in range(len(table.ix.ids)) if within >> i & 1])
+        return scan(table, within)
 
-    # patched wherever the name is bound, so a direct import is counted too
-    for module in (afo.pipeline, afo.cli):
-        if hasattr(module, "maximal_conservative_subsets"):
-            monkeypatch.setattr(module, "maximal_conservative_subsets", counting_scan)
+    monkeypatch.setattr(afo.pipeline, "_scan", counting_scan)
     code, _, _ = run_cli(capsys, "abstract", str(fixtures_dir / "fix3.afo"), "--explain")
     assert code == 0
-    assert sorted(map(sorted, calls)) == [["a1", "a2", "a3"], ["a4", "a5"]]
+    assert sorted(calls) == [["a1", "a2", "a3"], ["a4", "a5"]]
 
 
 def test_abstract_emit_dot(capsys, fixtures_dir, tmp_path):

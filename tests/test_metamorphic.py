@@ -243,3 +243,34 @@ def test_the_forking_chain_forks_and_projects_two_to_the_k_ways():
         report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
         assert len(report.derivation.frameworks) == 2**k
         assert len(set(report.projected)) == len(report.projected) == 2**k
+
+
+def test_a_disjoint_union_of_documents_multiplies_the_forks():
+    """Two flower documents over one lattice, the second's ids renamed
+    apart, joined into one framework.  Its SCCs are the parts' SCCs, and
+    a group is valid only inside its own SCC, even where the other part
+    has arguments below the same hub.  So each fork of the union makes one
+    fork's replacements of each part, the fork count is the product of the
+    parts' counts, and each fork's preferred extensions are the unions of
+    one extension of each part's fork."""
+    rng = random.Random(2727)
+    for hubs in (16, 40):
+        first, second = (build_model(parse_afo(flower_document(rng, hubs))[0]) for _ in range(2))
+        lat, fmap, blocked = first.lattice, first.fmap, first.blocked
+        assert (second.lattice.nodes, second.lattice.covers, second.fmap) == (lat.nodes, lat.covers, fmap)
+        parts = [first.framework, _renamed(second.framework, {a: f"u{a}" for a in second.framework.argument_ids()})]
+        reports = [sharpen(fw, lat, fmap, blocked) for fw in parts]
+        whole = sharpen(_union(*parts), lat, fmap, blocked)
+        assert set(whole.concrete) == {e | f for e in reports[0].concrete for f in reports[1].concrete}
+        forks = [len(r.derivation.frameworks) for r in reports]
+        assert min(forks) >= 4 and len(whole.derivation.frameworks) == forks[0] * forks[1]
+        index = [{steps: i for i, steps in enumerate(r.derivation.provenance)} for r in reports]
+        ids = parts[0].argument_ids()
+        chosen = set()
+        for steps, extensions in zip(whole.derivation.provenance, whole.abstract_preferred):
+            i = index[0][tuple(s for s in steps if s.targets <= ids)]
+            j = index[1][tuple(s for s in steps if not s.targets <= ids)]
+            chosen.add((i, j))
+            want = {e | f for e in reports[0].abstract_preferred[i] for f in reports[1].abstract_preferred[j]}
+            assert len(extensions) == len(want) and set(extensions) == want
+        assert len(chosen) == len(whole.derivation.frameworks)

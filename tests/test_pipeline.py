@@ -12,6 +12,7 @@ from afo import (
     EmptySet,
     Framework,
     IdCollision,
+    ReplacementStep,
     SemanticMap,
     TargetsNotInFramework,
     UnknownArgument,
@@ -45,6 +46,7 @@ from afo.semantics import _preferred_masks
 
 from generators import (
     conservative_instance,
+    hub_cycle_instance,
     flower_document,
     flower_instance,
     forking_chain,
@@ -794,29 +796,77 @@ def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
 
 
 def test_derivation_computes_sccs_once(monkeypatch):
-    """The scan asks `strongly_connected_components` for the framework's
-    SCCs once, and validity reads the SCC masks that call left on the
-    framework's index, so a derivation runs the whole-framework SCC
-    computation only once."""
-    import afo.abstraction
+    """The derivation walks the SCC masks of the framework's index, and
+    validity reads the same masks, so a derivation runs the
+    whole-framework Tarjan only once."""
+    runs = []
+    tarjan = afo.af._sccs
 
-    calls = []
-    sccs = afo.af.strongly_connected_components
+    def counting_sccs(ix, within):
+        if within == ix.everything:
+            runs.append(ix)
+        return tarjan(ix, within)
 
-    def counting_sccs(framework):
-        calls.append(framework)
-        return sccs(framework)
-
-    for module in (afo.af, afo.abstraction, afo.pipeline):
-        if hasattr(module, "strongly_connected_components"):
-            monkeypatch.setattr(module, "strongly_connected_components", counting_sccs)
+    monkeypatch.setattr(afo.af, "_sccs", counting_sccs)
     rng = random.Random(443)
     kept = 0
     for _ in range(200):
         fw, lat, fmap, blocked = multi_hub_instance(rng)
         kept += len(derive_abstract_frameworks(fw, lat, fmap, blocked).provenance[0])
     assert kept >= 100
-    assert len(calls) == 200
+    assert len(runs) == 200
+
+
+def test_a_derivation_with_no_candidate_names_nothing(monkeypatch):
+    """k-cycles over the atoms of one hub in M, as `groupscan` builds them:
+    no SCC has a candidate group, so the derivation runs the private scan
+    on each SCC mask and calls neither `strongly_connected_components` nor
+    the public scan, and the input is its one framework."""
+    import afo.abstraction
+    import afo.cli
+
+    public, scans = [], []
+    scan = afo.pipeline._scan
+    # patched wherever the names are bound, so a direct import is counted too
+    for module in (afo, afo.af, afo.abstraction, afo.pipeline, afo.cli):
+        for name in ("strongly_connected_components", "maximal_conservative_subsets"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, _name=name, **kwargs: public.append(_name))
+    monkeypatch.setattr(afo.pipeline, "_scan", lambda table, within: scans.append(within) or scan(table, within))
+    rng = random.Random(2727)
+    for i in range(27):
+        fw, lat, fmap, blocked = hub_cycle_instance(rng, 7 + i % 3, (i // 3) % 3)
+        result = derive_abstract_frameworks(fw, lat, fmap, blocked)
+        assert result.frameworks == (fw,) and result.frameworks[0] is fw
+        assert result.provenance == ((),) and result.replacements == ()
+        assert result.fmap is fmap
+        assert scans == [_index(fw).everything]
+        scans.clear()
+    assert public == []
+
+
+def test_the_derivation_keeps_what_the_public_scan_keeps():
+    """Per SCC, in scan order and against one table, the public scan's
+    groups are the derivation's replacements for that SCC, with the same
+    merged ids, and its maps bind every symbol the derivation minted."""
+    rng = random.Random(2728)
+    kept = bare = 0
+    for _ in range(120):
+        fw, lat, fmap, blocked = multi_hub_instance(rng, outsiders=rng.randint(0, 3))
+        result = derive_abstract_frameworks(fw, lat, fmap, blocked)
+        made = {steps[0].scc: steps for steps in result.replacements}
+        table = _ScanTable(fw, lat, fmap, blocked)
+        for scc in strongly_connected_components(fw):
+            groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc, table=table)
+            assert made.pop(scc, ()) == tuple(ReplacementStep(scc, c.targets, c.abstract_arg) for c, _ in groups)
+            for candidate, xmap in groups:
+                for symbol in candidate.abstract_arg.expressions:
+                    assert result.fmap.image(symbol) == xmap.image(symbol)
+            kept += len(groups)
+            bare += len(scc) > 1 and not groups
+        assert made == {}
+    # 95 groups kept and 54 cycles keeping none at this seed
+    assert kept >= 80 and bare >= 40
 
 
 def test_scan_without_table_runs_tarjan_only_for_a_candidate_group(monkeypatch):

@@ -11,10 +11,12 @@ index or SCC mask is carried over from an earlier call, and times one call:
 * `preferred` on chained 4-cycles (`chained_four_cycles`) at k=18 with
   their ids renamed in reverse order, so id order runs against the chain;
 * `validate_lattice`, `build_model` and `pipeline.sharpen` on
-  `flower_document(random.Random(1), h)` at h=1,000 and h=2,000.
+  `flower_document(random.Random(1), h)` at h=1,000 and h=2,000;
+* `pipeline.sharpen` on `flower_instance(h)` (10h+2 lattice nodes, one
+  3-cycle per hub, each merging at its hub) at h=1,000, 2,000 and 4,000.
 
 ``--small`` runs every case at its smallest sizes (k=2 and 3, n=20, k=3,
-h=10 and 20), as a smoke test.  The output is one line per case: its name,
+h=10 and 20, h=10, 20 and 40), as a smoke test.  The output is one line per case: its name,
 its size, the best and the median of the repeats, in milliseconds.  The
 package and the generators are read from the checkout the script lies in.
 """
@@ -34,10 +36,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from afo import Framework, cf2, preferred, validate_lattice  # noqa: E402
 from afo.format import build_model, parse_afo  # noqa: E402
 from afo.pipeline import sharpen  # noqa: E402
-from generators import chained_four_cycles, flower_document, forking_chain, linked_two_cycles  # noqa: E402
+from generators import (  # noqa: E402
+    chained_four_cycles,
+    flower_document,
+    flower_instance,
+    forking_chain,
+    linked_two_cycles,
+)
 
-FULL = {"chain": (8, 10), "two_cycles": (500,), "four_cycles": (18,), "flower": (1000, 2000)}
-SMALL = {"chain": (2, 3), "two_cycles": (20,), "four_cycles": (3,), "flower": (10, 20)}
+FULL = {"chain": (8, 10), "two_cycles": (500,), "four_cycles": (18,), "flower": (1000, 2000), "hubs": (1000, 2000, 4000)}
+SMALL = {"chain": (2, 3), "two_cycles": (20,), "four_cycles": (3,), "flower": (10, 20), "hubs": (10, 20, 40)}
 
 
 def fresh(framework: Framework) -> Framework:
@@ -95,6 +103,14 @@ def cases(sizes: dict[str, tuple[int, ...]]):
             return lambda: sharpen(framework, m.lattice, m.fmap, m.blocked)
 
         yield "sharpen flower_document", f"h={h}", run_flower
+    for h in sizes["hubs"]:
+        framework, lattice, fmap, blocked = flower_instance(h)
+
+        def run_hubs(fw=framework, lat=lattice, fmap=fmap, blocked=blocked):
+            f = fresh(fw)
+            return lambda: sharpen(f, lat, fmap, blocked)
+
+        yield "sharpen flower_instance", f"h={h}", run_hubs
 
 
 def main(argv=None) -> int:
