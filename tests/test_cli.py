@@ -440,7 +440,7 @@ def test_abstract_explain_scans_each_scc_once(capsys, monkeypatch, fixtures_dir)
     scan = afo.pipeline._scan
 
     def counting_scan(table, within):
-        calls.append([table.ix.ids[i] for i in range(len(table.ix.ids)) if within >> i & 1])
+        calls.append([a for i, a in enumerate(table.ix.ids) if within >> i & 1])
         return scan(table, within)
 
     monkeypatch.setattr(afo.pipeline, "_scan", counting_scan)

@@ -46,10 +46,10 @@ from afo.semantics import _preferred_masks
 
 from generators import (
     conservative_instance,
-    hub_cycle_instance,
     flower_document,
     flower_instance,
     forking_chain,
+    hub_cycle_instance,
     hub_pairs_document,
     mapped_framework,
     multi_hub_instance,
