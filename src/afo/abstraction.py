@@ -175,9 +175,8 @@ class _ScanTable:
     (`af._index`, whose SCC masks validity reads) and over lattice ranks:
     one per derivation, per `abstract --explain`, and per call of the
     public scan, a predicate or the report.
-    Built eagerly: per bit of the index the node of its argument, the
-    lowest rank in the AND of its expressions' up masks, and M as one rank
-    mask (`skip`).  Every other part is built on first use: per bit the
+    Built eagerly: per bit of the index the node of its argument, the join
+    of its expressions' nodes, and M as one rank mask (`skip`).  Every other part is built on first use: per bit the
     rank bit of its node (`rank`) and the mask of the arguments it attacks
     through clashing arglets (`conflicts`), which the scan first reads
     once a group passes the node filter; per bit the rank mask of its
