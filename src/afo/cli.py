@@ -26,32 +26,10 @@ def _fmt_set(items) -> str:
     return "{" + ", ".join(sorted(items)) + "}"
 
 
-class _Arglets(list):
-    """`[[argument, expression], ...]`, written by `_arglets_text`."""
-
-    __slots__ = ()
-
-
-class _Attacks(list):
-    """`[[[source, expression], [target, expression]], ...]`, written by
-    `_attacks_text`."""
-
-    __slots__ = ()
-
-
-class _Verdicts(dict):
-    """`{argument: {"concrete_status", "sharpened", "sets_containing",
-    "extensions_containing"}}`, written by `_verdicts_text`."""
-
-    __slots__ = ()
-
-
 def _json_framework(framework: Framework) -> dict:
     return {
-        "arglets": _Arglets([[a, e] for a, e in sorted(framework.arglets)]),
-        "attacks": _Attacks(
-            [[[s, se], [d, de]] for (s, se), (d, de) in sorted(framework.attacks)]
-        ),
+        "arglets": [[a, e] for a, e in sorted(framework.arglets)],
+        "attacks": [[[s, se], [d, de]] for (s, se), (d, de) in sorted(framework.attacks)],
     }
 
 
@@ -82,112 +60,123 @@ def _json_sigma(report_frameworks, provenance) -> list:
 
 
 def _json_classification(report: SharpeningReport) -> dict:
-    return _Verdicts(
-        {
-            v.arg_id: {
-                "concrete_status": v.concrete_status,
-                "sharpened": sorted(v.sharpened),
-                "sets_containing": v.sets_containing,
-                "extensions_containing": v.extensions_containing,
-            }
-            for v in report.verdicts
+    return {
+        v.arg_id: {
+            "concrete_status": v.concrete_status,
+            "sharpened": sorted(v.sharpened),
+            "sets_containing": v.sets_containing,
+            "extensions_containing": v.extensions_containing,
         }
-    )
+        for v in report.verdicts
+    }
 
 
-def _arglets_text(value: _Arglets, indent: str) -> str:
+# The writers below return, from the report's own objects, the text that
+# `json.dumps(value, indent=2, sort_keys=True)` returns for the value the
+# matching `_json_*` builder makes of them; `indent` is the indent of the
+# line the value ends on.  The builders stay as their reference.
+
+
+def _list(texts, indent: str) -> str:
+    """A list of item texts already written at `indent` plus two spaces."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(texts)
+    return f"[{inner}{body}\n{indent}]" if body else "[]"
+
+
+def _dict(items, indent: str) -> str:
+    """A dict of (key, text) pairs, in key order, each text written at
+    `indent` plus two spaces."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join([f"{_quote(key)}: {text}" for key, text in items])
+    return f"{{{inner}{body}\n{indent}}}" if body else "{}"
+
+
+def _strs(items, indent: str) -> str:
+    return _list(map(_quote, items), indent)
+
+
+def _extensions_text(extensions, indent: str) -> str:
+    inner = indent + "  "
+    return _list([_strs(sorted(e), inner) for e in extensions], indent)
+
+
+def _arglets_text(arglets, indent: str) -> str:
     n1, n2 = "\n" + indent + "  ", "\n" + indent + "    "
-    body = ("," + n1).join([f"[{n2}{_quote(a)},{n2}{_quote(e)}{n1}]" for a, e in value])
-    return f"[{n1}{body}\n{indent}]"
+    return _list([f"[{n2}{_quote(a)},{n2}{_quote(e)}{n1}]" for a, e in arglets], indent)
 
 
-def _attacks_text(value: _Attacks, indent: str) -> str:
+def _attacks_text(attacks, indent: str) -> str:
     n1, n2, n3 = "\n" + indent + "  ", "\n" + indent + "    ", "\n" + indent + "      "
-    body = ("," + n1).join(
+    return _list(
         [
             f"[{n2}[{n3}{_quote(s)},{n3}{_quote(se)}{n2}],{n2}[{n3}{_quote(d)},{n3}{_quote(de)}{n2}]{n1}]"
-            for (s, se), (d, de) in value
-        ]
+            for (s, se), (d, de) in attacks
+        ],
+        indent,
     )
-    return f"[{n1}{body}\n{indent}]"
 
 
-def _verdicts_text(value: _Verdicts, indent: str) -> str:
-    n1, n2, n3 = "\n" + indent + "  ", "\n" + indent + "    ", "\n" + indent + "      "
-    items = []
-    for arg in sorted(value):
-        v = value[arg]
-        sharpened = v["sharpened"]
-        marks = f"[{n3}{(',' + n3).join(map(_quote, sharpened))}{n2}]" if sharpened else "[]"
-        items.append(
-            f"{_quote(arg)}: {{{n2}"
-            f'"concrete_status": {_quote(v["concrete_status"])},{n2}'
-            f'"extensions_containing": {_json(v["extensions_containing"])},{n2}'
-            f'"sets_containing": {_json(v["sets_containing"])},{n2}'
-            f'"sharpened": {marks}{n1}}}'
-        )
-    return f"{{{n1}{(',' + n1).join(items)}\n{indent}}}"
-
-
-# a tagged value's writer and its plain form
-_TEMPLATES = {
-    _Arglets: (_arglets_text, list),
-    _Attacks: (_attacks_text, list),
-    _Verdicts: (_verdicts_text, dict),
-}
-
-
-def _json(value, indent: str = "") -> str:
-    """`value` exactly as `json.dumps(value, indent=2, sort_keys=True)`
-    writes it, for the types the `_json_*` builders produce: dicts with
-    str keys, lists, str and int (not bool).  Anything else is a TypeError.
-    The stdlib falls back to its pure-Python encoder once `indent` is set;
-    this writer is that encoder cut down to those types.
-
-    Three shapes carry most of the bytes, and their builders tag them:
-    `_json_framework` returns its arglets as `_Arglets` and its attacks as
-    `_Attacks`, `_json_classification` returns `_Verdicts`.  Each is written
-    by a template, one f-string per arglet, attack or argument with indents
-    computed once per call, and the bytes stay those of `json.dumps`.  A
-    tagged value whose items the template cannot write (a non-str id, a
-    bool count) goes to the generic path as its plain form, so it prints,
-    or raises, exactly as the plain form would."""
-    if type(value) is str:
-        return _quote(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if not value:
-        if type(value) is list:
-            return "[]"
-        if type(value) is dict:
-            return "{}"
+def _framework_text(framework: Framework, indent: str) -> str:
     inner = indent + "  "
-    sep = ",\n" + inner
-    if type(value) is list:
-        if all(type(item) is str for item in value):
-            body = sep.join(map(_quote, value))
-        else:
-            body = sep.join([_json(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    if type(value) is dict:
-        if not all(type(key) is str for key in value):
-            raise TypeError(f"keys must be str: {sorted(map(repr, value))}")
-        body = sep.join([f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    tagged = _TEMPLATES.get(type(value))
-    if tagged is None:
-        raise TypeError(f"{type(value).__name__} is not one of the JSON types afo writes")
-    template, plain = tagged
-    if not value:
-        return _json(plain(), indent)
-    try:
-        return template(value, indent)
-    except (TypeError, ValueError, LookupError):
-        return _json(plain(value), indent)
+    return _dict(
+        [("arglets", _arglets_text(sorted(framework.arglets), inner)), ("attacks", _attacks_text(sorted(framework.attacks), inner))],
+        indent,
+    )
 
 
-def _dump(payload: dict) -> None:
-    print(_json(payload))
+def _sigma_text(framework: Framework, steps, indent: str) -> str:
+    i1, i2, i3, i4 = (indent + " " * n for n in (2, 4, 6, 8))
+    provenance = [
+        _dict(
+            [
+                ("abstract", _dict([("expressions", _strs(sorted(s.abstract_arg.expressions), i4)), ("id", _quote(s.abstract_arg.arg_id))], i3)),
+                ("scc", _strs(sorted(s.scc), i3)),
+                ("targets", _strs(sorted(s.targets), i3)),
+            ],
+            i2,
+        )
+        for s in steps
+    ]
+    return _dict([("framework", _framework_text(framework, i1)), ("provenance", _list(provenance, i1))], indent)
+
+
+def _verdicts_text(verdicts, indent: str) -> str:
+    n2, i2 = "\n" + indent + "    ", indent + "    "
+    return _dict(
+        [
+            (
+                v.arg_id,
+                f'{{{n2}"concrete_status": {_quote(v.concrete_status)},{n2}'
+                f'"extensions_containing": {v.extensions_containing},{n2}'
+                f'"sets_containing": {v.sets_containing},{n2}'
+                f'"sharpened": {_strs(sorted(v.sharpened), i2)}\n{indent}  }}',
+            )
+            for v in sorted(verdicts, key=lambda v: v.arg_id)
+        ],
+        indent,
+    )
+
+
+def _write_json(**sections) -> None:
+    """Prints the dict of `sections` as `print(json.dumps(payload, indent=2,
+    sort_keys=True))` prints the payload the builders make, one write per
+    key: each value is a function returning its text at indent 2, or, for
+    a list written one item at a time, an iterable of its items' texts."""
+    write = sys.stdout.write
+    lead = "{"
+    for key in sorted(sections):
+        value, head = sections[key], f"{lead}\n  {_quote(key)}: "
+        lead = ","
+        if callable(value):
+            write(head + value())
+            continue
+        head += "["
+        for text in value:
+            write(f"{head}\n    {text}")
+            head = ","
+        write("\n  ]" if head == "," else head + "]")
+    write("\n}\n")
 
 
 def _dot_escape(text: str) -> str:
@@ -221,19 +210,21 @@ def _cmd_semantics(args, model: AfoModel) -> int:
     if args.sem == "grounded":
         labelling = grounded_labelling(model.framework)
         if args.json:
-            _dump({"framework": _json_framework(model.framework), "semantics": "grounded", "labelling": labelling})
+            _write_json(
+                framework=lambda: _framework_text(model.framework, "  "),
+                labelling=lambda: _dict([(arg, _quote(labelling[arg])) for arg in sorted(labelling)], "  "),
+                semantics=lambda: _quote("grounded"),
+            )
         else:
             for arg in sorted(labelling):
                 print(f"{arg}: {labelling[arg]}")
         return 0
     extensions = preferred(model.framework) if args.sem == "preferred" else cf2(model.framework)
     if args.json:
-        _dump(
-            {
-                "framework": _json_framework(model.framework),
-                "semantics": args.sem,
-                "concrete": _json_extensions(extensions),
-            }
+        _write_json(
+            framework=lambda: _framework_text(model.framework, "  "),
+            semantics=lambda: _quote(args.sem),
+            concrete=lambda: _extensions_text(extensions, "  "),
         )
     else:
         for e in extensions:
@@ -281,11 +272,9 @@ def _cmd_abstract(args, model: AfoModel) -> int:
     if args.explain:
         _explain(model, result)
     elif args.json:
-        _dump(
-            {
-                "framework": _json_framework(model.framework),
-                "sigma": _json_sigma(result.frameworks, result.provenance),
-            }
+        _write_json(
+            framework=lambda: _framework_text(model.framework, "  "),
+            sigma=(_sigma_text(fw, steps, "    ") for fw, steps in zip(result.frameworks, result.provenance)),
         )
     else:
         for i, (framework, steps) in enumerate(zip(result.frameworks, result.provenance), start=1):
@@ -328,15 +317,14 @@ def _cmd_sharpen(args, model: AfoModel) -> int:
                 return 2
 
     if args.json:
-        _dump(
-            {
-                "framework": _json_framework(report.framework),
-                "sigma": _json_sigma(report.derivation.frameworks, report.derivation.provenance),
-                "concrete": _json_extensions(report.concrete),
-                "abstract_preferred": [_json_extensions(p) for p in report.abstract_preferred],
-                "projected": [_json_extensions(p) for p in report.projected],
-                "classification": _json_classification(report),
-            }
+        derivation = report.derivation
+        _write_json(
+            framework=lambda: _framework_text(report.framework, "  "),
+            sigma=(_sigma_text(fw, steps, "    ") for fw, steps in zip(derivation.frameworks, derivation.provenance)),
+            concrete=lambda: _extensions_text(report.concrete, "  "),
+            abstract_preferred=lambda: _list([_extensions_text(p, "    ") for p in report.abstract_preferred], "  "),
+            projected=lambda: _list([_extensions_text(p, "    ") for p in report.projected], "  "),
+            classification=lambda: _verdicts_text(report.verdicts, "  "),
         )
     else:
         print(f"concrete preferred: {', '.join(_fmt_set(e) for e in report.concrete)}")
@@ -398,7 +386,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        model, _, warnings = load_afo(args.file)
+        model, document, warnings = load_afo(args.file)
+        del document  # the commands read the model only; the parse tree goes before they run
         for w in warnings:
             print(w, file=sys.stderr)
         return args.func(args, model)

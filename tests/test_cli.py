@@ -12,10 +12,24 @@ from types import SimpleNamespace
 
 import pytest
 
-from afo import Argument, ArgumentVerdict, Framework, abstract_replace
-from afo.cli import _Arglets, _Attacks, _json, _json_classification, _json_framework, _Verdicts, build_parser, main
+from afo import Argument, ArgumentVerdict, Framework, abstract_replace, cf2, grounded_labelling, preferred
+from afo.cli import (
+    _dict,
+    _framework_text,
+    _json_classification,
+    _json_extensions,
+    _json_framework,
+    _json_sigma,
+    _list,
+    _sigma_text,
+    _verdicts_text,
+    build_parser,
+    main,
+)
+from afo.format import load_afo
+from afo.pipeline import ReplacementStep, derive_abstract_frameworks, sharpen
 
-from generators import hub_pairs_document
+from generators import forking_chain, hub_pairs_document
 
 RUN = [sys.executable, "-m", "afo.cli"]
 
@@ -172,49 +186,6 @@ def _random_verdict(rng):
     }
 
 
-def _random_arglet(rng):
-    return [_random_text(rng), _random_text(rng)]
-
-
-def _random_payload(rng, depth=0):
-    """Nested dicts and lists of strings and ints, empty ones included, and
-    the three tagged shapes the CLI builders return."""
-    kinds = ["text", "int", "texts", "list", "dict", "arglets", "attacks", "verdicts"]
-    kind = rng.choice(kinds[: len(kinds) if depth < 4 else 2])
-    if kind == "text":
-        return _random_text(rng)
-    if kind == "int":
-        return rng.randint(-(10**12), 10**12)
-    if kind == "texts":
-        return [_random_text(rng) for _ in range(rng.randint(0, 4))]
-    if kind == "list":
-        return [_random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-    if kind == "arglets":
-        return _Arglets([_random_arglet(rng) for _ in range(rng.randint(0, 4))])
-    if kind == "attacks":
-        return _Attacks([[_random_arglet(rng), _random_arglet(rng)] for _ in range(rng.randint(0, 4))])
-    if kind == "verdicts":
-        return _Verdicts({_random_text(rng): _random_verdict(rng) for _ in range(rng.randint(0, 4))})
-    return {_random_text(rng): _random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))}
-
-
-def test_json_writer_matches_the_stdlib_on_random_payloads():
-    rng = random.Random(2018)
-    for _ in range(2000):
-        payload = _random_payload(rng)
-        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
-    for bad in (True, 1.5, None, {"a": [False]}, [[None]], ["a", 2.0], {1: "a"}, ("a",)):
-        with pytest.raises(TypeError):
-            _json(bad)
-
-
-def _plain_framework(framework):
-    return {
-        "arglets": [[a, e] for a, e in sorted(framework.arglets)],
-        "attacks": [[[s, se], [d, de]] for (s, se), (d, de) in sorted(framework.attacks)],
-    }
-
-
 def _random_framework(rng, attack_prob=0.3):
     ids = {_random_text(rng) for _ in range(rng.randint(1, 6))}
     arglets = sorted({(a, _random_text(rng)) for a in ids for _ in range(rng.randint(1, 2))})
@@ -222,37 +193,34 @@ def _random_framework(rng, attack_prob=0.3):
 
 
 def _replaced(rng, framework):
+    """A fork of `framework` with one group merged, and its provenance."""
     ids = sorted(framework.argument_ids())
     targets = rng.sample(ids, rng.randint(1, len(ids)))
     new_id = "+".join(sorted(targets))
     while new_id in ids:
         new_id += "'"
-    expressions = frozenset(_random_text(rng) for _ in range(rng.randint(1, 2)))
-    return abstract_replace(framework, targets, Argument(new_id, expressions))
+    merged = Argument(new_id, frozenset(_random_text(rng) for _ in range(rng.randint(1, 2))))
+    step = ReplacementStep(frozenset(ids), frozenset(targets), merged)
+    return abstract_replace(framework, targets, merged), (step,)
 
 
-def _assert_written_like_plain(tagged, plain):
-    assert tagged == plain
-    want = json.dumps(plain, indent=2, sort_keys=True)
-    assert json.dumps(tagged, indent=2, sort_keys=True) == want
-    assert _json(tagged) == want
-    # nested as `sharpen --json` nests a derived framework
-    tagged, plain = ({"sigma": [{"framework": value, "provenance": []}]} for value in (tagged, plain))
-    assert _json(tagged) == json.dumps(plain, indent=2, sort_keys=True)
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
-def test_tagged_builders_write_what_the_stdlib_writes_for_their_plain_forms():
+def test_framework_and_classification_writers_write_what_the_stdlib_writes_for_the_builders():
     rng = random.Random(1313)
     frameworks = [_random_framework(rng) for _ in range(300)]
     frameworks += [_random_framework(rng, attack_prob=0) for _ in range(20)]
     frameworks += [Framework.of([("a", "e")], []), Framework.of([('"\\', "\U0001f642")], [])]
-    frameworks += [_replaced(rng, fw) for fw in frameworks[:100]]
-    for framework in frameworks:
-        tagged = _json_framework(framework)
-        assert (type(tagged["arglets"]), type(tagged["attacks"])) == (_Arglets, _Attacks)
-        _assert_written_like_plain(tagged, _plain_framework(framework))
+    forks = [_replaced(rng, fw) for fw in frameworks[:100]]
     assert sum(not fw.attacks for fw in frameworks) >= 20
     assert sum(len(fw.arglets) == 1 for fw in frameworks) >= 2
+    for framework, steps in [(fw, ()) for fw in frameworks] + forks:
+        assert _framework_text(framework, "") == _dumps(_json_framework(framework))
+        # nested as `sharpen --json` nests a derived framework
+        want = _dumps({"sigma": _json_sigma([framework], [steps])})
+        assert _dict([("sigma", _list([_sigma_text(framework, steps, "    ")], "  "))], "") == want
 
     for _ in range(300):
         plain = {_random_text(rng): _random_verdict(rng) for _ in range(rng.randint(0, 6))}
@@ -260,38 +228,33 @@ def test_tagged_builders_write_what_the_stdlib_writes_for_their_plain_forms():
             ArgumentVerdict(arg, v["concrete_status"], frozenset(v["sharpened"]), v["sets_containing"], v["extensions_containing"])
             for arg, v in plain.items()
         ]
-        tagged = _json_classification(SimpleNamespace(verdicts=verdicts))
-        assert type(tagged) is _Verdicts
-        _assert_written_like_plain(tagged, plain)
+        report = SimpleNamespace(verdicts=verdicts)
+        assert _json_classification(report) == plain
+        assert _verdicts_text(verdicts, "") == _dumps(plain)
+        assert _dict([("classification", _verdicts_text(verdicts, "  "))], "") == _dumps({"classification": plain})
 
 
-def _outcome(value):
-    try:
-        return _json(value)
-    except TypeError as exc:
-        return f"TypeError: {exc}"
-
-
-def test_tagged_values_with_non_json_items_print_or_raise_as_their_plain_forms():
-    odd = [
-        ([("a", 1)], []),
-        ([("a", 1), ("b", "e")], [(("a", 1), ("b", "e"))]),
-        ([(1, "e"), (2, "f")], [((1, "e"), (2, "f"))]),
-        ([(True, "e")], []),
-        ([("a", True), ("b", "e")], [(("b", "e"), ("a", True))]),
-        ([("a", "e"), ("b", 2)], [(("a", "e"), ("b", 2)), (("b", 2), ("a", "e"))]),
-    ]
-    for arglets, attacks in odd:
-        framework = Framework.of(arglets, attacks)
-        assert _outcome(_json_framework(framework)) == _outcome(_plain_framework(framework))
-    # an int prints as json.dumps prints it
-    framework = Framework.of([("a", 1)], [])
-    assert _json(_json_framework(framework)) == json.dumps(_plain_framework(framework), indent=2, sort_keys=True)
-    verdict = {"concrete_status": "skeptical", "sharpened": ["questioned"], "sets_containing": 1, "extensions_containing": 2}
-    for key, bad in [("concrete_status", 5), ("sharpened", [1]), ("sets_containing", True), ("extensions_containing", "2")]:
-        plain = {"a": {**verdict, key: bad}}
-        assert _outcome(_Verdicts(plain)) == _outcome(plain), key
-    assert _outcome(_Verdicts({1: verdict})) == _outcome({1: verdict})
+def _builders_payload(argv, path):
+    """The payload of `argv` on `path`, built by the CLI's `_json_*` builders."""
+    model = load_afo(str(path))[0]
+    payload = {"framework": _json_framework(model.framework)}
+    if argv[0] == "sharpen":
+        report = sharpen(model.framework, model.lattice, model.fmap, model.blocked)
+        derivation = report.derivation
+        return payload | {
+            "sigma": _json_sigma(derivation.frameworks, derivation.provenance),
+            "concrete": _json_extensions(report.concrete),
+            "abstract_preferred": [_json_extensions(p) for p in report.abstract_preferred],
+            "projected": [_json_extensions(p) for p in report.projected],
+            "classification": _json_classification(report),
+        }
+    if argv[0] == "abstract":
+        result = derive_abstract_frameworks(model.framework, model.lattice, model.fmap, model.blocked)
+        return payload | {"sigma": _json_sigma(result.frameworks, result.provenance)}
+    sem = argv[2]
+    if sem == "grounded":
+        return payload | {"semantics": sem, "labelling": grounded_labelling(model.framework)}
+    return payload | {"semantics": sem, "concrete": _json_extensions({"preferred": preferred, "cf2": cf2}[sem](model.framework))}
 
 
 _ID_CHARS = string.ascii_letters + "\"\\/+'\u00e4\u00df\u65e5\U0001f642"
@@ -299,7 +262,7 @@ _ID_CHARS = string.ascii_letters + "\"\\/+'\u00e4\u00df\u65e5\U0001f642"
 
 def test_json_output_of_forking_documents_is_the_stdlib_layout(capsys, tmp_path):
     rng = random.Random(1317)
-    forking = 0
+    documents = []
     for i in range(40):
         names = set()
         while len(names) < 24:
@@ -308,18 +271,24 @@ def test_json_output_of_forking_documents_is_the_stdlib_layout(capsys, tmp_path)
         pairs = [(next(names), next(names)) for _ in range(rng.randint(0, 2))]
         loners = [next(names) for _ in range(rng.randint(1, 2))]
         squares = [tuple(next(names) for _ in range(4)) for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+        documents.append(hub_pairs_document(pairs, loners, squares))
+    # 2^k forks, the last 64 of them
+    documents += [forking_chain(k) for k in range(1, 7)]
+    commands = [["sharpen", "--json"], ["abstract", "--json"]]
+    commands += [["semantics", "--sem", sem, "--json"] for sem in ("preferred", "cf2", "grounded")]
+    forking = 0
+    for i, text in enumerate(documents):
         path = tmp_path / f"fork{i}.afo"
-        path.write_text(hub_pairs_document(pairs, loners, squares), encoding="utf-8")
-        commands = [["sharpen", "--json"], ["abstract", "--json"]]
-        commands += [["semantics", "--sem", sem, "--json"] for sem in ("preferred", "cf2", "grounded")]
+        path.write_text(text, encoding="utf-8")
         for argv in commands:
             code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
             assert (code, err) == (0, ""), argv
-            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+            payload = _builders_payload(argv, path)
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n", (i, argv)
             if argv[0] == "sharpen":
-                forking += len(json.loads(out)["sigma"]) >= 2
-    # 34 of 40 at this seed
-    assert forking >= 25
+                forking += len(payload["sigma"]) >= 2
+    # 34 of the 40 random documents at this seed, and every chain
+    assert forking >= 31
 
 
 def test_module_run_is_clean_and_import_afo_leaves_out_the_cli(fixtures_dir):

@@ -9,11 +9,13 @@ spec.loader.exec_module(scale)
 def test_scale_runs_every_case_at_its_smallest_sizes(capsys):
     assert scale.main(["--small", "--repeat", "2"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["case", "size", "best", "ms", "median", "ms"]
-    cases = [row.rsplit(None, 3)[:2] for row in rows]
+    assert header.split() == ["case", "size", "best", "ms", "median", "ms", "peak", "MiB"]
+    cases = [row.rsplit(None, 4)[:2] for row in rows]
     assert cases == [
         ["sharpen forking_chain", "k=2"],
+        ["cli sharpen --json forking_chain", "k=2"],
         ["sharpen forking_chain", "k=3"],
+        ["cli sharpen --json forking_chain", "k=3"],
         ["preferred linked_two_cycles", "n=20"],
         ["cf2 linked_two_cycles", "n=20"],
         ["preferred reversed chained_four_cycles", "k=3"],
@@ -28,5 +30,5 @@ def test_scale_runs_every_case_at_its_smallest_sizes(capsys):
         ["sharpen flower_instance", "h=40"],
     ]
     for row in rows:
-        best, median = map(float, row.split()[-2:])
-        assert 0 <= best <= median
+        best, median, peak = map(float, row.split()[-3:])
+        assert 0 <= best <= median and peak > 0

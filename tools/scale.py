@@ -1,4 +1,5 @@
-"""Best-of-N times on the scale families that no benchmark pool holds.
+"""Best-of-N times, and peak memory, on the scale families that no
+benchmark pool holds.
 
     python3 tools/scale.py [--repeat N] [--small]
 
@@ -6,7 +7,8 @@ Each case builds a fresh framework (or document) per repeat, so no graph
 index or SCC mask is carried over from an earlier call, and times one call:
 
 * `pipeline.sharpen` on the forking chain (`tests/generators.forking_chain`)
-  at k=8 and k=10;
+  at k=8 and k=10, and `afo sharpen --json` on the same chain written to a
+  file (`cli.main`, its stdout sent to a stream that discards it);
 * `preferred` and `cf2` on linked 2-cycles (`linked_two_cycles`) at n=500;
 * `preferred` on chained 4-cycles (`chained_four_cycles`) at k=18 with
   their ids renamed in reverse order, so id order runs against the chain;
@@ -17,23 +19,28 @@ index or SCC mask is carried over from an earlier call, and times one call:
 
 ``--small`` runs every case at its smallest sizes (k=2 and 3, n=20, k=3,
 h=10 and 20, h=10, 20 and 40), as a smoke test.  The output is one line per case: its name,
-its size, the best and the median of the repeats, in milliseconds.  The
+its size, the best and the median of the repeats, in milliseconds, and the
+peak of memory allocated during one more call run under `tracemalloc`.  The
 package and the generators are read from the checkout the script lies in.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import random
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from afo import Framework, cf2, preferred, validate_lattice  # noqa: E402
+from afo import Framework, cf2, cli, preferred, validate_lattice  # noqa: E402
 from afo.format import build_model, parse_afo  # noqa: E402
 from afo.pipeline import sharpen  # noqa: E402
 from generators import (  # noqa: E402
@@ -63,6 +70,20 @@ def reversed_ids(framework: Framework) -> Framework:
     )
 
 
+class Discard(io.TextIOBase):
+    """A text stream that drops what is written to it."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def quiet_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(Discard()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"error: afo {' '.join(argv)} exited {code}")
+
+
 def timed(call, repeat: int) -> list[float]:
     """`call()` returns a zero-argument function, set up fresh; the times of
     running each of `repeat` of them, in seconds."""
@@ -75,16 +96,33 @@ def timed(call, repeat: int) -> list[float]:
     return times
 
 
-def cases(sizes: dict[str, tuple[int, ...]]):
-    """(name, size, setup) per case, where setup() returns the call to time."""
+def peak_bytes(call) -> int:
+    """The peak of memory allocated while one call set up by `call()` runs."""
+    run = call()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def cases(sizes: dict[str, tuple[int, ...]], tmp: Path):
+    """(name, size, setup) per case, where setup() returns the call to time;
+    files the cases read are written under `tmp`."""
     for k in sizes["chain"]:
-        document = parse_afo(forking_chain(k))[0]
+        text = forking_chain(k)
+        document = parse_afo(text)[0]
 
         def run_chain(document=document):
             model = build_model(document)
             return lambda: sharpen(model.framework, model.lattice, model.fmap, model.blocked)
 
         yield "sharpen forking_chain", f"k={k}", run_chain
+        path = tmp / f"forking_chain{k}.afo"
+        path.write_text(text, encoding="utf-8")
+        argv = ["sharpen", str(path), "--json"]
+        yield "cli sharpen --json forking_chain", f"k={k}", lambda argv=argv: lambda: quiet_cli(argv)
     for n in sizes["two_cycles"]:
         framework = linked_two_cycles(n)[0]
         yield "preferred linked_two_cycles", f"n={n}", lambda fw=framework: (lambda f=fresh(fw): preferred(f))
@@ -120,10 +158,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'case':40s} {'size':8s} {'best ms':>10s} {'median ms':>10s}")
-    for name, size, setup in cases(SMALL if args.small else FULL):
-        times = timed(setup, args.repeat)
-        print(f"{name:40s} {size:8s} {min(times) * 1e3:10.3f} {statistics.median(times) * 1e3:10.3f}", flush=True)
+    print(f"{'case':40s} {'size':8s} {'best ms':>10s} {'median ms':>10s} {'peak MiB':>10s}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, size, setup in cases(SMALL if args.small else FULL, Path(tmp)):
+            times = timed(setup, args.repeat)
+            peak = peak_bytes(setup) / 2**20
+            print(f"{name:40s} {size:8s} {min(times) * 1e3:10.3f} {statistics.median(times) * 1e3:10.3f} {peak:10.3f}", flush=True)
     return 0
 
 
