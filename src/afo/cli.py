@@ -97,8 +97,9 @@ def _strs(items, indent: str) -> str:
 
 
 def _extensions_text(extensions, indent: str) -> str:
-    inner = indent + "  "
-    return _list([_strs(sorted(e), inner) for e in extensions], indent)
+    n2, close = "\n" + indent + "    ", "\n" + indent + "  ]"
+    sep = "," + n2
+    return _list([f"[{n2}{sep.join(map(_quote, sorted(e)))}{close}" if e else "[]" for e in extensions], indent)
 
 
 def _arglets_text(arglets, indent: str) -> str:
@@ -322,8 +323,8 @@ def _cmd_sharpen(args, model: AfoModel) -> int:
             framework=lambda: _framework_text(report.framework, "  "),
             sigma=(_sigma_text(fw, steps, "    ") for fw, steps in zip(derivation.frameworks, derivation.provenance)),
             concrete=lambda: _extensions_text(report.concrete, "  "),
-            abstract_preferred=lambda: _list([_extensions_text(p, "    ") for p in report.abstract_preferred], "  "),
-            projected=lambda: _list([_extensions_text(p, "    ") for p in report.projected], "  "),
+            abstract_preferred=(_extensions_text(p, "    ") for p in report.abstract_preferred),
+            projected=(_extensions_text(p, "    ") for p in report.projected),
             classification=lambda: _verdicts_text(report.verdicts, "  "),
         )
     else:

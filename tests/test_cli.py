@@ -260,7 +260,7 @@ def _builders_payload(argv, path):
 _ID_CHARS = string.ascii_letters + "\"\\/+'\u00e4\u00df\u65e5\U0001f642"
 
 
-def test_json_output_of_forking_documents_is_the_stdlib_layout(capsys, tmp_path):
+def test_json_output_of_forking_documents_is_the_stdlib_layout(capsys, tmp_path, fixtures_dir):
     rng = random.Random(1317)
     documents = []
     for i in range(40):
@@ -274,6 +274,8 @@ def test_json_output_of_forking_documents_is_the_stdlib_layout(capsys, tmp_path)
         documents.append(hub_pairs_document(pairs, loners, squares))
     # 2^k forks, the last 64 of them
     documents += [forking_chain(k) for k in range(1, 7)]
+    # fix1's odd cycle: an empty preferred extension
+    documents += [(fixtures_dir / name).read_text(encoding="utf-8") for name in ("fix1.afo", "fix3.afo")]
     commands = [["sharpen", "--json"], ["abstract", "--json"]]
     commands += [["semantics", "--sem", sem, "--json"] for sem in ("preferred", "cf2", "grounded")]
     forking = 0
