@@ -120,25 +120,18 @@ def _attacks_text(attacks, indent: str) -> str:
 
 def _framework_text(framework: Framework, indent: str) -> str:
     inner = indent + "  "
-    return _dict(
-        [("arglets", _arglets_text(sorted(framework.arglets), inner)), ("attacks", _attacks_text(sorted(framework.attacks), inner))],
-        indent,
-    )
+    arglets = _arglets_text(sorted(framework.arglets), inner)
+    return _dict([("arglets", arglets), ("attacks", _attacks_text(sorted(framework.attacks), inner))], indent)
 
 
 def _sigma_text(framework: Framework, steps, indent: str) -> str:
     i1, i2, i3, i4 = (indent + " " * n for n in (2, 4, 6, 8))
-    provenance = [
-        _dict(
-            [
-                ("abstract", _dict([("expressions", _strs(sorted(s.abstract_arg.expressions), i4)), ("id", _quote(s.abstract_arg.arg_id))], i3)),
-                ("scc", _strs(sorted(s.scc), i3)),
-                ("targets", _strs(sorted(s.targets), i3)),
-            ],
-            i2,
-        )
-        for s in steps
-    ]
+    provenance = []
+    for step in steps:
+        merged = step.abstract_arg
+        abstract = _dict([("expressions", _strs(sorted(merged.expressions), i4)), ("id", _quote(merged.arg_id))], i3)
+        sets = [("scc", _strs(sorted(step.scc), i3)), ("targets", _strs(sorted(step.targets), i3))]
+        provenance.append(_dict([("abstract", abstract), *sets], i2))
     return _dict([("framework", _framework_text(framework, i1)), ("provenance", _list(provenance, i1))], indent)
 
 
