@@ -1,4 +1,5 @@
 import codecs
+import functools
 import json
 import os
 import random
@@ -15,14 +16,18 @@ import pytest
 from afo import Argument, ArgumentVerdict, Framework, abstract_replace, cf2, grounded_labelling, preferred
 from afo.cli import (
     _dict,
+    _extensions_text,
     _framework_text,
     _json_classification,
     _json_extensions,
     _json_framework,
     _json_sigma,
     _list,
+    _quote,
     _sigma_text,
+    _strs,
     _verdicts_text,
+    _write_json,
     build_parser,
     main,
 )
@@ -186,6 +191,53 @@ def _random_verdict(rng):
     }
 
 
+def _random_payload(rng, depth=0):
+    """Nested dicts and lists of strings and ints, empty ones included."""
+    kind = rng.choice(["text", "int", "texts", "list", "dict"][: 5 if depth < 4 else 2])
+    if kind == "text":
+        return _random_text(rng)
+    if kind == "int":
+        return rng.randint(-(10**12), 10**12)
+    if kind == "texts":
+        return [_random_text(rng) for _ in range(rng.randint(0, 4))]
+    if kind == "list":
+        return [_random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {_random_text(rng): _random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def _payload_text(value, indent):
+    """`value` written with the CLI's list, dict and string writers."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        return _dict([(key, _payload_text(value[key], inner)) for key in sorted(value)], indent)
+    if all(isinstance(item, str) for item in value):
+        return _strs(value, indent)
+    return _list([_payload_text(item, inner) for item in value], indent)
+
+
+def test_json_writer_matches_the_stdlib_on_random_payloads(capsys):
+    rng = random.Random(2018)
+    for _ in range(2000):
+        payload = _random_payload(rng)
+        assert _payload_text(payload, "") == json.dumps(payload, indent=2, sort_keys=True)
+    # whole documents, handed to _write_json as the commands hand them: a
+    # list one item at a time, any other value as one text
+    for _ in range(300):
+        payload = {_random_text(rng): _random_payload(rng) for _ in range(rng.randint(1, 5))}
+        sections = {
+            key: (_payload_text(item, "    ") for item in value)
+            if isinstance(value, list)
+            else functools.partial(_payload_text, value, "  ")
+            for key, value in payload.items()
+        }
+        _write_json(**sections)
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _random_framework(rng, attack_prob=0.3):
     ids = {_random_text(rng) for _ in range(rng.randint(1, 6))}
     arglets = sorted({(a, _random_text(rng)) for a in ids for _ in range(rng.randint(1, 2))})
@@ -232,6 +284,23 @@ def test_framework_and_classification_writers_write_what_the_stdlib_writes_for_t
         assert _json_classification(report) == plain
         assert _verdicts_text(verdicts, "") == _dumps(plain)
         assert _dict([("classification", _verdicts_text(verdicts, "  "))], "") == _dumps({"classification": plain})
+
+
+def test_extension_writer_writes_what_the_stdlib_writes_for_the_builder():
+    rng = random.Random(1319)
+    lists = [
+        [frozenset(_random_text(rng) for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 5))]
+        for _ in range(300)
+    ]
+    frameworks = [_random_framework(rng) for _ in range(100)]
+    lists += [preferred(fw) for fw in frameworks] + [cf2(fw) for fw in frameworks]
+    assert sum(not extensions for extensions in lists) >= 20
+    assert sum(frozenset() in extensions for extensions in lists) >= 20
+    for extensions in lists:
+        want = _json_extensions(extensions)
+        assert _extensions_text(extensions, "") == _dumps(want)
+        # nested as `sharpen --json` nests each fork's extensions
+        assert _dict([("projected", _list([_extensions_text(extensions, "    ")], "  "))], "") == _dumps({"projected": [want]})
 
 
 def _builders_payload(argv, path):
