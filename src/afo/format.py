@@ -111,32 +111,44 @@ def parse_afo(text: str) -> tuple[AfoDocument, list[str]]:
                 sugar.append((first, second, lineno))
 
     # resolution: everything may forward-reference, so check against the
-    # complete declaration sets
+    # complete declaration sets, and replace each reference in the tables by
+    # its declaration's object (the string of a `node` or `map` line, the id
+    # of an argument's first `arglet` line, the tuple of an `arglet` line);
+    # a failed lookup looks for the reference to report
     nodes, assignments, arglets = decls["node"], decls["map"], decls["arglet"]
     for keyword, places in (("cover", (0, 1)), ("general", (0,)), ("map", (1,))):
-        for ids, lineno in decls[keyword].values():
-            for i in places:
-                if ids[i] not in nodes:
-                    raise UnknownReference(lineno, f"{keyword} references undeclared node {ids[i]!r}")
+        table = decls[keyword]
+        for key, (ids, lineno) in table.items():
+            try:
+                first = ids[0] if keyword == "map" else nodes[ids[0]][0][0]
+                table[key] = first if keyword == "general" else (first, nodes[ids[1]][0][0])
+            except KeyError:
+                for i in places:
+                    if ids[i] not in nodes:
+                        raise UnknownReference(lineno, f"{keyword} references undeclared node {ids[i]!r}") from None
     for (symbol,), lineno in decls["expr"].values():
         if symbol not in assignments:
             raise UnknownReference(lineno, f"expression {symbol!r} is never mapped to a node")
     # every declared expression is mapped by now
-    for (_, symbol), lineno in arglets.values():
-        if symbol not in assignments:
-            raise UnknownReference(lineno, f"arglet references undeclared expression {symbol!r}")
-
     by_arg: dict[str, list[Arglet]] = {}
-    for arg, symbol in arglets:
-        by_arg.setdefault(arg, []).append((arg, symbol))
+    for key, ((arg, symbol), lineno) in arglets.items():
+        try:
+            symbol = assignments[symbol][0]
+        except KeyError:
+            raise UnknownReference(lineno, f"arglet references undeclared expression {symbol!r}") from None
+        same = by_arg.setdefault(arg, [])
+        arglets[key] = arglet = (same[0][0] if same else arg, symbol)
+        same.append(arglet)
 
     warnings: list[str] = []
     attacks: set[tuple[Arglet, Arglet]] = set()
     for src, dst, lineno in dotted:
-        for al in (src, dst):
-            if al not in arglets:
-                raise UnknownReference(lineno, f"attack references undeclared arglet {al[0]}.{al[1]}")
-        attacks.add((src, dst))
+        try:
+            attacks.add((arglets[src], arglets[dst]))
+        except KeyError:
+            for al in (src, dst):
+                if al not in arglets:
+                    raise UnknownReference(lineno, f"attack references undeclared arglet {al[0]}.{al[1]}") from None
     for a, b, lineno in sugar:
         for name in (a, b):
             if name not in by_arg:
@@ -153,10 +165,10 @@ def parse_afo(text: str) -> tuple[AfoDocument, list[str]]:
 
     document = AfoDocument(
         nodes=tuple(sorted(nodes)),
-        covers=tuple(sorted(decls["cover"])),
-        generals=tuple(sorted(decls["general"])),
-        assignments=tuple(sorted(ids for ids, _ in assignments.values())),
-        arglets=tuple(sorted(arglets)),
+        covers=tuple(sorted(decls["cover"].values())),
+        generals=tuple(sorted(decls["general"].values())),
+        assignments=tuple(sorted(assignments.values())),
+        arglets=tuple(sorted(arglets.values())),
         attacks=tuple(sorted(attacks)),
     )
     return document, warnings
@@ -183,14 +195,14 @@ def build_model(document: AfoDocument) -> AfoModel:
 
 
 def load_afo(path: str) -> tuple[AfoModel, AfoDocument, list[str]]:
-    data = Path(path).read_bytes()
     # a leading byte order mark is dropped, not decoded by "utf-8-sig",
     # whose error offsets would not count its three bytes
-    data = data.removeprefix(codecs.BOM_UTF8)
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise AfoSyntaxError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
+    del data  # the bytes are not needed while the text is parsed
     document, warnings = parse_afo(text)
     return build_model(document), document, warnings

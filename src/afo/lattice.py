@@ -245,7 +245,7 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     node_set = frozenset(nodes)
     if not node_set:
         raise EmptySet("a lattice needs at least one node")
-    cover_set = frozenset((c, p) for c, p in covers)
+    cover_set = frozenset(map(tuple, covers))
     for c, p in cover_set:
         for end in (c, p):
             if end not in node_set:

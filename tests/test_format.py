@@ -374,3 +374,28 @@ def test_parser_matches_the_former_parser(fixtures_dir):
     wanted += [("DuplicateDeclaration", s) for s in duplicates] + [("UnknownReference", s) for s in references]
     assert {key for key in seen if isinstance(key, tuple)} == set(wanted[4:])
     assert min(seen[key] for key in wanted) >= 20, seen
+
+
+def test_each_reference_is_its_declarations_object(fixtures_dir):
+    """A parsed document holds each identifier once: every reference is the
+    object of its declaration, in the document and in the model built from it."""
+    built = 0
+    for text in _base_documents(fixtures_dir, random.Random(2929)):
+        doc, _ = parse_afo(text)
+        nodes = {id(n) for n in doc.nodes}
+        assert {id(n) for cover in doc.covers for n in cover} <= nodes
+        assert {id(g) for g in doc.generals} <= nodes
+        assert {id(n) for _, n in doc.assignments} <= nodes
+        assert {id(s) for _, s in doc.arglets} <= {id(s) for s, _ in doc.assignments}
+        first: dict[str, str] = {}
+        assert all(first.setdefault(arg, arg) is arg for arg, _ in doc.arglets)
+        arglets = {id(al) for al in doc.arglets}
+        assert {id(al) for attack in doc.attacks for al in attack} <= arglets
+        try:
+            model = build_model(doc)
+        except NonUniqueJoin:
+            continue
+        built += 1
+        assert {id(al) for attack in model.framework.attacks for al in attack} <= arglets
+        assert {id(c) for c in model.lattice.covers} == {id(c) for c in doc.covers}
+    assert built >= 60

@@ -115,6 +115,13 @@ def test_boardroom_lattice_queries(boardroom):
     assert lat.lower_covers("Imp") == frozenset({"Os", "Mp", "Ec"})
     assert lat.lower_covers("Bot") == frozenset({"Bot"})
     assert lat.atoms() == frozenset({"Os", "Mp", "Ec", "Liq", "Rev"})
+    # the cover pairs given are kept, and pairs given as lists become tuples
+    covers = sorted(lat.covers)
+    kept = validate_lattice(sorted(lat.nodes), covers).covers
+    assert {id(c) for c in kept} == {id(c) for c in covers}
+    listed = validate_lattice(sorted(lat.nodes), [list(c) for c in covers])
+    assert listed.covers == lat.covers and all(type(c) is tuple for c in listed.covers)
+    assert listed.join(["Os", "Mp"]) == "Imp"
 
 
 def test_marathon_lower_covers(marathon):

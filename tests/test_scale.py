@@ -9,8 +9,8 @@ spec.loader.exec_module(scale)
 def test_scale_runs_every_case_at_its_smallest_sizes(capsys):
     assert scale.main(["--small", "--repeat", "2"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["case", "size", "best", "ms", "median", "ms", "peak", "MiB"]
-    cases = [row.rsplit(None, 4)[:2] for row in rows]
+    assert header.split() == ["case", "size", "best", "ms", "median", "ms", "peak", "MiB", "kept", "MiB"]
+    cases = [row.rsplit(None, 5)[:2] for row in rows]
     assert cases == [
         ["sharpen forking_chain", "k=2"],
         ["cli sharpen --json forking_chain", "k=2"],
@@ -19,9 +19,11 @@ def test_scale_runs_every_case_at_its_smallest_sizes(capsys):
         ["preferred linked_two_cycles", "n=20"],
         ["cf2 linked_two_cycles", "n=20"],
         ["preferred reversed chained_four_cycles", "k=3"],
+        ["load_afo flower_document", "h=10"],
         ["validate_lattice flower_document", "h=10"],
         ["build_model flower_document", "h=10"],
         ["sharpen flower_document", "h=10"],
+        ["load_afo flower_document", "h=20"],
         ["validate_lattice flower_document", "h=20"],
         ["build_model flower_document", "h=20"],
         ["sharpen flower_document", "h=20"],
@@ -30,5 +32,5 @@ def test_scale_runs_every_case_at_its_smallest_sizes(capsys):
         ["sharpen flower_instance", "h=40"],
     ]
     for row in rows:
-        best, median, peak = map(float, row.split()[-3:])
-        assert 0 <= best <= median and peak > 0
+        best, median, peak, kept = map(float, row.split()[-4:])
+        assert 0 <= best <= median and peak > 0 and 0 <= kept <= peak

@@ -12,16 +12,19 @@ index or SCC mask is carried over from an earlier call, and times one call:
 * `preferred` and `cf2` on linked 2-cycles (`linked_two_cycles`) at n=500;
 * `preferred` on chained 4-cycles (`chained_four_cycles`) at k=18 with
   their ids renamed in reverse order, so id order runs against the chain;
-* `validate_lattice`, `build_model` and `pipeline.sharpen` on
-  `flower_document(random.Random(1), h)` at h=1,000 and h=2,000;
+* `load_afo` on `flower_document(random.Random(1), h)` written to a file,
+  and `validate_lattice`, `build_model` and `pipeline.sharpen` on the
+  same document, at h=1,000 and h=2,000;
 * `pipeline.sharpen` on `flower_instance(h)` (10h+2 lattice nodes, one
   3-cycle per hub, each merging at its hub) at h=1,000, 2,000 and 4,000.
 
 ``--small`` runs every case at its smallest sizes (k=2 and 3, n=20, k=3,
 h=10 and 20, h=10, 20 and 40), as a smoke test.  The output is one line per case: its name,
-its size, the best and the median of the repeats, in milliseconds, and the
-peak of memory allocated during one more call run under `tracemalloc`.  The
-package and the generators are read from the checkout the script lies in.
+its size, the best and the median of the repeats, in milliseconds, and,
+for one more call run under `tracemalloc`, the peak of memory allocated
+during the call and the memory still allocated when it returns, with its
+result held.  The package and the generators are read from the checkout
+the script lies in.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from afo import Framework, cf2, cli, preferred, validate_lattice  # noqa: E402
-from afo.format import build_model, parse_afo  # noqa: E402
+from afo.format import build_model, load_afo, parse_afo  # noqa: E402
 from afo.pipeline import sharpen  # noqa: E402
 from generators import (  # noqa: E402
     chained_four_cycles,
@@ -96,13 +99,15 @@ def timed(call, repeat: int) -> list[float]:
     return times
 
 
-def peak_bytes(call) -> int:
-    """The peak of memory allocated while one call set up by `call()` runs."""
+def memory(call) -> tuple[int, int]:
+    """The peak of memory allocated while one call set up by `call()` runs,
+    and the memory still allocated when it returns, its result held."""
     run = call()
     tracemalloc.start()
     try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
+        result = run()  # noqa: F841 (held while the memory is read)
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak, kept
     finally:
         tracemalloc.stop()
 
@@ -131,7 +136,11 @@ def cases(sizes: dict[str, tuple[int, ...]], tmp: Path):
         framework = reversed_ids(chained_four_cycles(k)[0])
         yield "preferred reversed chained_four_cycles", f"k={k}", lambda fw=framework: (lambda f=fresh(fw): preferred(f))
     for h in sizes["flower"]:
-        document = parse_afo(flower_document(random.Random(1), h))[0]
+        text = flower_document(random.Random(1), h)
+        path = tmp / f"flower_document{h}.afo"
+        path.write_text(text, encoding="utf-8")
+        yield "load_afo flower_document", f"h={h}", lambda p=str(path): lambda: load_afo(p)
+        document = parse_afo(text)[0]
         model = build_model(document)
         yield "validate_lattice flower_document", f"h={h}", lambda d=document: lambda: validate_lattice(d.nodes, d.covers)
         yield "build_model flower_document", f"h={h}", lambda d=document: lambda: build_model(d)
@@ -158,12 +167,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'case':40s} {'size':8s} {'best ms':>10s} {'median ms':>10s} {'peak MiB':>10s}")
+    print(f"{'case':40s} {'size':8s} {'best ms':>10s} {'median ms':>10s} {'peak MiB':>10s} {'kept MiB':>10s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, size, setup in cases(SMALL if args.small else FULL, Path(tmp)):
             times = timed(setup, args.repeat)
-            peak = peak_bytes(setup) / 2**20
-            print(f"{name:40s} {size:8s} {min(times) * 1e3:10.3f} {statistics.median(times) * 1e3:10.3f} {peak:10.3f}", flush=True)
+            peak, kept = (n / 2**20 for n in memory(setup))
+            best, median = min(times) * 1e3, statistics.median(times) * 1e3
+            print(f"{name:40s} {size:8s} {best:10.3f} {median:10.3f} {peak:10.3f} {kept:10.3f}", flush=True)
     return 0
 
 
