@@ -175,35 +175,36 @@ class _ScanTable:
     (`af._index`, whose SCC masks validity reads) and over lattice ranks:
     one per derivation, per `abstract --explain`, and per call of the
     public scan, a predicate or the report.
-    Built eagerly: per bit of the index the node of its argument, the join
-    of its expressions' nodes, and M as one rank mask (`skip`).  Every other part is built on first use: per bit the
-    rank bit of its node (`rank`) and the mask of the arguments it attacks
-    through clashing arglets (`conflicts`), which the scan first reads
-    once a group passes the node filter; per bit the rank mask of its
-    expressions' nodes (`spans`), for an abstract argument of several
-    expressions; per bit its expressions (`exprs`) and `taken`, the ids
-    merged ids must avoid, which every id handed out joins, once a group
-    is kept.  A table serves one `blocked` set."""
+    Built eagerly: per bit of the index the up mask of its argument's node
+    (`ups`: the lattice's own mask for one expression, the AND of its
+    expressions' masks for several), and M as one rank mask (`skip`).
+    Every other part is built on first use: per bit the rank bit of its
+    node (`rank`) and the mask of the arguments it attacks through
+    clashing arglets (`conflicts`), which the scan first reads once a group
+    passes the node filter; per bit its node (`nodes`), for the report; per
+    bit the rank mask of its expressions' nodes (`spans`), for an abstract
+    argument of several expressions; per bit its expressions (`exprs`) and
+    `taken`, the ids merged ids must avoid, which every id handed out
+    joins, once a group is kept.  A table serves one `blocked` set."""
 
     def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: frozenset[str] = frozenset()):
         self.framework, self.lat, self.fmap = framework, lat, fmap
         self.ix = ix = _index(framework)
         self.skip = lat.rank_mask(blocked & lat.nodes)
-        up, image, pos, ranked = lat._up, fmap.image, ix.pos, lat._ranked
-        nodes: list = [None] * len(ix.ids)
+        up, image, pos = lat._up, fmap.image, ix.pos
+        ups: list = [None] * len(ix.ids)
         for a, e in framework.arglets:
-            i, v = pos[a], image(e)
-            if v not in up:
-                lat._mask(up, v)  # raises UnknownNode
-            if (w := nodes[i]) is not None:  # the join of w and v: the lowest rank above both
-                v = ranked[((m := up[v] & up[w]) & -m).bit_length() - 1]
-            nodes[i] = v
-        self.nodes: list[str] = nodes
+            i, m = pos[a], lat._mask(up, image(e))
+            ups[i] = m if (w := ups[i]) is None else w & m
+        self.ups: list[int] = ups
 
     @cached_property
     def rank(self) -> list[int]:
-        up = self.lat._up
-        return [up[v] & -up[v] for v in self.nodes]
+        return [u & -u for u in self.ups]
+
+    @cached_property
+    def nodes(self) -> list[str]:
+        return [self.lat._ranked[r.bit_length() - 1] for r in self.rank]
 
     @cached_property
     def conflicts(self) -> list[int]:
@@ -215,14 +216,14 @@ class _ScanTable:
 
     @cached_property
     def spans(self) -> list[int]:
-        pos, spans = self.ix.pos, [0] * len(self.nodes)
+        pos, spans = self.ix.pos, [0] * len(self.ups)
         for a, e in self.framework.arglets:
             spans[pos[a]] |= self.lat.rank_mask([self.fmap.image(e)])
         return spans
 
     @cached_property
     def exprs(self) -> list[list[str]]:
-        pos, exprs = self.ix.pos, [[] for _ in self.nodes]
+        pos, exprs = self.ix.pos, [[] for _ in self.ups]
         for a, e in self.framework.arglets:
             exprs[pos[a]].append(e)
         return exprs

@@ -113,46 +113,12 @@ class FiniteLattice:
         return self._ranked[_highest(lowers)]
 
     def rank_mask(self, nodes: Iterable[str]) -> int:
-        """The mask of the given nodes' ranks, as `groups_below` skips them."""
+        """The mask of the given nodes' ranks (the scan's M, an argument's span)."""
         out = 0
         for n in nodes:
             up = self._mask(self._up, n)
             out |= up & -up
         return out
-
-    def groups_below(self, pairs: Iterable[tuple[str, str]], skip: int) -> Iterator[tuple[str, list[str], bool]]:
-        """Given (member, node) pairs, yield one triple per node v at or above
-        the nodes of two or more members and outside `skip` (a `rank_mask`),
-        in rank order: v, the members whose node lies at or below v in the
-        order given, and whether v is their join.
-
-        Two passes over the members' up masks.  The first finds the ranks
-        that two or more of them reach; the second adds each member to the
-        group of every such rank in its up mask and ANDs its up mask into
-        that rank's, so no other rank of the lattice is walked.  A node is
-        the join of its group when it is the lowest rank in that AND."""
-        members: list[str] = []
-        ups: list[int] = []
-        once = twice = 0
-        for member, node in pairs:
-            up = self._mask(self._up, node)
-            members.append(member)
-            ups.append(up)
-            twice |= once & up
-            once |= up
-        twice &= ~skip
-        if not twice:
-            return
-        # keyed by rank, not by rank bit: a key as wide as the lattice
-        # would cost a hash as long as the lattice
-        below: dict[int, int] = {}  # rank -> mask over the members
-        common: dict[int, int] = {}  # rank -> AND of the members' up masks
-        for i, up in enumerate(ups):
-            for r in _ranks(up & twice):
-                below[r] = below.get(r, 0) | 1 << i
-                common[r] = common.get(r, up) & up
-        for r in _ranks(twice):
-            yield self._ranked[r], [members[i] for i in _ranks(below[r])], _lowest(common[r]) == r
 
     def lower_covers(self, node: str) -> frozenset[str]:
         """Nodes directly below the given one; the bottom element yields itself.

@@ -23,12 +23,12 @@ and their best abstractions built, only when the SCC keeps a group.  The
 public `maximal_conservative_subsets` maps its ids onto a mask and runs the
 same scan.  The scan reads one `abstraction._ScanTable`, whose tests the
 public predicates call too, built per derivation and dropped with it;
-its parts are built as the scan first needs them: per bit the lattice
-node of its argument and M's rank mask, then, once some group passes the
-node filter, the lattice-side bit masks for the compatibility,
+its parts are built as the scan first needs them: per bit the up mask
+of its argument's node and M's rank mask, then, once some group passes
+the node filter, the lattice-side bit masks for the compatibility,
 attack-preservation and validity tests, then, once some group is kept,
 per bit the argument's expressions and the ids merged ids must avoid.
-Per component, `FiniteLattice.groups_below` gathers the members below
+Per component, the scan gathers from those up masks the members below
 each node outside M that two or more of them reach, walking only those
 nodes, so a component whose members reach no such node costs one pass
 over their up masks.
@@ -46,7 +46,7 @@ from .abstraction import _check_targets, _Groups, _ScanTable, best_abstraction_o
 from .af import Arglet, Argument, Framework, _bits, _contract, _drop_index, _index
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _lowest
 from .semantics import CREDULOUS, SKEPTICAL, _extensions, _key, _preferred_masks, _sorted_extensions
 
 
@@ -113,18 +113,37 @@ def _scan(table: _ScanTable, within: int) -> list[int]:
 
     A best abstraction at node v absorbs exactly the members below v, so
     the one group that can be valid at v is G_v = {a in within : alpha(a)
-    <= v}, and only when v is its join.  `FiniteLattice.groups_below`
-    gathers G_v, as bit indices, for the nodes outside M that two or more
-    members reach, and only those, so each group is non-trivial by
-    construction and a mask with no such node costs one pass over its
-    members' up masks.  Validity, compatibility and attack preservation
-    are bit-mask tests on the table.  Maximality is a mask test too."""
-    lat, nodes = table.lat, table.nodes
+    <= v}, and only when v is its join, the lowest rank in the AND of its
+    members' up masks.  A first pass over those masks (`table.ups`) finds
+    the ranks outside M that two or more members reach, and a second
+    gathers G_v and that AND for those ranks only, so each group is
+    non-trivial and a mask that reaches no such rank costs one pass.
+    Validity, compatibility and attack preservation are bit-mask tests on
+    the table.  Maximality is a mask test too."""
+    ups = table.ups
+    once = twice = 0
+    for i in _bits(within):
+        up = ups[i]
+        twice |= once & up
+        once |= up
+    twice &= ~table.skip
+    if not twice:
+        return []
+    # keyed by rank, not by rank bit: a key as wide as the lattice
+    # would cost a hash as long as the lattice
+    below: dict[int, int] = {}  # rank -> mask over the members
+    common: dict[int, int] = {}  # rank -> AND of the members' up masks
+    for i in _bits(within):
+        up = ups[i]
+        for r in _bits(up & twice):
+            below[r] = below.get(r, 0) | 1 << i
+            common[r] = common.get(r, up) & up
+    lat = table.lat
     found: list[int] = []
-    for v, group, is_join in lat.groups_below(((i, nodes[i]) for i in _bits(within)), table.skip):
-        if not is_join:
+    for r, g in below.items():
+        if _lowest(common[r]) != r:
             continue
-        g = sum(1 << i for i in group)
+        v = lat._ranked[r]
         if table.compatible(g) and table.attack_preserving(v, g) and table.valid([lat._down[v]], g):
             found.append(g)
     maximal = [g for g in found if not any(g & h == g != h for h in found)]

@@ -95,6 +95,7 @@ def test_empty_and_unknown():
         lambda: lat.lower_covers("ghost"),
         lambda: lat.upward_closure(["c0", "ghost"]),
         lambda: lat.is_upper_set(["c2", "ghost"]),
+        lambda: lat.rank_mask(["ghost"]),
     ]
     for query in queries:
         with pytest.raises(UnknownNode):
@@ -160,36 +161,6 @@ def test_tables_match_oracle_on_random_lattices():
             subset = rng.sample(nodes, rng.randint(0, min(4, len(nodes))))
             assert lat.join(subset) == reduce(lambda x, y: oracle_join(nodes, covers, x, y), subset, bottom)
             assert lat.meet(subset) == reduce(lambda x, y: oracle_meet(nodes, covers, x, y), subset, top)
-
-
-def test_groups_below_matches_oracle_on_random_lattices():
-    """Per node that two or more members reach and that is not skipped,
-    the members at or below it in the order given, and whether it is their
-    join, against the reachability oracle filtered on its own."""
-    rng = random.Random(4022)
-    for _ in range(60):
-        lat = random_lattice(rng)
-        nodes = sorted(lat.nodes)
-        covers = [(c, p) for p in nodes for c in lat.children(p)]
-        reach = oracle_up_reach(nodes, covers)
-        bottom = next(n for n in nodes if len(reach[n]) == len(nodes))
-        members = [f"m{i}" for i in range(rng.randint(0, 6))]
-        rng.shuffle(members)
-        node_of = {m: rng.choice(nodes) for m in members}
-        skipped = set(rng.sample(nodes, rng.randint(0, len(nodes) // 2)))
-        want = {}
-        for v in nodes:
-            below = [m for m in members if v in reach[node_of[m]]]
-            if len(below) >= 2 and v not in skipped:
-                join = reduce(lambda x, y: oracle_join(nodes, covers, x, y), (node_of[m] for m in below), bottom)
-                want[v] = (below, join == v)
-        got = list(lat.groups_below(node_of.items(), lat.rank_mask(skipped)))
-        assert {v: (group, is_join) for v, group, is_join in got} == want
-        assert len(got) == len(want)
-    with pytest.raises(UnknownNode):
-        list(lat.groups_below([("m0", "ghost")], 0))
-    with pytest.raises(UnknownNode):
-        lat.rank_mask(["ghost"])
 
 
 def test_order_laws_on_stock_lattices():

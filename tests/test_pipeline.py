@@ -8,6 +8,7 @@ import pytest
 import afo.af
 import afo.pipeline
 from afo import (
+    AbstractionCandidate,
     Argument,
     EmptySet,
     Framework,
@@ -16,10 +17,12 @@ from afo import (
     SemanticMap,
     TargetsNotInFramework,
     UnknownArgument,
+    UnknownNode,
     abstract_replace,
     alpha,
     best_abstraction_of,
     concretize_extension_sets,
+    conservativity_report,
     derive_abstract_frameworks,
     is_attack_preserving,
     is_compatible,
@@ -265,6 +268,53 @@ def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
         for scc in ({"a1", "ghost"}, {"ghost"}):
             with pytest.raises(UnknownArgument, match="ghost"):
                 maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc), **kwargs)
+
+
+def test_scan_table_up_masks_match_alpha_and_unknown_nodes_raise():
+    """Per bit, the table holds the up mask of its argument's node (the
+    join of its expressions' nodes) and that node, on random lattices with
+    1 to 3 expressions per argument and on a flower.  An argument of one
+    expression holds the lattice's own mask object, not a copy: the
+    flower's masks are hundreds of bits wide, so no copy of them is a
+    cached small int.  A map that sends an expression to a node outside
+    the lattice fails in every entry point that builds a table."""
+    rng = random.Random(3001)
+    draws = []
+    for _ in range(150):
+        lat = random_lattice(rng)
+        fmap = random_map(rng, lat)
+        draws.append((mapped_framework(rng, fmap, max_exprs=rng.randint(1, 3)), lat, fmap))
+    draws.append(flower_instance(30)[:3])
+    held = several = 0
+    for fw, lat, fmap in draws:
+        table = _ScanTable(fw, lat, fmap)
+        for i, a in enumerate(table.ix.ids):
+            exprs = fw.argument_expressions(a)
+            node = alpha(lat, fmap, exprs)
+            assert table.ups[i] == lat._up[node]
+            assert table.nodes[i] == node
+            if len(exprs) == 1:
+                assert table.ups[i] is lat._up[node]
+                held += table.ups[i] > 256
+            several += len(exprs) > 1
+    # 165 and 187 at this seed, 90 of the first on the flower
+    assert held >= 150
+    assert several >= 150
+
+    lat = validate_lattice(["bot", "p", "q", "top"], [("bot", "p"), ("bot", "q"), ("p", "top"), ("q", "top")])
+    fmap = SemanticMap({"e": "p", "f": "ghost"})
+    fw = Framework.of([("a", "e"), ("b", "f")], [(("a", "e"), ("b", "f")), (("b", "f"), ("a", "e"))])
+    candidate = AbstractionCandidate(fs({"a", "b"}), Argument("a+b", fs({"e"})))
+    calls = [
+        lambda: derive_abstract_frameworks(fw, lat, fmap, {"top"}),
+        lambda: sharpen(fw, lat, fmap, {"top"}),
+        lambda: maximal_conservative_subsets(fw, lat, fmap, {"top"}, fs({"a", "b"})),
+        lambda: is_compatible(fw, lat, fmap, {"a", "b"}),
+        lambda: conservativity_report(fw, lat, fmap, {"top"}, candidate),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownNode, match="ghost"):
+            call()
 
 
 @pytest.fixture(scope="module")

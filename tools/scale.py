@@ -15,8 +15,9 @@ index or SCC mask is carried over from an earlier call, and times one call:
 * `load_afo` on `flower_document(random.Random(1), h)` written to a file,
   and `validate_lattice`, `build_model` and `pipeline.sharpen` on the
   same document, at h=1,000 and h=2,000;
-* `pipeline.sharpen` on `flower_instance(h)` (10h+2 lattice nodes, one
-  3-cycle per hub, each merging at its hub) at h=1,000, 2,000 and 4,000.
+* `pipeline.derive_abstract_frameworks` and `pipeline.sharpen` on
+  `flower_instance(h)` (10h+2 lattice nodes, one 3-cycle per hub, each
+  merging at its hub) at h=1,000, 2,000 and 4,000.
 
 ``--small`` runs every case at its smallest sizes (k=2 and 3, n=20, k=3,
 h=10 and 20, h=10, 20 and 40), as a smoke test.  The output is one line per case: its name,
@@ -45,7 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from afo import Framework, cf2, cli, preferred, validate_lattice  # noqa: E402
 from afo.format import build_model, load_afo, parse_afo  # noqa: E402
-from afo.pipeline import sharpen  # noqa: E402
+from afo.pipeline import derive_abstract_frameworks, sharpen  # noqa: E402
 from generators import (  # noqa: E402
     chained_four_cycles,
     flower_document,
@@ -153,11 +154,13 @@ def cases(sizes: dict[str, tuple[int, ...]], tmp: Path):
     for h in sizes["hubs"]:
         framework, lattice, fmap, blocked = flower_instance(h)
 
-        def run_hubs(fw=framework, lat=lattice, fmap=fmap, blocked=blocked):
-            f = fresh(fw)
-            return lambda: sharpen(f, lat, fmap, blocked)
+        for call in (derive_abstract_frameworks, sharpen):
 
-        yield "sharpen flower_instance", f"h={h}", run_hubs
+            def run_hubs(call=call, fw=framework, lat=lattice, fmap=fmap, blocked=blocked):
+                f = fresh(fw)
+                return lambda: call(f, lat, fmap, blocked)
+
+            yield f"{call.__name__} flower_instance", f"h={h}", run_hubs
 
 
 def main(argv=None) -> int:
@@ -167,13 +170,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'case':40s} {'size':8s} {'best ms':>10s} {'median ms':>10s} {'peak MiB':>10s} {'kept MiB':>10s}")
+    print(f"{'case':44s} {'size':8s} {'best ms':>10s} {'median ms':>10s} {'peak MiB':>10s} {'kept MiB':>10s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, size, setup in cases(SMALL if args.small else FULL, Path(tmp)):
             times = timed(setup, args.repeat)
             peak, kept = (n / 2**20 for n in memory(setup))
             best, median = min(times) * 1e3, statistics.median(times) * 1e3
-            print(f"{name:40s} {size:8s} {best:10.3f} {median:10.3f} {peak:10.3f} {kept:10.3f}", flush=True)
+            print(f"{name:44s} {size:8s} {best:10.3f} {median:10.3f} {peak:10.3f} {kept:10.3f}", flush=True)
     return 0
 
 
