@@ -388,6 +388,8 @@ def main(argv=None) -> int:
     except AfoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader of stdout is gone: nothing to report
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,17 +6,23 @@ the child with nothing in between.  Validation rejects cyclic or transitively
 implied covers and any pair of nodes without a unique least upper bound or
 greatest lower bound.  Both are decided on the masks below: the covers in
 one pass over each child's parents, which collects every redundant cover
-and reports the first in sorted order, and the joins once per pair of
-classes of nodes that share a strict up mask, since two incomparable
-nodes' strict up masks meet in all their common upper bounds.  Only the
-nodes with no upper cover or with two or more are paired: a node with one
-upper cover has a join with every node exactly when that cover has, so in
-a flower lattice only the bottom and the top are, and in an ontology the
-concepts with several parents.  A finite
-poset with a bottom in which every pair has a join is a lattice (Davey and
-Priestley, *Introduction to Lattices and Order*, CUP 2002), so the meets
-need no test of their own.  Only a diagram that fails that test is checked
-again pair by pair in sorted order, to name its first failing pair.
+and reports the first in sorted order, and the joins by one local test.  A
+finite poset with a bottom is a lattice exactly when every two upper
+covers of a common node (co-covers) have a join (Davey and Priestley,
+*Introduction to Lattices and Order*, CUP 2002, for the order facts).
+Sketch: for incomparable x and y take a common lower bound m of greatest
+height and covers m < x' <= x, m < y' <= y; j = x' v y' exists, x and j
+share the lower bound x', higher than m, so by downward induction on that
+height k = x v j exists, then k v y, which is x v y.  A node with one
+upper cover has a join with every node exactly when that cover has, so
+each node is lifted along its chain of single covers to the first node
+with none or several, and each distinct pair of co-covers' lifts is
+tested once.  In a flower lattice every cover of the bottom lifts to the
+top and no pair is tested; in an ontology the pairs come from the concepts
+with several parents.  With a bottom the meet of a pair is the join of its
+common lower bounds, so the meets need no test of their own.  Only a
+diagram that fails is checked again pair by pair in sorted order, to name
+its first failing pair.
 
 The order is kept as bitsets over ranks (Aït-Kaci, Boyer, Lincoln and Nasr,
 TOPLAS 1989): nodes are ranked by a linear extension, bottom first, and each
@@ -155,43 +161,6 @@ class FiniteLattice:
         return closure == given
 
 
-def _joins_unique(ups: list[int], downs: list[int], ranks: list[int]) -> bool:
-    """True when every pair of ranks has a least upper bound, given the up
-    and down masks by rank and the ranks that do not have exactly one upper
-    cover.  A comparable pair always has one.  A rank x with one upper
-    cover p has the common upper bounds of p with every y incomparable with
-    x, as each upper bound of x but x lies above p, so it has a join with
-    every rank exactly when p has: only `ranks` need pairing.  For
-    incomparable x and y the common upper bounds are exactly strict(x) &
-    strict(y), the up masks without their own bits, so those ranks fall
-    into classes by strict mask and each pair of classes is tested once,
-    and only when some member of one is incomparable with some member of
-    the other.  Two members of one class are incomparable, so a class of
-    two or more meets itself."""
-    walked = 0
-    for r in ranks:
-        walked |= 1 << r
-    strict: dict[int, int] = {}  # rank -> its strict up mask
-    members: dict[int, int] = {}  # strict mask -> the ranks that have it
-    hits: dict[int, int] = {}  # strict mask -> the ranks incomparable with one of them
-    for r in ranks:
-        u = ups[r]
-        strict[r] = s = u & ~(1 << r)
-        members[s] = members.get(s, 0) | 1 << r
-        hits[s] = hits.get(s, 0) | walked & ~(u | downs[r])
-    done = 0  # ranks of the classes already walked
-    for s, own in members.items():
-        hit = hits[s] & ~done
-        while hit:
-            t = strict[_lowest(hit)]
-            common = s & t
-            if not common or common & ~ups[_lowest(common)]:
-                return False
-            hit &= ~members[t]
-        done |= own
-    return True
-
-
 def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
     """Validate a Hasse diagram and return the lattice it describes.
 
@@ -202,11 +171,11 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
 
     Redundant covers are all collected in one pass over each child's
     parents, and the least in sorted order is reported.  Missing bounds are
-    found by a bottom test and one join test per pair of classes of nodes
-    sharing a strict up mask, where some pair of members is incomparable,
-    among the nodes whose number of upper covers is not one; only when
-    that fails does the loop over sorted node pairs run, so the error
-    names the same first pair as a pair-by-pair check.
+    found by a bottom test and, for each node with two or more upper
+    covers, one join test per distinct pair of its covers' lifts, a node's
+    lift being itself unless it has exactly one upper cover, whose lift it
+    then takes; only when that fails does the loop over sorted node pairs
+    run, so the error names the same first pair as a pair-by-pair check.
     """
     node_set = frozenset(nodes)
     if not node_set:
@@ -238,12 +207,17 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     if len(ranked) != len(node_set):
         raise CycleInCovers("cover relation contains a cycle")
 
-    # Children rank before their parents, so each mask is final before it spreads.
+    # Children rank before their parents, so each mask is final before it
+    # spreads.  A node's lift is itself unless it has one upper cover, whose
+    # lift it then takes.
     up = {n: 1 << r for r, n in enumerate(ranked)}
     down = dict(up)
+    lift = {}
     for n in reversed(ranked):
-        for p in parents[n]:
+        ps = parents[n]
+        for p in ps:
             up[n] |= up[p]
+        lift[n] = lift[ps[0]] if len(ps) == 1 else n
     for n in ranked:
         for p in parents[n]:
             down[p] |= down[n]
@@ -263,11 +237,18 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
         raise RedundantCover(f"cover {c!r} -> {p!r} is transitively implied")
 
     # With a bottom, the join of a pair's common lower bounds is their meet,
-    # so the bottom and the joins decide the meets too.  The ordered loop
-    # runs only when one fails, to report the first pair in sorted order.
-    ups = [up[n] for n in ranked]
-    branching = [r for r, n in enumerate(ranked) if len(parents[n]) != 1]
-    if not (ups[0] == (1 << len(ranked)) - 1 and _joins_unique(ups, [down[n] for n in ranked], branching)):
+    # so the bottom and the joins decide the meets too, and every pair has a
+    # join once every two upper covers of a common node have one.  Two such
+    # co-covers have a join exactly when their lifts have, so each distinct
+    # pair of lifts is tested once per node.  The ordered loop runs only when
+    # a test fails, to report the first pair in sorted order.
+    commons = (
+        up[a] & up[b]
+        for ps in parents.values()
+        if len(ps) > 1
+        for a, b in combinations({lift[p] for p in ps}, 2)
+    )
+    if up[ranked[0]] != (1 << len(ranked)) - 1 or any(not c or c & ~up[ranked[_lowest(c)]] for c in commons):
         # The lowest common upper bound is the least one exactly when every
         # common upper bound lies above it; dually for the highest lower bound.
         for a, b in combinations(sorted(node_set), 2):

@@ -133,6 +133,19 @@ def flower_diagram(hubs: int, petals: int) -> tuple[list[str], list[tuple[str, s
     return nodes, covers
 
 
+def product_diagram(d1, d2) -> tuple[list[str], list[tuple[str, str]]]:
+    """Nodes and covers of the product of two diagrams, each given as
+    (nodes, covers): node a|b for every pair, a|b -> p|b for each cover a ->
+    p and a|b -> a|q for each cover b -> q.  The product of two lattices is
+    a lattice, and a|b has two or more upper covers whenever neither a nor
+    b is a top."""
+    (nodes1, covers1), (nodes2, covers2) = d1, d2
+    nodes = [f"{a}|{b}" for a in nodes1 for b in nodes2]
+    covers = [(f"{a}|{b}", f"{p}|{b}") for a, p in covers1 for b in nodes2]
+    covers += [(f"{a}|{b}", f"{a}|{q}") for a in nodes1 for b, q in covers2]
+    return nodes, covers
+
+
 def chain_lattice(length: int = 4):
     return validate_lattice(*chain_diagram(length))
 

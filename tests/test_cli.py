@@ -1,5 +1,6 @@
 import codecs
 import functools
+import io
 import json
 import os
 import random
@@ -69,6 +70,25 @@ def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "does_not_exist.afo")
     assert code == 1
     assert "error" in err
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader is gone, as under `afo sharpen f --json | head -c 100`."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_output_pipe_exits_one_without_an_error_line(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "chain.afo"
+    path.write_text(forking_chain(6), encoding="utf-8")
+    for argv in (["sharpen", str(path), "--json"], ["sharpen", str(path)], ["validate", str(path)]):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+    # a file that cannot be read still gets its line
+    code, _, err = run_cli(capsys, "validate", str(tmp_path))
+    assert code == 1 and err.startswith("error: [Errno ")
 
 
 def test_non_utf8_input_is_a_syntax_error(capsys, tmp_path):

@@ -28,6 +28,7 @@ from generators import (
     flower_diagram,
     flower_document,
     pentagon_lattice,
+    product_diagram,
     random_lattice,
 )
 from oracles import (
@@ -395,6 +396,49 @@ def test_joins_paired_only_where_nodes_branch_match_the_former_validation():
     assert seen["single covers"] >= 400, seen
 
 
+def test_products_of_random_lattices_match_the_former_validation():
+    """Products of two random lattices of up to 6 nodes, where most nodes
+    have two or more upper covers: as drawn, with each defect planted in
+    one factor, and with the product's covers stretched into chains of
+    single covers, against the set-based former validation.  A product is
+    a lattice exactly when both factors are."""
+    rng = random.Random(6116)
+
+    def factor():
+        lat = random_lattice(rng, max_nodes=6)
+        while len(lat.nodes) > 6:  # the 3-cube ignores max_nodes
+            lat = random_lattice(rng, max_nodes=6)
+        return sorted(lat.nodes), sorted(lat.covers)
+
+    seen = Counter()
+    for _ in range(30):
+        factors = [factor(), factor()]
+        for defect in (None, "implied", "maximal", "minimal", "bounds"):
+            pair, i = list(factors), rng.randrange(2)
+            if defect:
+                pair[i] = _plant(rng, *factors[i], oracle_up_reach(*factors[i]), defect)
+                if pair[i] is None:
+                    continue
+            product = product_diagram(*pair)
+            for way, (nodes, covers) in (("drawn", product), ("stretched", _stretch(rng, *product))):
+                expected = oracle_lattice_error(nodes, covers)
+                try:
+                    validate_lattice(nodes, covers)
+                except AfoError as e:
+                    got = (type(e).__name__, str(e))
+                else:
+                    got = None
+                assert got == expected, (nodes, covers)
+                assert (expected is None) == (defect is None)
+                seen[way, expected and expected[0]] += 1
+                branching = Counter(c for c, _ in covers)
+                seen["most branching"] = max(seen["most branching"], sum(k > 1 for k in branching.values()))
+    for way in ("drawn", "stretched"):
+        assert seen[way, None] == 30 and seen[way, "RedundantCover"] >= 25, seen
+        assert seen[way, "NonUniqueJoin"] >= 35 and seen[way, "NonUniqueMeet"] >= 35, seen
+    assert seen["most branching"] >= 25, seen
+
+
 def test_flower_documents_build_within_a_limit():
     """`build_model` of `flower_document(random.Random(1), 2000)`: 10,002
     lattice nodes over 2,000 hubs.  Measured on Python 3.11.7, 2 cores:
@@ -404,6 +448,21 @@ def test_flower_documents_build_within_a_limit():
     model = build_model(document)
     elapsed = time.perf_counter() - start
     assert len(model.lattice.nodes) == 10002 and model.blocked == frozenset({"top"})
+    assert elapsed < 0.5
+
+
+def test_product_lattice_validates_within_a_limit():
+    """The product of two `flower_diagram(12, 3)` lattices: 2,500 nodes, of
+    which 2,403 have two or more upper covers.  Measured on Python 3.11.7,
+    2 cores: 0.055 s; pairing every class of nodes with two or more upper
+    covers or none for their joins took 3.1 s."""
+    flower = flower_diagram(12, 3)
+    nodes, covers = product_diagram(flower, flower)
+    start = time.perf_counter()
+    lat = validate_lattice(nodes, covers)
+    elapsed = time.perf_counter() - start
+    assert len(lat.nodes) == 2500 and (lat.bottom, lat.top) == ("bot|bot", "top|top")
+    assert lat.join(["a0_0|h1", "h2|a3_1"]) == "top|top" and lat.meet(["h0|a1_0", "a0_1|h1"]) == "a0_1|a1_0"
     assert elapsed < 0.5
 
 

@@ -27,6 +27,9 @@ def test_scale_runs_every_case_at_its_smallest_sizes(capsys):
         ["validate_lattice flower_document", "h=20"],
         ["build_model flower_document", "h=20"],
         ["sharpen flower_document", "h=20"],
+        ["validate_lattice product_diagram", "n=196"],
+        ["validate_lattice product_diagram", "n=676"],
+        ["validate_lattice failing flower", "n=36"],
         ["derive_abstract_frameworks flower_instance", "h=10"],
         ["sharpen flower_instance", "h=10"],
         ["derive_abstract_frameworks flower_instance", "h=20"],

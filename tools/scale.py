@@ -15,12 +15,19 @@ index or SCC mask is carried over from an earlier call, and times one call:
 * `load_afo` on `flower_document(random.Random(1), h)` written to a file,
   and `validate_lattice`, `build_model` and `pipeline.sharpen` on the
   same document, at h=1,000 and h=2,000;
+* `validate_lattice` on the product of two `flower_diagram(h, 3)`
+  lattices (`product_diagram`), where most nodes have two upper covers or
+  more, at h=12 and 24 (2,500 and 9,604 nodes), and on
+  `flower_diagram(h, 9)` with two atoms `za`, `zb` under two incomparable
+  upper bounds added, at h=400 (4,006 nodes), timed until it raises
+  NonUniqueJoin for `za` and `zb`, a pair that sorts after nearly all
+  others, so the ordered pair loop walks nearly every pair;
 * `pipeline.derive_abstract_frameworks` and `pipeline.sharpen` on
   `flower_instance(h)` (10h+2 lattice nodes, one 3-cycle per hub, each
   merging at its hub) at h=1,000, 2,000 and 4,000.
 
 ``--small`` runs every case at its smallest sizes (k=2 and 3, n=20, k=3,
-h=10 and 20, h=10, 20 and 40), as a smoke test.  The output is one line per case: its name,
+h=10 and 20, h=3 and 6, h=3, h=10, 20 and 40), as a smoke test.  The output is one line per case: its name,
 its size, the best and the median of the repeats, in milliseconds, and,
 for one more call run under `tracemalloc`, the peak of memory allocated
 during the call and the memory still allocated when it returns, with its
@@ -44,19 +51,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from afo import Framework, cf2, cli, preferred, validate_lattice  # noqa: E402
+from afo import Framework, NonUniqueJoin, cf2, cli, preferred, validate_lattice  # noqa: E402
 from afo.format import build_model, load_afo, parse_afo  # noqa: E402
 from afo.pipeline import derive_abstract_frameworks, sharpen  # noqa: E402
 from generators import (  # noqa: E402
     chained_four_cycles,
+    flower_diagram,
     flower_document,
     flower_instance,
     forking_chain,
     linked_two_cycles,
+    product_diagram,
 )
 
-FULL = {"chain": (8, 10), "two_cycles": (500,), "four_cycles": (18,), "flower": (1000, 2000), "hubs": (1000, 2000, 4000)}
-SMALL = {"chain": (2, 3), "two_cycles": (20,), "four_cycles": (3,), "flower": (10, 20), "hubs": (10, 20, 40)}
+FULL = {
+    "chain": (8, 10),
+    "two_cycles": (500,),
+    "four_cycles": (18,),
+    "flower": (1000, 2000),
+    "product": (12, 24),
+    "failing": (400,),
+    "hubs": (1000, 2000, 4000),
+}
+SMALL = {
+    "chain": (2, 3),
+    "two_cycles": (20,),
+    "four_cycles": (3,),
+    "flower": (10, 20),
+    "product": (3, 6),
+    "failing": (3,),
+    "hubs": (10, 20, 40),
+}
 
 
 def fresh(framework: Framework) -> Framework:
@@ -86,6 +111,20 @@ def quiet_cli(argv: list[str]) -> None:
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"error: afo {' '.join(argv)} exited {code}")
+
+
+def failing(nodes: list[str], covers: list[tuple[str, str]]):
+    """A call that validates the diagram and returns the NonUniqueJoin it
+    raises."""
+
+    def run() -> NonUniqueJoin:
+        try:
+            validate_lattice(nodes, covers)
+        except NonUniqueJoin as exc:
+            return exc
+        raise SystemExit("error: the failing flower validated")
+
+    return run
 
 
 def timed(call, repeat: int) -> list[float]:
@@ -151,6 +190,15 @@ def cases(sizes: dict[str, tuple[int, ...]], tmp: Path):
             return lambda: sharpen(framework, m.lattice, m.fmap, m.blocked)
 
         yield "sharpen flower_document", f"h={h}", run_flower
+    for h in sizes["product"]:
+        nodes, covers = product_diagram(flower_diagram(h, 3), flower_diagram(h, 3))
+        yield "validate_lattice product_diagram", f"n={len(nodes)}", lambda d=(nodes, covers): lambda: validate_lattice(*d)
+    for h in sizes["failing"]:
+        nodes, covers = flower_diagram(h, 9)
+        nodes += ["za", "zb", "zc", "zd"]
+        covers += [("bot", "za"), ("bot", "zb"), ("zc", "top"), ("zd", "top")]
+        covers += [(z, bound) for z in ("za", "zb") for bound in ("zc", "zd")]
+        yield "validate_lattice failing flower", f"n={len(nodes)}", lambda d=(nodes, covers): failing(*d)
     for h in sizes["hubs"]:
         framework, lattice, fmap, blocked = flower_instance(h)
 
