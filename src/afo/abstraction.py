@@ -19,19 +19,22 @@ are absorbed.
 Each condition is decided in one place, on bit masks: the structural ones
 on lattice ranks (`_conditions`), the others on a `_ScanTable`, the table
 the group scan in `pipeline` reads and the predicates and the report build.
+Both read the lattice's one order table, its up masks: x <= y exactly when
+x's up mask holds y's rank bit, the lowest bit of y's up mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .af import Arglet, Argument, Framework, _bits, _index, _union
 from .errors import EmptySet, TargetsNotInFramework
 from .galois import SemanticMap, alpha
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _comparable
 
 
 @dataclass(frozen=True)
@@ -42,34 +45,39 @@ class AbstractionCandidate:
     abstract_arg: Argument
 
 
-def _conditions(downs: Sequence[int], spans: Sequence[int]) -> tuple[bool, bool, bool, bool]:
-    """Covering, disjoint, sound and complete, from the down mask of each
-    expression of a_x and the rank mask of each target's nodes.  With `once`
-    the ranks below some expression and `twice` those below two, the union
-    of the targets is sound when it lies in `once`, disjoint when it misses
-    `twice`."""
-    once = twice = union = 0
-    for down in downs:
-        twice |= once & down
-        once |= down
-    for span in spans:
-        union |= span
+def _conditions(bits: Sequence[int], targets: Sequence[Sequence[int]]) -> tuple[bool, bool, bool, bool]:
+    """Covering, disjoint, sound and complete, from the rank bit of each
+    expression of a_x and the up masks of each target's nodes.  With `once`
+    the rank bits and `twice` those two expressions share, a target node's
+    `hit` holds the expressions above it: the targets are sound when no
+    hit is empty, disjoint when each is one bit outside `twice`."""
+    once = twice = 0
+    for bit in bits:
+        twice |= once & bit
+        once |= bit
+    hits = [[up & once for up in ups] for ups in targets]
+    reaches = [reduce(or_, hs, 0) for hs in hits]
+    reached = reduce(or_, reaches, 0)
     return (
-        all(all(down & span for span in spans) for down in downs if down & union),
-        not union & twice,
-        not union & ~once,
-        all(down & union for down in downs),
+        all(all(bit & reach for reach in reaches) for bit in bits if bit & reached),
+        not any(hit & (hit - 1) or hit & twice for hit in chain.from_iterable(hits)),
+        all(map(all, hits)),
+        all(bit & reached for bit in bits),
     )
 
 
-def _downs(lat: FiniteLattice, fmap: SemanticMap, exprs: Iterable[str]) -> list[int]:
-    return [lat._mask(lat._down, fmap.image(e)) for e in exprs]
+def _rank_bits(lat: FiniteLattice, fmap: SemanticMap, exprs: Iterable[str]) -> list[int]:
+    return [up & -up for up in _ups(lat, fmap, exprs)]
+
+
+def _ups(lat: FiniteLattice, fmap: SemanticMap, exprs: Iterable[str]) -> list[int]:
+    return [lat._mask(fmap.image(e)) for e in exprs]
 
 
 def _structure(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> tuple[bool, bool, bool, bool]:
     if not args:
         raise EmptySet("abstraction conditions need at least one target argument")
-    return _conditions(_downs(lat, fmap, a_x.expressions), [lat.rank_mask(map(fmap.image, a.expressions)) for a in args])
+    return _conditions(_rank_bits(lat, fmap, a_x.expressions), [_ups(lat, fmap, a.expressions) for a in args])
 
 
 def is_abstraction_covering(lat: FiniteLattice, fmap: SemanticMap, a_x: Argument, args: Sequence[Argument]) -> bool:
@@ -157,13 +165,11 @@ def _check_targets(ids: frozenset[str], targets: Iterable[str]) -> frozenset[str
 
 def _clashing(lat: FiniteLattice, fmap: SemanticMap, attacks: Iterable[tuple[Arglet, Arglet]]) -> Iterator[tuple[Arglet, Arglet]]:
     """The attacks that join arglets with comparable images, each decided
-    by one AND: the rank bit of the source's node against the up and down
-    masks of the target's.  Equal images count as comparable, so a
-    self-attacking arglet clashes."""
-    up, down, image = lat._up, lat._down, fmap.image
+    on the up masks of the two nodes: one holds the rank bit of the other.
+    Equal images count as comparable, so a self-attacking arglet clashes."""
+    mask, image = lat._mask, fmap.image
     for s, d in attacks:
-        source, target = lat._mask(up, image(s[1])), image(d[1])
-        if source & -source & (lat._mask(up, target) | down[target]):
+        if _comparable(mask(image(s[1])), mask(image(d[1]))):
             yield s, d
 
 
@@ -177,34 +183,30 @@ class _ScanTable:
     public scan, a predicate or the report.
     Built eagerly: per bit of the index the up mask of its argument's node
     (`ups`: the lattice's own mask for one expression, the AND of its
-    expressions' masks for several), and M as one rank mask (`skip`).
-    Every other part is built on first use: per bit the rank bit of its
-    node (`rank`) and the mask of the arguments it attacks through
+    expressions' masks for several), whose lowest bit is that node's rank
+    bit, and M as one rank mask (`skip`).  Every other part is built on
+    first use: per bit the mask of the arguments it attacks through
     clashing arglets (`conflicts`), which the scan first reads once a group
     passes the node filter; per bit its node (`nodes`), for the report; per
-    bit the rank mask of its expressions' nodes (`spans`), for an abstract
-    argument of several expressions; per bit its expressions (`exprs`) and
-    `taken`, the ids merged ids must avoid, which every id handed out
-    joins, once a group is kept.  A table serves one `blocked` set."""
+    bit its expressions (`exprs`), once a group is kept or an abstract
+    argument of several expressions is tested, and `taken`, the ids merged
+    ids must avoid, which every id handed out joins, once a group is kept.
+    A table serves one `blocked` set."""
 
     def __init__(self, framework: Framework, lat: FiniteLattice, fmap: SemanticMap, blocked: frozenset[str] = frozenset()):
         self.framework, self.lat, self.fmap = framework, lat, fmap
         self.ix = ix = _index(framework)
         self.skip = lat.rank_mask(blocked & lat.nodes)
-        up, image, pos = lat._up, fmap.image, ix.pos
+        mask, image, pos = lat._mask, fmap.image, ix.pos
         ups: list = [None] * len(ix.ids)
         for a, e in framework.arglets:
-            i, m = pos[a], lat._mask(up, image(e))
+            i, m = pos[a], mask(image(e))
             ups[i] = m if (w := ups[i]) is None else w & m
         self.ups: list[int] = ups
 
     @cached_property
-    def rank(self) -> list[int]:
-        return [u & -u for u in self.ups]
-
-    @cached_property
     def nodes(self) -> list[str]:
-        return [self.lat._ranked[r.bit_length() - 1] for r in self.rank]
+        return [self.lat._ranked[(u & -u).bit_length() - 1] for u in self.ups]
 
     @cached_property
     def conflicts(self) -> list[int]:
@@ -213,13 +215,6 @@ class _ScanTable:
         for (s, _), (d, _) in _clashing(self.lat, self.fmap, self.framework.attacks):
             conflicts[pos[s]] |= 1 << pos[d]
         return conflicts
-
-    @cached_property
-    def spans(self) -> list[int]:
-        pos, spans = self.ix.pos, [0] * len(self.ups)
-        for a, e in self.framework.arglets:
-            spans[pos[a]] |= self.lat.rank_mask([self.fmap.image(e)])
-        return spans
 
     @cached_property
     def exprs(self) -> list[list[str]]:
@@ -245,39 +240,43 @@ class _ScanTable:
         return _union(self.ix.neighbours, g) & ~g
 
     def comparable(self, v: str, within: int) -> bool:
-        """Whether some argument of `within` sits at a node comparable with v."""
-        return bool((self.lat._up[v] | self.lat._down[v]) & _union(self.rank, within))
+        """Whether some argument of `within` sits at a node comparable with
+        v: its up mask holds v's rank bit, or v's up mask holds its own."""
+        up, ups = self.lat._up[v], self.ups
+        return any(_comparable(up, ups[i]) for i in _bits(within))
 
     def attack_preserving(self, v: str, g: int) -> bool:
         """No argument outside the group that attacks it or that it attacks
         sits at a node comparable with v."""
         return not self.comparable(v, self.outside(g))
 
-    def absorbed(self, downs: Sequence[int], within: int) -> int:
+    def absorbed(self, bits: Sequence[int], within: int) -> int:
         """The members of `within` that an abstract argument absorbs, given
-        the down masks of its expressions: `_conditions` on each member
-        alone.  With one expression, whose down mask holds a member's nodes
-        exactly when it holds their join, that is the test of the rank bit,
-        made first on the union of the rank bits."""
-        if len(downs) == 1:
-            rank, down = self.rank, downs[0]
-            if not down & _union(rank, within):
-                return 0
-            return sum(1 << i for i in _bits(within) if rank[i] & down)
-        return sum(1 << i for i in _bits(within) if all(_conditions(downs, (self.spans[i],))[1:]))
+        the rank bits of its expressions' nodes: `_conditions` on each
+        member alone, on the up masks of the member's nodes.  With one
+        expression, at v, a member is absorbed when all its nodes lie below
+        v, that is when their join does: when its `ups` entry holds v's
+        rank bit."""
+        ups = self.ups
+        if len(bits) == 1:
+            (bit,) = bits
+            return sum(1 << i for i in _bits(within) if ups[i] & bit)
+        lat, fmap, exprs = self.lat, self.fmap, self.exprs
+        return sum(1 << i for i in _bits(within) if all(_conditions(bits, (_ups(lat, fmap, exprs[i]),))[1:]))
 
-    def growth(self, downs: Sequence[int], g: int) -> int | None:
+    def growth(self, bits: Sequence[int], g: int) -> int | None:
         """The other members of the group's SCC that the abstract argument
-        absorbs, given the down masks of its expressions: each grows the
-        group.  None across SCCs, and 0 unless it absorbs the whole group."""
+        absorbs, given the rank bits of its expressions' nodes: each grows
+        the group.  None across SCCs, and 0 unless it absorbs the whole
+        group."""
         home = self.ix.scc_homes()[(g & -g).bit_length() - 1]
         if g & ~home:
             return None
-        outsiders = self.absorbed(downs, home & ~g)
-        return outsiders if outsiders and self.absorbed(downs, g) == g else 0
+        outsiders = self.absorbed(bits, home & ~g)
+        return outsiders if outsiders and self.absorbed(bits, g) == g else 0
 
-    def valid(self, downs: Sequence[int], g: int) -> bool:
-        return self.growth(downs, g) == 0
+    def valid(self, bits: Sequence[int], g: int) -> bool:
+        return self.growth(bits, g) == 0
 
     def arguments(self, g: int) -> list[Argument]:
         """The arguments of the bits of `g`, in id order."""
@@ -372,7 +371,7 @@ def _report(table: _ScanTable, blocked: Iterable[str], candidate: AbstractionCan
     exprs = candidate.abstract_arg.expressions
     merged = alpha(lat, fmap, exprs)
     blocked_sorted = tuple(sorted(set(blocked)))
-    growth = table.growth(_downs(lat, fmap, exprs), g)
+    growth = table.growth(_rank_bits(lat, fmap, exprs), g)
     compatible = table.compatible(g)
     targets = [ids[i] for i in _bits(g)]
     return ConservativityReport(

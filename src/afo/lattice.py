@@ -24,11 +24,13 @@ common lower bounds, so the meets need no test of their own.  Only a
 diagram that fails is checked again pair by pair in sorted order, to name
 its first failing pair.
 
-The order is kept as bitsets over ranks (Aït-Kaci, Boyer, Lincoln and Nasr,
-TOPLAS 1989): nodes are ranked by a linear extension, bottom first, and each
-has an ``up`` mask of the ranks at or above it and a ``down`` mask of the
-ranks at or below it.  A join is the lowest rank in the AND of the up masks,
-a meet the highest rank in the AND of the down masks.
+The order is kept as one bitset per node over ranks (Aït-Kaci, Boyer,
+Lincoln and Nasr, TOPLAS 1989): nodes are ranked by a linear extension,
+bottom first, and each has an ``up`` mask of the ranks at or above it.  A
+node's rank bit is the lowest bit of its up mask, and x <= y exactly when
+x's up mask holds y's rank bit.  A join is the lowest rank in the AND of
+the up masks; a meet is the highest rank whose up mask holds every given
+node's rank bit, and a down set is read off the up masks the same way.
 
 Conventions:
 
@@ -41,8 +43,9 @@ Conventions:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
+from .af import _bits
 from .errors import (
     CycleInCovers,
     EmptySet,
@@ -57,72 +60,72 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _highest(mask: int) -> int:
-    return mask.bit_length() - 1
-
-
-def _ranks(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _comparable(x: int, y: int) -> bool:
+    """Whether the nodes of up masks x and y are comparable: what they share
+    holds the rank bit of one, as -x holds x's and only bits x lacks above."""
+    common = x & y
+    return bool(common & -x or common & -y)
 
 
 class FiniteLattice:
     """A validated finite lattice. Build instances via :func:`validate_lattice`."""
 
-    def __init__(self, nodes, covers, ranked, up, down):
+    def __init__(self, nodes, covers, ranked, up):
         self.nodes: frozenset[str] = nodes
         self.covers: frozenset[tuple[str, str]] = covers
         self.top: str = ranked[-1]
         self.bottom: str = ranked[0]
         self._ranked: list[str] = ranked  # rank -> node, bottom first
         self._up: dict[str, int] = up  # node -> mask of the ranks at or above it
-        self._down: dict[str, int] = down  # node -> mask of the ranks at or below it
 
-    def _mask(self, masks: dict[str, int], node: str) -> int:
+    def _mask(self, node: str) -> int:
+        """The node's up mask."""
         try:
-            return masks[node]
+            return self._up[node]
         except KeyError:
             raise UnknownNode(f"unknown lattice node {node!r}") from None
 
     def _members(self, mask: int) -> frozenset[str]:
-        return frozenset([self._ranked[r] for r in _ranks(mask)])
+        return frozenset([self._ranked[r] for r in _bits(mask)])
 
     def leq(self, a: str, b: str) -> bool:
-        """True when a is below or equal to b."""
-        return self._mask(self._up, a) & self._mask(self._down, b) != 0
+        """True when a is below or equal to b: a's up mask holds b's rank bit."""
+        up, above = self._mask(a), self._mask(b)
+        return up & above & -above != 0
 
     def comparable(self, a: str, b: str) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
+        return _comparable(self._mask(a), self._mask(b))
 
     def up_set(self, node: str) -> frozenset[str]:
         """All nodes above or equal to the given node."""
-        return self._members(self._mask(self._up, node))
+        return self._members(self._mask(node))
 
     def down_set(self, node: str) -> frozenset[str]:
-        """All nodes below or equal to the given node."""
-        return self._members(self._mask(self._down, node))
+        """All nodes below or equal to the given node: their up masks hold its rank bit."""
+        bit = self.rank_mask([node])
+        return frozenset([n for n in self._ranked[: bit.bit_length()] if self._up[n] & bit])
 
     def join(self, nodes: Iterable[str]) -> str:
         """Least upper bound of a node set; the bottom element for an empty set."""
         uppers = self._up[self.bottom]
         for n in nodes:
-            uppers &= self._mask(self._up, n)
+            uppers &= self._mask(n)
         return self._ranked[_lowest(uppers)]
 
     def meet(self, nodes: Iterable[str]) -> str:
-        """Greatest lower bound of a node set; the top element for an empty set."""
-        lowers = self._down[self.top]
-        for n in nodes:
-            lowers &= self._mask(self._down, n)
-        return self._ranked[_highest(lowers)]
+        """Greatest lower bound of a node set; the top element for an empty set.
+        The highest rank whose up mask holds every given node's rank bit."""
+        bits = self.rank_mask(nodes)
+        if not bits:
+            return self.top
+        up = self._up
+        return next(n for n in reversed(self._ranked[: _lowest(bits) + 1]) if up[n] & bits == bits)
 
     def rank_mask(self, nodes: Iterable[str]) -> int:
-        """The mask of the given nodes' ranks (the scan's M, an argument's span)."""
+        """The mask of the given nodes' rank bits (the scan's M)."""
         out = 0
         for n in nodes:
-            up = self._mask(self._up, n)
+            up = self._mask(n)
             out |= up & -up
         return out
 
@@ -137,7 +140,7 @@ class FiniteLattice:
 
     def children(self, node: str) -> frozenset[str]:
         """Raw Hasse children, with no special case at the bottom."""
-        self._mask(self._up, node)  # raises UnknownNode
+        self._mask(node)  # raises UnknownNode
         return frozenset(c for c, p in self.covers if p == node)
 
     def atoms(self) -> frozenset[str]:
@@ -148,17 +151,15 @@ class FiniteLattice:
         """Smallest upper set containing the generators."""
         out = 0
         for g in generators:
-            out |= self._mask(self._up, g)
+            out |= self._mask(g)
         return self._members(out)
 
     def is_upper_set(self, nodes: Iterable[str]) -> bool:
-        """True when the set is closed upward under the lattice order."""
-        given = closure = 0
-        for n in set(nodes):
-            up = self._mask(self._up, n)
-            given |= up & self._down[n]
-            closure |= up
-        return closure == given
+        """True when the set is closed upward: its rank bits hold its up masks."""
+        given, closure = set(nodes), 0
+        for n in given:
+            closure |= self._mask(n)
+        return closure == self.rank_mask(given)
 
 
 def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
@@ -211,16 +212,12 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     # spreads.  A node's lift is itself unless it has one upper cover, whose
     # lift it then takes.
     up = {n: 1 << r for r, n in enumerate(ranked)}
-    down = dict(up)
     lift = {}
     for n in reversed(ranked):
         ps = parents[n]
         for p in ps:
             up[n] |= up[p]
         lift[n] = lift[ps[0]] if len(ps) == 1 else n
-    for n in ranked:
-        for p in parents[n]:
-            down[p] |= down[n]
 
     # A cover c -> p is redundant exactly when p lies strictly above another
     # parent of c, so one OR of the parents' strict up masks decides every
@@ -241,7 +238,8 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
     # join once every two upper covers of a common node have one.  Two such
     # co-covers have a join exactly when their lifts have, so each distinct
     # pair of lifts is tested once per node.  The ordered loop runs only when
-    # a test fails, to report the first pair in sorted order.
+    # a test fails, to report the first pair in sorted order; only then are
+    # the down masks (the ranks at or below each node) built, for the meets.
     commons = (
         up[a] & up[b]
         for ps in parents.values()
@@ -249,6 +247,10 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
         for a, b in combinations({lift[p] for p in ps}, 2)
     )
     if up[ranked[0]] != (1 << len(ranked)) - 1 or any(not c or c & ~up[ranked[_lowest(c)]] for c in commons):
+        down = {n: 1 << r for r, n in enumerate(ranked)}
+        for n in ranked:
+            for p in parents[n]:
+                down[p] |= down[n]
         # The lowest common upper bound is the least one exactly when every
         # common upper bound lies above it; dually for the highest lower bound.
         for a, b in combinations(sorted(node_set), 2):
@@ -256,7 +258,7 @@ def validate_lattice(nodes: Iterable[str], covers: Iterable[tuple[str, str]]) ->
             if not uppers or uppers & ~up[ranked[_lowest(uppers)]]:
                 raise NonUniqueJoin(f"nodes {a!r} and {b!r} have no unique least upper bound")
             lowers = down[a] & down[b]
-            if not lowers or lowers & ~down[ranked[_highest(lowers)]]:
+            if not lowers or lowers & ~down[ranked[lowers.bit_length() - 1]]:
                 raise NonUniqueMeet(f"nodes {a!r} and {b!r} have no unique greatest lower bound")
 
-    return FiniteLattice(node_set, cover_set, ranked, up, down)
+    return FiniteLattice(node_set, cover_set, ranked, up)

@@ -25,9 +25,10 @@ same scan.  The scan reads one `abstraction._ScanTable`, whose tests the
 public predicates call too, built per derivation and dropped with it;
 its parts are built as the scan first needs them: per bit the up mask
 of its argument's node and M's rank mask, then, once some group passes
-the node filter, the lattice-side bit masks for the compatibility,
-attack-preservation and validity tests, then, once some group is kept,
-per bit the argument's expressions and the ids merged ids must avoid.
+the node filter, per bit the arguments it attacks through clashing
+arglets, for the compatibility test (the other tests read the up masks),
+then, once some group is kept, per bit the argument's expressions and the
+ids merged ids must avoid.
 Per component, the scan gathers from those up masks the members below
 each node outside M that two or more of them reach, walking only those
 nodes, so a component whose members reach no such node costs one pass
@@ -81,26 +82,21 @@ def maximal_conservative_subsets(
     fmap: SemanticMap,
     blocked: Iterable[str],
     scc: frozenset[str],
-    *,
-    table: _ScanTable | None = None,
 ) -> _Groups:
     """Largest target groups (two or more ids) inside one SCC whose best
     abstraction is conservative, none contained in another, largest first.
     Each group comes as the candidate and map `best_abstraction_of` built
     for it; `candidate.targets` is the group.  Merged ids are fresh against
-    the framework and against every id the table handed out before, so
-    each candidate can go to `abstract_replace` as it is.
+    the framework and against each other, so each candidate can go to
+    `abstract_replace` as it is.
 
     The ids are mapped onto the bits of the framework's index, and the scan
     runs on that mask (`_scan`), as `derive_abstract_frameworks` runs it on
-    each SCC mask.  Tests are made on a `_ScanTable`, which the derivation
-    builds once for all its SCCs and which is built here, for `blocked`,
-    when not passed; a passed table stands for the `blocked` it was built
-    with.  When `scc` is one SCC, each group is valid by construction; for
-    any other id set, validity keeps out every group that spans several
+    each SCC mask, with tests made on a `_ScanTable` built here for
+    `blocked`.  When `scc` is one SCC, each group is valid by construction;
+    for any other id set, validity keeps out every group that spans several
     SCCs or can be grown."""
-    if table is None:
-        table = _ScanTable(framework, lat, fmap, frozenset(blocked))
+    table = _ScanTable(framework, lat, fmap, frozenset(blocked))
     pos = table.ix.pos
     if missing := [a for a in scc if a not in pos]:
         raise UnknownArgument(f"no arglet carries id {min(missing)!r}")
@@ -144,7 +140,7 @@ def _scan(table: _ScanTable, within: int) -> list[int]:
         if _lowest(common[r]) != r:
             continue
         v = lat._ranked[r]
-        if table.compatible(g) and table.attack_preserving(v, g) and table.valid([lat._down[v]], g):
+        if table.compatible(g) and table.attack_preserving(v, g) and table.valid([1 << r], g):
             found.append(g)
     maximal = [g for g in found if not any(g & h == g != h for h in found)]
     # bits follow id order, so the bit lists order groups as their sorted ids

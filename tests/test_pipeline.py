@@ -262,12 +262,11 @@ def test_scan_matches_set_code_on_any_id_set():
     assert invalid["growable"] >= 35
 
 
-def test_scan_raises_unknown_argument_with_and_without_table(boardroom):
+def test_scan_raises_unknown_argument(boardroom):
     fw, lat, fmap = boardroom.framework, boardroom.lattice, boardroom.fmap
-    for kwargs in ({}, {"table": _ScanTable(fw, lat, fmap, boardroom.blocked)}):
-        for scc in ({"a1", "ghost"}, {"ghost"}):
-            with pytest.raises(UnknownArgument, match="ghost"):
-                maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc), **kwargs)
+    for scc in ({"a1", "ghost"}, {"ghost"}):
+        with pytest.raises(UnknownArgument, match="ghost"):
+            maximal_conservative_subsets(fw, lat, fmap, boardroom.blocked, fs(scc))
 
 
 def test_scan_table_up_masks_match_alpha_and_unknown_nodes_raise():
@@ -326,29 +325,23 @@ def flower_1000():
 
 def test_flower_scale_scan_keeps_one_group_per_hub_within_a_limit(flower_1000):
     """1,000 hubs over 9 petals, one 3-cycle per hub (`flower_instance`):
-    the scan over all 1,000 SCCs with one table keeps each cycle, merged at
-    its hub under a fresh synthetic symbol.  On a shared 2-core Xeon under
-    CPython 3.11 the scan took about 0.1 s; walking every rank of the
-    10,002-node lattice per SCC, and copying every id and the whole map per
-    kept group, took about 1.06 s."""
+    the derivation scans all 1,000 SCCs with one table and keeps each
+    cycle, merged at its hub under a fresh synthetic symbol.  On a shared
+    2-core Xeon under CPython 3.11 the derivation took about 0.06 s; the
+    scan alone, walking every rank of the 10,002-node lattice per SCC and
+    copying every id and the whole map per kept group, took about 1.06 s."""
     framework, lat, fmap, blocked = flower_1000
-    sccs = strongly_connected_components(framework)
-    kept = []
     start = time.perf_counter()
-    table = _ScanTable(framework, lat, fmap, blocked)
-    for scc in sccs:
-        # each group's map is the whole map plus its new symbol; only that
-        # symbol's node is kept
-        for candidate, xmap in maximal_conservative_subsets(framework, lat, fmap, blocked, scc, table=table):
-            (symbol,) = candidate.abstract_arg.expressions
-            kept.append((scc, candidate, symbol, xmap.image(symbol)))
+    result = derive_abstract_frameworks(framework, lat, fmap, blocked)
     elapsed = time.perf_counter() - start
-    assert len(sccs) == len(kept) == 1000
-    for scc, candidate, symbol, node in kept:
-        hub = "h" + min(scc)[1:].split("_")[0]
-        assert candidate.targets == scc
-        assert candidate.abstract_arg.arg_id == "+".join(sorted(scc))
-        assert symbol == f"{hub}#abs" and node == hub and symbol not in fmap
+    assert sorted(steps[0].scc for steps in result.replacements) == sorted(strongly_connected_components(framework))
+    assert len(result.replacements) == 1000
+    for (step,) in result.replacements:
+        hub = "h" + min(step.scc)[1:].split("_")[0]
+        (symbol,) = step.abstract_arg.expressions
+        assert step.targets == step.scc
+        assert step.abstract_arg.arg_id == "+".join(sorted(step.scc))
+        assert symbol == f"{hub}#abs" and result.fmap.image(symbol) == hub and symbol not in fmap
     assert elapsed < 1.0
 
 
@@ -482,7 +475,7 @@ def test_index_lives_on_the_framework_outside_its_value(boardroom, marathon):
     """The graph index is all that `sharpen` leaves on a framework, and it
     stays out of the framework's value: `vars`, `repr`, the hash and
     equality with an unindexed twin are unchanged, and the index equals a
-    fresh one.  A passed table changes no result."""
+    fresh one."""
     rng = random.Random(4321)
     inputs = [(m.framework, m.lattice, m.fmap, m.blocked) for m in (boardroom, marathon)]
     inputs += [multi_hub_instance(rng, outsiders=rng.randint(0, 2)) for _ in range(40)]
@@ -499,11 +492,8 @@ def test_index_lives_on_the_framework_outside_its_value(boardroom, marathon):
         for index in (ix, fresh):
             index.scc_homes()
         assert all(getattr(ix, slot) == getattr(fresh, slot) for slot in _Index.__slots__)
-        table = _ScanTable(fw, lat, fmap, frozenset(blocked))
         for scc in strongly_connected_components(fw):
-            groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
-            assert maximal_conservative_subsets(fw, lat, fmap, blocked, scc, table=table) == groups
-            kept += len(groups)
+            kept += len(maximal_conservative_subsets(fw, lat, fmap, blocked, scc))
     assert kept >= 30
 
 
@@ -896,18 +886,17 @@ def test_a_derivation_with_no_candidate_names_nothing(monkeypatch):
 
 
 def test_the_derivation_keeps_what_the_public_scan_keeps():
-    """Per SCC, in scan order and against one table, the public scan's
-    groups are the derivation's replacements for that SCC, with the same
-    merged ids, and its maps bind every symbol the derivation minted."""
+    """Per SCC, in scan order, the public scan's groups are the
+    derivation's replacements for that SCC, with the same merged ids, and
+    its maps bind every symbol the derivation minted."""
     rng = random.Random(2728)
     kept = bare = 0
     for _ in range(120):
         fw, lat, fmap, blocked = multi_hub_instance(rng, outsiders=rng.randint(0, 3))
         result = derive_abstract_frameworks(fw, lat, fmap, blocked)
         made = {steps[0].scc: steps for steps in result.replacements}
-        table = _ScanTable(fw, lat, fmap, blocked)
         for scc in strongly_connected_components(fw):
-            groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc, table=table)
+            groups = maximal_conservative_subsets(fw, lat, fmap, blocked, scc)
             assert made.pop(scc, ()) == tuple(ReplacementStep(scc, c.targets, c.abstract_arg) for c, _ in groups)
             for candidate, xmap in groups:
                 for symbol in candidate.abstract_arg.expressions:
@@ -920,10 +909,10 @@ def test_the_derivation_keeps_what_the_public_scan_keeps():
 
 
 def test_scan_without_table_runs_tarjan_only_for_a_candidate_group(monkeypatch):
-    """Called without `table=`, the per-SCC scan runs no Tarjan for a
-    one-id set or when no group passes the node filter.  Over all the scans
-    of one framework it runs Tarjan at most once, and exactly once when it
-    keeps a group: the SCC masks stay on the framework's index."""
+    """The public per-SCC scan, which builds its own table, runs no Tarjan
+    for a one-id set or when no group passes the node filter.  Over all the
+    scans of one framework it runs Tarjan at most once, and exactly once
+    when it keeps a group: the SCC masks stay on the framework's index."""
     runs = []
     tarjan = afo.af._sccs
     monkeypatch.setattr(afo.af, "_sccs", lambda ix, within: runs.append(within) or tarjan(ix, within))
