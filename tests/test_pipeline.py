@@ -327,9 +327,9 @@ def test_flower_scale_scan_keeps_one_group_per_hub_within_a_limit(flower_1000):
     """1,000 hubs over 9 petals, one 3-cycle per hub (`flower_instance`):
     the derivation scans all 1,000 SCCs with one table and keeps each
     cycle, merged at its hub under a fresh synthetic symbol.  On a shared
-    2-core Xeon under CPython 3.11 the derivation took about 0.06 s; the
-    scan alone, walking every rank of the 10,002-node lattice per SCC and
-    copying every id and the whole map per kept group, took about 1.06 s."""
+    2-core Xeon under CPython 3.11 the derivation took about 0.06 s; a
+    scan that walked every rank of the 10,002-node lattice per SCC, and
+    copied every id and the whole map per kept group, took about 1.06 s."""
     framework, lat, fmap, blocked = flower_1000
     start = time.perf_counter()
     result = derive_abstract_frameworks(framework, lat, fmap, blocked)
