@@ -269,7 +269,8 @@ class _ScanTable:
         absorbs, given the rank bits of its expressions' nodes: each grows
         the group.  None across SCCs, and 0 unless it absorbs the whole
         group."""
-        home = self.ix.scc_homes()[(g & -g).bit_length() - 1]
+        ix = self.ix
+        home = ix.scc_masks()[ix.scc_homes()[(g & -g).bit_length() - 1]]
         if g & ~home:
             return None
         outsiders = self.absorbed(bits, home & ~g)

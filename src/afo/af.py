@@ -123,8 +123,10 @@ def strongly_connected_components(framework: Framework) -> list[frozenset[str]]:
 # Every graph question of the package (SCCs, paths, the semantics, the
 # group scan and validity) is answered on one index per framework, built on
 # first use by `_index` and kept on the framework, with its SCC masks once
-# asked for: argument i is bit i of a Python int, in id order.  The index
-# names no mask: extensions are named by `semantics._extensions`, SCCs by
+# asked for: argument i is bit i of a Python int, in id order.  The private
+# kernels take the index they search, so `sharpen` searches each fork on an
+# index of its own that the fork never holds.  The index names no mask:
+# extensions are named by `semantics._extensions`, SCCs by
 # `strongly_connected_components`.  Each walk keeps its own stack, so no
 # depth of input can hit the interpreter's recursion limit.
 
@@ -140,25 +142,15 @@ def _index(framework: Framework) -> _Index:
         return ix
 
 
-def _drop_index(framework: Framework) -> None:
-    """Forget the framework's graph index, if it has one; the next
-    `_index` call builds it again."""
-    try:
-        object.__delattr__(framework, "_ix")
-    except AttributeError:
-        pass
-
-
-def _contract(parent: Framework, child: Framework, merged: dict[str, str]) -> None:
-    """Hand `child` the SCC masks of `parent`, renamed, so that its index
-    runs no Tarjan.  `child` must be `parent` with groups merged, each
-    inside one SCC of `parent` (as `pipeline.derive_abstract_frameworks`
-    builds its forks), and `merged` must map each member of a group to the
-    group's id.  Merging arguments of one SCC keeps it strongly connected
-    and joins no two SCCs, as a path of `child` lifts to a walk of
-    `parent`: so these are the SCCs of `child`, still attackers first,
-    though ties may fall otherwise than `_sccs` would break them."""
-    source, ix = _index(parent), _index(child)
+def _contract(source: _Index, ix: _Index, merged: dict[str, str]) -> None:
+    """Hand `ix` the SCC masks of `source`, renamed, so that it runs no
+    Tarjan.  `ix` must index `source`'s framework with groups merged, each
+    inside one SCC of it (as `pipeline.derive_abstract_frameworks` builds
+    its forks), and `merged` must map each member of a group to the group's
+    id.  Merging arguments of one SCC keeps it strongly connected and joins
+    no two SCCs, as a path of the fork lifts to a walk of its input: so
+    these are the SCCs of the fork, still attackers first, though ties may
+    fall otherwise than `_sccs` would break them."""
     pos = ix.pos
     rows = [1 << pos[merged.get(a, a)] for a in source.ids]
     ix.sccs = [_union(rows, comp) for comp in source.scc_masks()]
@@ -167,9 +159,9 @@ def _contract(parent: Framework, child: Framework, merged: dict[str, str]) -> No
 class _Index:
     """Sorted ids and their bits; per argument the masks of its attackers,
     of its targets and of both; the mask of self-attacking arguments and of
-    every argument; and, once asked for, the SCC masks and each bit's SCC.  A
-    plain class: a NamedTuple would add its class-building cost to every
-    import."""
+    every argument; and, once asked for, the SCC masks and each bit's place
+    among them.  A plain class: a NamedTuple would add its class-building
+    cost to every import."""
 
     __slots__ = ("ids", "pos", "attackers", "targets", "neighbours", "loops", "everything", "sccs", "homes")
 
@@ -196,12 +188,12 @@ class _Index:
         return self.sccs
 
     def scc_homes(self) -> list[int]:
-        """Per bit, the mask of its SCC, from `scc_masks`, on the first call."""
+        """Per bit, the place of its SCC in `scc_masks`, on the first call."""
         if self.homes is None:
             self.homes = homes = [0] * len(self.ids)
-            for comp in self.scc_masks():
+            for place, comp in enumerate(self.scc_masks()):
                 for i in _bits(comp):
-                    homes[i] = comp
+                    homes[i] = place
         return self.homes
 
 

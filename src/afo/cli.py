@@ -74,7 +74,8 @@ def _json_classification(report: SharpeningReport) -> dict:
 # The writers below return, from the report's own objects, the text that
 # `json.dumps(value, indent=2, sort_keys=True)` returns for the value the
 # matching `_json_*` builder makes of them; `indent` is the indent of the
-# line the value ends on.  The builders stay as their reference.
+# line the value ends on.  The CLI calls no builder: they remain only as
+# the reference for the tests and for `bench/workloads.report_payload`.
 
 
 def _list(texts, indent: str) -> str:
@@ -304,8 +305,8 @@ def _cmd_sharpen(args, model: AfoModel) -> int:
             expected = preferred_bruteforce(framework)
             if got != expected:
                 print(
-                    f"oracle mismatch on {label}: enumeration {_json_extensions(got)} "
-                    f"!= brute force {_json_extensions(expected)}",
+                    f"oracle mismatch on {label}: enumeration {[sorted(e) for e in got]} "
+                    f"!= brute force {[sorted(e) for e in expected]}",
                     file=sys.stderr,
                 )
                 return 2

@@ -201,7 +201,8 @@ def load_afo(path: str) -> tuple[AfoModel, AfoDocument, list[str]]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # numbered as `parse_afo` numbers lines, by `str.splitlines`
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise AfoSyntaxError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
     del data  # the bytes are not needed while the text is parsed
     document, warnings = parse_afo(text)

@@ -44,7 +44,7 @@ from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .abstraction import _check_targets, _Groups, _ScanTable, best_abstraction_of
-from .af import Arglet, Argument, Framework, _bits, _contract, _drop_index, _index
+from .af import Arglet, Argument, Framework, _bits, _contract, _Index, _index
 from .errors import EmptySet, IdCollision, UnknownArgument
 from .galois import SemanticMap
 from .lattice import FiniteLattice, _lowest
@@ -220,7 +220,7 @@ def derive_abstract_frameworks(
     replacements: list[tuple[ReplacementStep, ...]] = []
     for comp in table.ix.scc_masks():
         # every group lies inside its SCC: `sharpen` relies on it when it
-        # hands each fork the input's SCC masks (`af._contract`)
+        # hands each fork's index the input's SCC masks (`af._contract`)
         groups = _scan(table, comp) if comp & (comp - 1) else []
         if not groups:
             continue
@@ -344,20 +344,20 @@ def sharpen(
     `preferred`'s search (`_preferred_masks`) runs once on the input and
     once on every fork, and each framework's masks are named once.  With no
     group merged, the input is the one derived framework and projects onto
-    itself: its masks without 0, under `concrete`'s names.  Each fork takes
-    its SCC masks from the input's (`af._contract`: on `docs`, seed 3, 10
-    pairs of 20 s, 706.1 instances/s against 692.7 with a Tarjan per fork)
-    and drops its index after its search.  Each of its extensions maps onto a
-    mask over the input's ids through one map of ids to bits per call, in
-    which merged ids map to nothing.  Projected masks drop 0 and are
-    deduplicated and ordered as `_extensions` orders them; identical
-    projections are kept once, and each distinct projected mask is named
-    once, from an extension that projects onto it, and shared.  The
-    verdicts read the AND and the OR of the concrete masks and of every
-    projected mask (an empty projection puts nothing in all of them), and
-    `_tally`'s counts."""
+    itself: its masks without 0, under `concrete`'s names.  Each fork is
+    searched on an index of its own, which the fork never holds, with its
+    SCC masks taken from the input's (`af._contract`: on `docs`, seed 3, 10
+    pairs of 20 s, 706.1 instances/s against 692.7 with a Tarjan per fork).
+    Each of its extensions maps onto a mask over the input's ids through
+    one map of ids to bits per call, in which merged ids map to nothing.
+    Projected masks drop 0 and are deduplicated and ordered as
+    `_extensions` orders them; identical projections are kept once, and
+    each distinct projected mask is named once, from an extension that
+    projects onto it, and shared.  The verdicts read the AND and the OR of
+    the concrete masks and of every projected mask (an empty projection
+    puts nothing in all of them), and `_tally`'s counts."""
     ix = _index(framework)
-    masks = _preferred_masks(framework)
+    masks = _preferred_masks(ix)
     concrete = _extensions(ix, masks)
     derivation = derive_abstract_frameworks(framework, lat, fmap, blocked)
     if not derivation.replacements:
@@ -372,9 +372,9 @@ def sharpen(
         unique: dict[tuple[int, ...], None] = {}
         holder: dict[int, frozenset[str]] = {}  # each projected mask -> an extension that projects onto it
         for f, steps in zip(derivation.frameworks, derivation.provenance):
-            _contract(framework, f, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
-            named = _extensions(_index(f), _preferred_masks(f))
-            _drop_index(f)
+            fx = _Index(f)
+            _contract(ix, fx, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
+            named = _extensions(fx, _preferred_masks(fx))
             abstract_preferred.append(named)
             down = {sum(map(bit_of.__getitem__, e)): e for e in named}
             down.pop(0, None)

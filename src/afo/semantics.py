@@ -339,42 +339,39 @@ def _preferred_scc(ix: _Index, comp: int, sccs: list[int]) -> list[int]:
     return _run(_scc_recursive(ix, comp, sccs, base))
 
 
-def _preferred_masks(framework: Framework) -> list[int]:
-    """The preferred extensions as distinct in masks over the framework's
-    sorted ids, in no set order: what `preferred` names.
+def _preferred_masks(ix: _Index) -> list[int]:
+    """The preferred extensions as distinct in masks over the sorted ids of
+    the index, in no set order: what `preferred` names.
 
     Every preferred extension holds the grounded extension and nothing it
     attacks, and the undecided rest splits into weakly connected
     components whose choices are independent.  A component inside one SCC
     is searched whole (`_preferred_in`); one that meets several SCCs goes
     SCC by SCC, attackers first (`_preferred_scc`), on the SCC masks the
-    framework's index keeps.  The extensions are the grounded extension
-    plus one choice per component, so no two are equal.
+    index keeps.  The extensions are the grounded extension plus one
+    choice per component, so no two are equal.
     """
-    ix = _index(framework)
     accepted, defeated = _grounded(ix)
     per_component = []
     comps = _components(ix, ix.everything & ~(accepted | defeated))
-    rank: dict[int, int] = {}  # each SCC's place, attackers first, once needed
     for comp in comps:
         if len(comps) == 1:
             sccs = [scc & comp for scc in ix.scc_masks() if scc & comp]
         else:  # not a walk of every SCC per component: the SCCs its arguments lie in
-            homes, rest, sccs = ix.scc_homes(), comp, []
+            homes, masks, rest, places = ix.scc_homes(), ix.scc_masks(), comp, []
             while rest:
-                sccs.append(homes[(rest & -rest).bit_length() - 1])
-                rest &= ~sccs[-1]
-            if len(sccs) > 1:
-                rank = rank or {scc: r for r, scc in enumerate(ix.scc_masks())}
-                sccs = [scc & comp for scc in sorted(sccs, key=rank.__getitem__)]
+                places.append(homes[(rest & -rest).bit_length() - 1])
+                rest &= ~masks[places[-1]]
+            sccs = [masks[p] & comp for p in sorted(places)]
         per_component.append(_preferred_in(ix, comp) if len(sccs) == 1 else _preferred_scc(ix, comp, sccs))
     return reduce(_product, per_component, [accepted])
 
 
 def preferred(framework: Framework) -> list[frozenset[str]]:
-    """All maximal admissible sets: the masks of `_preferred_masks`, named
-    and ordered by `_extensions`."""
-    return _extensions(_index(framework), _preferred_masks(framework))
+    """All maximal admissible sets: the masks of `_preferred_masks` on the
+    framework's index, named and ordered by `_extensions`."""
+    ix = _index(framework)
+    return _extensions(ix, _preferred_masks(ix))
 
 
 def grounded_labelling(framework: Framework) -> dict[str, str]:

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import afo.cli
 from afo import Argument, ArgumentVerdict, Framework, abstract_replace, cf2, grounded_labelling, preferred
 from afo.cli import (
     _dict,
@@ -114,6 +115,22 @@ def test_byte_order_mark_keeps_bad_byte_lines(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err == "error: AfoSyntaxError: line 2: byte 0xe9 is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0c", "\x85", "\u2028"])
+def test_bad_byte_lines_are_numbered_as_the_parser_numbers_them(capsys, tmp_path, sep):
+    """`str.splitlines` breaks lines on more than b"\\n", and the parser
+    numbers lines by it: a bad byte's line is the parser's line."""
+    head = f"node a{sep}node b{sep}arglet x ".encode()
+    path = tmp_path / "separators.afo"
+    path.write_bytes(head + b"\xff\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: AfoSyntaxError: line 3: byte 0xff is not valid UTF-8\n"
+    path.write_bytes(head + b"ghost\n")
+    assert run_cli(capsys, "validate", str(path))[2] == (
+        "error: UnknownReference: line 3: arglet references undeclared expression 'ghost'\n"
+    )
 
 
 def test_usage_error_exits_one():
@@ -600,6 +617,17 @@ def test_sharpen_oracle_passes_on_corpus(fixtures_dir):
         )
         assert proc.returncode == 0, proc.stderr
         json.loads(proc.stdout)
+
+
+def test_sharpen_oracle_mismatch_exits_two(capsys, fixtures_dir, monkeypatch):
+    monkeypatch.setattr(afo.cli, "preferred_bruteforce", lambda framework: preferred(framework)[::-1])
+    code, out, err = run_cli(capsys, "sharpen", str(fixtures_dir / "mutual.afo"), "--oracle")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "W001 line 11: attack x y expanded to all arglet pairs",
+        "W001 line 12: attack y x expanded to all arglet pairs",
+        "oracle mismatch on concrete: enumeration [['x'], ['y']] != brute force [['y'], ['x']]",
+    ]
 
 
 def test_sharpen_mutual(capsys, fixtures_dir):

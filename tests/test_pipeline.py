@@ -5,8 +5,10 @@ from itertools import product
 
 import pytest
 
+import afo.abstraction
 import afo.af
 import afo.pipeline
+import afo.semantics
 from afo import (
     AbstractionCandidate,
     Argument,
@@ -423,8 +425,8 @@ def test_forks_take_the_sccs_of_their_input():
         for built, steps in zip(result.frameworks, result.provenance):
             if built is fw:
                 continue
-            _contract(fw, built, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
-            ix = built._ix
+            ix = _Index(built)
+            _contract(_index(fw), ix, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
             names = [frozenset(ix.ids[i] for i in range(len(ix.ids)) if m >> i & 1) for m in ix.sccs]
             fresh = Framework(built.arglets, built.attacks)
             assert set(names) == set(strongly_connected_components(fresh))
@@ -436,14 +438,24 @@ def test_forks_take_the_sccs_of_their_input():
     assert checked >= 300
 
 
-def test_sharpen_drops_each_fork_index_after_its_preferred():
-    """Only the input keeps the index `preferred` built; each fork's is
-    dropped after its own run, and rebuilding it gives the same answer."""
+def test_sharpen_indexes_only_its_input(monkeypatch):
+    """`sharpen` asks `_index` for its input alone, in every module, and
+    searches each fork on an index of its own, so only the input keeps an
+    index, and each fork, indexed afresh, gives the same answer."""
+    indexed = []
+
+    def spy(framework):
+        indexed.append(framework)
+        return _index(framework)
+
+    for module in (afo.af, afo.abstraction, afo.pipeline, afo.semantics):
+        monkeypatch.setattr(module, "_index", spy)
     model = build_model(parse_afo(forking_chain(3))[0])
     fw = model.framework
     report = sharpen(fw, model.lattice, model.fmap, model.blocked)
     forks = report.derivation.frameworks
     assert len(forks) == 8 and fw not in forks
+    assert indexed and all(f is fw for f in indexed)
     assert hasattr(fw, "_ix")
     assert not any(hasattr(f, "_ix") for f in forks)
     for f, extensions in zip(forks, report.abstract_preferred):
@@ -822,14 +834,14 @@ def test_sharpen_without_groups_runs_preferred_once(monkeypatch):
     )
     calls = []
 
-    def counting_search(framework):
-        calls.append(framework)
-        return _preferred_masks(framework)
+    def counting_search(ix):
+        calls.append(ix)
+        return _preferred_masks(ix)
 
     monkeypatch.setattr(afo.pipeline, "_preferred_masks", counting_search)
     report = sharpen(fw, WITNESS_LATTICE, WITNESS_MAP, fs({"top"}))
     (derived,) = report.derivation.frameworks
-    assert derived is fw and len(calls) == 1 and calls[0] is fw
+    assert derived is fw and len(calls) == 1 and calls[0] is _index(fw)
     assert report.abstract_preferred == (report.concrete,)
     # the input is no fork: it keeps its index
     assert hasattr(fw, "_ix")

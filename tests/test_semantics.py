@@ -666,7 +666,7 @@ def test_the_scc_driver_asks_base_once_per_interface():
             asked.append(scc)
             return _preferred_in(ix, live, _union(ix.targets, doubt) & live if doubt else 0)
 
-        assert set(_run(_scc_recursive(ix, ix.everything, sccs, base))) == set(_preferred_masks(fw))
+        assert set(_run(_scc_recursive(ix, ix.everything, sccs, base))) == set(_preferred_masks(ix))
         for i, scc in enumerate(sccs):
             feeders = _union(ix.attackers, scc) & ~scc
             if not feeders:

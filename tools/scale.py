@@ -33,6 +33,12 @@ for one more call run under `tracemalloc`, the peak of memory allocated
 during the call and the memory still allocated when it returns, with its
 result held.  The package and the generators are read from the checkout
 the script lies in.
+
+One run per commit cannot compare two commits: the rows of one commit
+read up to 1.5x apart from one process to the next.  To compare, run
+three processes per side, interleaved (parent, change, parent, ...), and
+take each row's best over a side's processes; the memory columns repeat
+exactly in every process.
 """
 
 from __future__ import annotations
