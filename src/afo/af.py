@@ -9,6 +9,7 @@ another as soon as any of their arglets do.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -178,7 +179,7 @@ class _Index:
         self.loops = sum(1 << i for i, a in enumerate(attackers) if a >> i & 1)
         self.everything = (1 << len(ids)) - 1
         self.sccs: list[int] | None = None
-        self.homes: list[int] | None = None
+        self.homes: array | None = None
 
     def scc_masks(self) -> list[int]:
         """The SCC masks of the whole graph, attackers first (`_sccs`): one
@@ -187,10 +188,11 @@ class _Index:
             self.sccs = _sccs(self, self.everything)
         return self.sccs
 
-    def scc_homes(self) -> list[int]:
-        """Per bit, the place of its SCC in `scc_masks`, on the first call."""
+    def scc_homes(self) -> array:
+        """Per bit, the place of its SCC in `scc_masks`, on the first call:
+        machine ints, as a list would hold an int object per place past 256."""
         if self.homes is None:
-            self.homes = homes = [0] * len(self.ids)
+            self.homes = homes = array("i", [0]) * len(self.ids)
             for place, comp in enumerate(self.scc_masks()):
                 for i in _bits(comp):
                     homes[i] = place

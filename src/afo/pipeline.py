@@ -375,6 +375,7 @@ def sharpen(
             fx = _Index(f)
             _contract(ix, fx, {a: step.abstract_arg.arg_id for step in steps for a in step.targets})
             named = _extensions(fx, _preferred_masks(fx))
+            del fx  # freed before the next fork's index is built
             abstract_preferred.append(named)
             down = {sum(map(bit_of.__getitem__, e)): e for e in named}
             down.pop(0, None)
