@@ -345,9 +345,10 @@ def sharpen(
     once on every fork, and each framework's masks are named once.  With no
     group merged, the input is the one derived framework and projects onto
     itself: its masks without 0, under `concrete`'s names.  Each fork is
-    searched on an index of its own, which the fork never holds, with its
-    SCC masks taken from the input's (`af._contract`: on `docs`, seed 3, 10
-    pairs of 20 s, 706.1 instances/s against 692.7 with a Tarjan per fork).
+    searched on an index of its own, which the fork never holds and which
+    is freed before the next fork's is built, with its SCC masks taken from
+    the input's (`af._contract`: on `docs`, seed 3, 10 pairs of 20 s, 706.1
+    instances/s against 692.7 with a Tarjan per fork).
     Each of its extensions maps onto a mask over the input's ids through
     one map of ids to bits per call, in which merged ids map to nothing.
     Projected masks drop 0 and are deduplicated and ordered as

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+import weakref
 from itertools import product
 
 import pytest
@@ -460,6 +461,23 @@ def test_sharpen_indexes_only_its_input(monkeypatch):
     assert not any(hasattr(f, "_ix") for f in forks)
     for f, extensions in zip(forks, report.abstract_preferred):
         assert tuple(preferred(f)) == extensions
+
+
+def test_sharpen_frees_each_fork_index_before_the_next(monkeypatch):
+    """No two fork indexes are alive at once, and none outlives `sharpen`:
+    its peak memory holds one fork index at a time."""
+    built = []
+
+    class Spy(_Index):
+        def __init__(self, framework):
+            assert not any(ref() for ref in built)
+            super().__init__(framework)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(afo.pipeline, "_Index", Spy)
+    model = build_model(parse_afo(forking_chain(3))[0])
+    sharpen(model.framework, model.lattice, model.fmap, model.blocked)
+    assert len(built) == 8 and not any(ref() for ref in built)
 
 
 def test_best_abstractions_are_built_for_returned_groups_only(monkeypatch):
