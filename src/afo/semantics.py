@@ -358,11 +358,13 @@ def _preferred_masks(ix: _Index) -> list[int]:
         if len(comps) == 1:
             sccs = [scc & comp for scc in ix.scc_masks() if scc & comp]
         else:  # not a walk of every SCC per component: the SCCs its arguments lie in
-            homes, masks, rest, places = ix.scc_homes(), ix.scc_masks(), comp, []
-            while rest:
-                places.append(homes[(rest & -rest).bit_length() - 1])
-                rest &= ~masks[places[-1]]
-            sccs = [masks[p] & comp for p in sorted(places)]
+            homes, masks = ix.scc_homes(), ix.scc_masks()
+            rest, sccs = comp, []
+            while rest:  # first their places, attackers first once sorted
+                sccs.append(homes[(rest & -rest).bit_length() - 1])
+                rest &= ~masks[sccs[-1]]
+            if len(sccs) > 1:
+                sccs = [masks[p] & comp for p in sorted(sccs)]
         per_component.append(_preferred_in(ix, comp) if len(sccs) == 1 else _preferred_scc(ix, comp, sccs))
     return reduce(_product, per_component, [accepted])
 
