@@ -348,15 +348,15 @@ def sharpen(
     searched on an index of its own, which the fork never holds and which
     is freed before the next fork's is built, with its SCC masks taken from
     the input's (`af._contract`: on `docs`, seed 3, 10 pairs of 20 s, 706.1
-    instances/s against 692.7 with a Tarjan per fork).
-    Each of its extensions maps onto a mask over the input's ids through
-    one map of ids to bits per call, in which merged ids map to nothing.
-    Projected masks drop 0 and are deduplicated and ordered as
-    `_extensions` orders them; identical projections are kept once, and
-    each distinct projected mask is named once, from an extension that
-    projects onto it, and shared.  The verdicts read the AND and the OR of
-    the concrete masks and of every projected mask (an empty projection
-    puts nothing in all of them), and `_tally`'s counts."""
+    instances/s against 692.7 with a Tarjan per fork).  Each of its
+    extensions maps onto a mask over the input's ids through one map of ids
+    to bits per call, in which merged ids map to nothing.  Projected masks
+    drop 0 and are deduplicated and ordered as `_extensions` orders them;
+    identical projections are kept once, and each distinct projected mask
+    is named once, from an extension that projects onto it, and shared.
+    The verdicts read the AND and the OR of the concrete masks and of every
+    projected mask (an empty projection puts nothing in all of them), and
+    `_tally`'s counts."""
     ix = _index(framework)
     masks = _preferred_masks(ix)
     concrete = _extensions(ix, masks)
