@@ -32,15 +32,16 @@ from .errors import AfoSyntaxError, DuplicateDeclaration, UnknownReference
 from .galois import SemanticMap
 from .lattice import FiniteLattice, validate_lattice
 
-# keyword -> (arity, message for a repeated declaration); repeated attacks merge
+# keyword -> (arity, message for a repeated declaration, whether it is keyed
+# by all its identifiers); repeated attacks merge
 _DIRECTIVES = {
-    "node": (1, "node {!r} already declared"),
-    "cover": (2, "cover {} {} already declared"),
-    "general": (1, "general {!r} already declared"),
-    "expr": (1, "expr {!r} already declared"),
-    "map": (2, "expression {!r} already mapped"),
-    "arglet": (2, "arglet {} {} already declared"),
-    "attack": (2, None),
+    "node": (1, "node {!r} already declared", False),
+    "cover": (2, "cover {} {} already declared", True),
+    "general": (1, "general {!r} already declared", False),
+    "expr": (1, "expr {!r} already declared", False),
+    "map": (2, "expression {!r} already mapped", False),
+    "arglet": (2, "arglet {} {} already declared", True),
+    "attack": (2, None, False),
 }
 
 
@@ -72,34 +73,45 @@ def _plain_id(token: str, line: int) -> str:
 
 def parse_afo(text: str) -> tuple[AfoDocument, list[str]]:
     """Parse and resolve a document; returns it with any warnings."""
-    # per keyword, key -> (identifiers, line); a cover or an arglet is keyed
-    # by all its identifiers, any other declaration by its first
+    # per keyword, key -> (identifiers, line), the identifiers a tuple without
+    # the keyword.  A line's split list keeps room for a dozen tokens, and
+    # CPython keeps a freed tuple on a free list per size, where tracemalloc
+    # still counts it: storing the lists, or 3-tuples that hold the keyword,
+    # raises the loader's peak.  For the same peak `load_afo` lets its file
+    # object go before the parse.  A cover or an arglet is keyed by all its
+    # identifiers, any other declaration by its first.
     decls: dict[str, dict] = {keyword: {} for keyword in _DIRECTIVES}
     dotted: list[tuple[Arglet, Arglet, int]] = []
     sugar: list[tuple[str, str, int]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+    # one split per line, which drops the whitespace `strip()` would; a
+    # token holds a '.' only on a line that does
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        tokens = body.split()
-        keyword, rest = tokens[0], tuple(tokens[1:])
-        if keyword not in _DIRECTIVES:
-            raise AfoSyntaxError(lineno, f"unknown directive {keyword!r}")
-        arity, duplicate = _DIRECTIVES[keyword]
-        if len(rest) != arity:
-            raise AfoSyntaxError(lineno, f"{keyword} takes {arity} argument(s), got {len(rest)}")
+        keyword = tokens.pop(0)
+        try:
+            arity, duplicate, whole = _DIRECTIVES[keyword]
+        except KeyError:
+            raise AfoSyntaxError(lineno, f"unknown directive {keyword!r}") from None
+        if len(tokens) != arity:
+            raise AfoSyntaxError(lineno, f"{keyword} takes {arity} argument(s), got {len(tokens)}")
 
         if duplicate is not None:
-            for token in rest:
-                _plain_id(token, lineno)
+            rest = tuple(tokens)
+            if "." in line:
+                for token in rest:
+                    _plain_id(token, lineno)
             table = decls[keyword]
-            key = rest if keyword in ("cover", "arglet") else rest[0]
+            key = rest if whole else rest[0]
             if key in table:
                 raise DuplicateDeclaration(lineno, duplicate.format(*rest))
             table[key] = (rest, lineno)
         else:  # attack
-            first, second = rest
+            first, second = tokens
             if ("." in first) != ("." in second):
                 raise AfoSyntaxError(lineno, "attack endpoints must both be arglets or both argument ids")
             if "." in first:
@@ -195,9 +207,17 @@ def build_model(document: AfoDocument) -> AfoModel:
 
 
 def load_afo(path: str) -> tuple[AfoModel, AfoDocument, list[str]]:
+    try:
+        file = open(path, "rb")
+    except OSError:
+        # the path as `Path` spells it (no trailing '/' nor leading './', ''
+        # as '.'), which the loader has always read and named in its errors
+        file = open(Path(path), "rb")
     # a leading byte order mark is dropped, not decoded by "utf-8-sig",
     # whose error offsets would not count its three bytes
-    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    with file:
+        data = file.read().removeprefix(codecs.BOM_UTF8)
+    del file  # closed, it still holds memory the parse's peak would count
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

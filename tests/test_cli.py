@@ -68,9 +68,22 @@ def test_validate_broken_lattice(capsys, fixtures_dir):
 
 
 def test_missing_file(capsys):
-    code, _, err = run_cli(capsys, "validate", "does_not_exist.afo")
-    assert code == 1
-    assert "error" in err
+    code, out, err = run_cli(capsys, "validate", "does_not_exist.afo")
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 2] No such file or directory: 'does_not_exist.afo'\n"
+
+
+def test_unreadable_paths_are_named_as_path_spells_them(capsys, fixtures_dir, tmp_path):
+    """A directory is an OSError line; a path is read, or named in the
+    error, as `pathlib.Path` spells it: no trailing '/' nor leading './'."""
+    code, out, err = run_cli(capsys, "validate", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    code, out, err = run_cli(capsys, "validate", f"{tmp_path}/")
+    assert (code, out, err) == (1, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    code, out, err = run_cli(capsys, "validate", "./does_not_exist.afo")
+    assert (code, out, err) == (1, "", "error: [Errno 2] No such file or directory: 'does_not_exist.afo'\n")
+    plain = run_cli(capsys, "validate", str(fixtures_dir / "fix1.afo"))
+    assert run_cli(capsys, "validate", f"{fixtures_dir / 'fix1.afo'}/") == plain
 
 
 class ClosedPipe(io.TextIOBase):

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 
@@ -6,9 +9,9 @@ import pytest
 
 from afo import AfoError, NonUniqueJoin
 from afo.errors import AfoFileError, AfoSyntaxError, DuplicateDeclaration, UnknownReference
-from afo.format import AfoDocument, build_model, parse_afo, serialize_afo
+from afo.format import AfoDocument, build_model, load_afo, parse_afo, serialize_afo
 
-from generators import mapped_framework, multi_hub_instance, random_lattice, random_map
+from generators import flower_document, mapped_framework, multi_hub_instance, random_lattice, random_map
 from oracles import oracle_parse_outcome
 
 MINIMAL = """\
@@ -243,6 +246,24 @@ def test_generated_documents_round_trip():
         assert model.blocked == lattice.upward_closure(generals or [lattice.top])
 
 
+def test_load_afo_peak_memory_has_a_ceiling(tmp_path):
+    """`load_afo` on `flower_document(random.Random(1), 1000)` written to a
+    file (5,002 lattice nodes, 9,000 covers), under `tracemalloc`.
+    Measured on Python 3.11.7: 8.36 MiB; with parse tables that store each
+    line's split list, not a tuple of its identifiers, 10.11 MiB."""
+    path = tmp_path / "flower.afo"
+    path.write_text(flower_document(random.Random(1), 1000), encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model, document, _ = load_afo(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(document.nodes) == len(model.lattice.nodes) == 5002
+    assert peak < 9.5 * 2**20
+
+
 # directives, plain and dotted identifiers, broken dotted forms, comments
 TOKENS = [
     "node", "cover", "general", "expr", "map", "arglet", "attack",
@@ -374,6 +395,64 @@ def test_parser_matches_the_former_parser(fixtures_dir):
     wanted += [("DuplicateDeclaration", s) for s in duplicates] + [("UnknownReference", s) for s in references]
     assert {key for key in seen if isinstance(key, tuple)} == set(wanted[4:])
     assert min(seen[key] for key in wanted) >= 20, seen
+
+
+SCANNED = """\
+node bot
+node top
+cover bot top
+map e top
+map f bot
+arglet a e
+arglet b f
+attack a.e b.f
+"""
+
+
+def test_scanner_matches_the_former_parser_on_comments_and_whitespace():
+    """Comments glued to a token or after tabs, comment-only and blank lines,
+    dots inside comments and in each declaring directive's identifiers, and
+    every whitespace character as a separator, around a line and alone on
+    one: the outcome, error line included, is the former parser's."""
+    # every character `str.split()` takes for whitespace, and those of them
+    # that `str.splitlines()` keeps inside a line
+    whitespace = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    in_line = [w for w in whitespace if len(f"a{w}b".splitlines()) == 1]
+    assert set("\t\x1f\xa0\u3000") <= set(in_line)
+    assert set("\x0b\x0c\x1c\x85\u2028") <= set(whitespace) - set(in_line)
+    lines = SCANNED.splitlines()
+    texts = [
+        SCANNED.replace("node top", "node top#b"),
+        SCANNED.replace("node top", "node a#b\nnode top"),
+        SCANNED.replace("node top", "node top\t\t# tabs\n\t#\tc\n\t\t#"),
+        SCANNED.replace("node top", "node top # x.y\n# a.b c.d\n \t \n"),
+        SCANNED.replace("attack a.e b.f", "attack a.e b.f#.\nattack a b # a.e"),
+        SCANNED + "node c # x.y\nbogus.x\n",
+        SCANNED + "# a.b\nnode#x.y\n",
+        "#\n" + SCANNED + "cover#bot top\n",
+    ]
+    for directive in ("node", "cover", "general", "expr", "map", "arglet"):
+        for at, line in enumerate(lines):
+            if line.startswith(directive + " "):
+                texts.append("\n".join(lines[:at] + [line + ".x"] + lines[at + 1:]))
+                words = line.split()
+                texts.append("\n".join(lines[:at] + [" ".join(words[:2] + ["x.y"] * (len(words) - 2))] + lines[at + 1:]))
+        texts.append(SCANNED + f"{directive} x.y # z\n")
+    for w in whitespace:
+        spaced = "\n".join(w + line.replace(" ", w) + w for line in lines)
+        texts += [spaced, spaced + f"\n{w}\n{w}#{w}x.y\nbogus{w}x#", f"node{w}#{w}\n" + SCANNED]
+        got = _outcome(f"{w}node{w}bot{w}\n{w}\nbogus\n")
+        if w in in_line:
+            assert got == ("AfoSyntaxError", 3, "unknown directive 'bogus'")
+            assert _outcome(spaced) == _outcome(SCANNED)
+        else:
+            assert got == ("AfoSyntaxError", 2, "node takes 1 argument(s), got 0")
+    parsed = 0
+    for text in texts:
+        got = _outcome(text)
+        assert got == oracle_parse_outcome(text), text
+        parsed += len(got) > 3
+    assert 20 <= parsed <= len(texts) - 20
 
 
 def test_each_reference_is_its_declarations_object(fixtures_dir):

@@ -20,10 +20,12 @@ def test_scale_runs_every_case_at_its_smallest_sizes(capsys):
         ["cf2 linked_two_cycles", "n=20"],
         ["preferred reversed chained_four_cycles", "k=3"],
         ["load_afo flower_document", "h=10"],
+        ["parse_afo flower_document", "h=10"],
         ["validate_lattice flower_document", "h=10"],
         ["build_model flower_document", "h=10"],
         ["sharpen flower_document", "h=10"],
         ["load_afo flower_document", "h=20"],
+        ["parse_afo flower_document", "h=20"],
         ["validate_lattice flower_document", "h=20"],
         ["build_model flower_document", "h=20"],
         ["sharpen flower_document", "h=20"],

@@ -13,8 +13,10 @@ index or SCC mask is carried over from an earlier call, and times one call:
 * `preferred` on chained 4-cycles (`chained_four_cycles`) at k=18 with
   their ids renamed in reverse order, so id order runs against the chain;
 * `load_afo` on `flower_document(random.Random(1), h)` written to a file,
-  and `validate_lattice`, `build_model` and `pipeline.sharpen` on the
-  same document, at h=1,000 and h=2,000;
+  `parse_afo` on its text (the scan and resolution alone, without the read,
+  the lattice's validation and the model), and `validate_lattice`,
+  `build_model` and `pipeline.sharpen` on the same document, at h=1,000
+  and h=2,000;
 * `validate_lattice` on the product of two `flower_diagram(h, 3)`
   lattices (`product_diagram`), where most nodes have two upper covers or
   more, at h=12 and 24 (2,500 and 9,604 nodes), and on
@@ -186,6 +188,7 @@ def cases(sizes: dict[str, tuple[int, ...]], tmp: Path):
         path = tmp / f"flower_document{h}.afo"
         path.write_text(text, encoding="utf-8")
         yield "load_afo flower_document", f"h={h}", lambda p=str(path): lambda: load_afo(p)
+        yield "parse_afo flower_document", f"h={h}", lambda t=text: lambda: parse_afo(t)
         document = parse_afo(text)[0]
         model = build_model(document)
         yield "validate_lattice flower_document", f"h={h}", lambda d=document: lambda: validate_lattice(d.nodes, d.covers)
