@@ -434,7 +434,7 @@ def test_scanner_matches_the_former_parser_on_comments_and_whitespace():
     for directive in ("node", "cover", "general", "expr", "map", "arglet"):
         for at, line in enumerate(lines):
             if line.startswith(directive + " "):
-                texts.append("\n".join(lines[:at] + [line + ".x"] + lines[at + 1:]))
+                texts += ["\n".join(lines[:at] + [line + tail] + lines[at + 1:]) for tail in (".x", ".")]
                 words = line.split()
                 texts.append("\n".join(lines[:at] + [" ".join(words[:2] + ["x.y"] * (len(words) - 2))] + lines[at + 1:]))
         texts.append(SCANNED + f"{directive} x.y # z\n")

@@ -29,12 +29,13 @@ index or SCC mask is carried over from an earlier call, and times one call:
   merging at its hub) at h=1,000, 2,000 and 4,000.
 
 ``--small`` runs every case at its smallest sizes (k=2 and 3, n=20, k=3,
-h=10 and 20, h=3 and 6, h=3, h=10, 20 and 40), as a smoke test.  The output is one line per case: its name,
-its size, the best and the median of the repeats, in milliseconds, and,
-for one more call run under `tracemalloc`, the peak of memory allocated
-during the call and the memory still allocated when it returns, with its
-result held.  The package and the generators are read from the checkout
-the script lies in.
+h=10 and 20, h=3 and 6, h=3, h=10, 20 and 40), as a smoke test.  The
+output is one line per case: its name, its size, the best and the median
+of the repeats, in milliseconds, and, for one more call run under
+`tracemalloc` after a `gc.collect()`, the peak of memory allocated during
+the call and the memory still allocated when it returns, with its result
+held.  The package and the generators are read from the checkout the
+script lies in.
 
 One run per commit cannot compare two commits: the rows of one commit
 read up to 1.5x apart from one process to the next.  To compare, run
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import random
 import statistics
@@ -149,8 +151,11 @@ def timed(call, repeat: int) -> list[float]:
 
 def memory(call) -> tuple[int, int]:
     """The peak of memory allocated while one call set up by `call()` runs,
-    and the memory still allocated when it returns, its result held."""
+    and the memory still allocated when it returns, its result held.  A
+    collection first starts the cyclic collector's count afresh, so the
+    figures do not depend on what the rows before allocated."""
     run = call()
+    gc.collect()
     tracemalloc.start()
     try:
         result = run()  # noqa: F841 (held while the memory is read)
